@@ -55,7 +55,6 @@ from .providers import (
     extract_score,
     load_fixture,
     synthesize_usage,
-    usage_total,
 )
 from .metrics import (
     EmbeddingSet,

@@ -24,24 +24,18 @@ from .errors import (
     SandboxError,
     ValidationError,
 )
-from .errors import LoopError
 from .pipeline import (
     RunConfig,
     build_providers,
-    close_run,
     load_config,
     open_run,
-    persist_artifact,
-    persist_loop_trace,
-    persist_predictions,
     run_pipeline,
     stage_analyze,
     stage_design,
     stage_evaluate,
     stage_execute,
 )
-from .execution import LoopTrace
-from .matrixio import read_json, write_json
+from .matrixio import read_json
 from .retrieval import load_corpus, write_embeddings
 from .task_analysis import AnalysisReport, load_bundle
 
@@ -159,24 +153,13 @@ def cmd_analyze(task_path, bundle_path, corpus_path, out_dir, config_path, seed,
         config = _resolve_config(config_path, seed, fixture)
         task_text = _read_task(task_path)
         bundle = load_bundle(bundle_path)
-        ctx = open_run(config, out_dir)
-        try:
+        with open_run(config, out_dir) as ctx:
             corpus = (
                 load_corpus(corpus_path, ctx.embedder)
                 if corpus_path is not None
                 else None
             )
-            report, retrieval = stage_analyze(task_text, bundle, ctx, corpus)
-            write_json(os.path.join(ctx.out_dir, "report.json"), report.to_json())
-            write_json(
-                os.path.join(ctx.out_dir, "retrieval_trace.json"),
-                {
-                    "trace": retrieval.trace.to_json(),
-                    "documents": retrieval.document_ids,
-                },
-            )
-        finally:
-            close_run(ctx)
+            _, retrieval = stage_analyze(task_text, bundle, ctx, corpus)
         click.echo(f"report written: {os.path.join(out_dir, 'report.json')}")
         click.echo(
             f"  retrieved={len(retrieval.documents)}"
@@ -197,15 +180,8 @@ def cmd_design(report_path, out_dir, config_path, seed, fixture):
         config = _resolve_config(config_path, seed, fixture)
         _require(report_path, "analyze")
         report = AnalysisReport.from_json(read_json(report_path))
-        ctx = open_run(config, out_dir)
-        try:
+        with open_run(config, out_dir) as ctx:
             plan, trace = stage_design(report, ctx)
-            write_json(os.path.join(ctx.out_dir, "plan.json"), plan.to_json())
-            write_json(
-                os.path.join(ctx.out_dir, "discussion_trace.json"), trace.to_json()
-            )
-        finally:
-            close_run(ctx)
         click.echo(f"plan written: {os.path.join(out_dir, 'plan.json')}")
         click.echo(
             f"  rounds_used={plan.rounds_used}"
@@ -229,22 +205,9 @@ def cmd_execute(plan_path, bundle_path, out_dir, config_path, seed, fixture):
         _require(plan_path, "design")
         plan = ResearchPlan.from_json(read_json(plan_path))
         bundle = load_bundle(bundle_path)
-        ctx = open_run(config, out_dir)
-        try:
-            try:
-                artifact, result, trace = stage_execute(plan, bundle, ctx)
-            except LoopError as exc:
-                if isinstance(exc.trace, LoopTrace):
-                    persist_loop_trace(exc.trace, ctx.out_dir)
-                if exc.rollback is not None:
-                    persist_artifact(exc.rollback, ctx.out_dir)
-                raise
-            persist_artifact(artifact, ctx.out_dir)
-            persist_loop_trace(trace, ctx.out_dir)
-            predictions_dir = persist_predictions(result.workdir, ctx.out_dir)
-        finally:
-            close_run(ctx)
-        click.echo(f"predictions written: {predictions_dir}")
+        with open_run(config, out_dir) as ctx:
+            artifact, _, trace = stage_execute(plan, bundle, ctx)
+        click.echo(f"predictions written: {os.path.join(ctx.out_dir, 'predictions')}")
         click.echo(f"  refinements={trace.refinements} revision={artifact.revision}")
 
     _guarded(action)
@@ -264,14 +227,8 @@ def cmd_evaluate(predictions_path, bundle_path, out_dir, config_path, seed, fixt
         config = _resolve_config(config_path, seed, fixture)
         _require(predictions_path, "execute")
         bundle = load_bundle(bundle_path)
-        ctx = open_run(config, out_dir, require_fixture=False)
-        try:
+        with open_run(config, out_dir, require_fixture=False) as ctx:
             validation = stage_evaluate(predictions_path, bundle, ctx)
-            doc = validation.to_json()
-            doc["passed"] = validation.passed
-            write_json(os.path.join(ctx.out_dir, "metrics.json"), doc)
-        finally:
-            close_run(ctx)
         click.echo(f"metrics written: {os.path.join(out_dir, 'metrics.json')}")
         _echo_metrics(validation.metrics.to_json())
         click.echo(f"  passed={validation.passed}")

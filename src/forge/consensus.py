@@ -26,7 +26,6 @@ import json
 from dataclasses import dataclass, field
 from importlib import resources
 from pathlib import Path
-from string import Template
 from typing import Any, Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
@@ -45,7 +44,7 @@ from .providers import (
     extract_score,
 )
 from .matrixio import canonical_json
-from .task_analysis import AnalysisReport, parse_json_reply
+from .task_analysis import AnalysisReport, load_template, parse_json_reply
 
 CRITIC_ID = "critic"
 
@@ -368,11 +367,6 @@ class ResearchPlan:
         )
 
 
-def _template(name: str) -> Template:
-    text = resources.files("forge.data.prompts").joinpath(f"{name}.txt").read_text("utf-8")
-    return Template(text)
-
-
 def request_score(
     provider: ChatProvider,
     prompt: str,
@@ -384,7 +378,7 @@ def request_score(
     score = extract_score(reply)
     if score is not None:
         return score, 1
-    retry = _template("score-retry").substitute()
+    retry = load_template("score-retry").substitute()
     turns = turns + [ChatTurn("assistant", reply), ChatTurn("user", retry)]
     reply2, _ = provider.complete(turns, params)
     score = extract_score(reply2)
@@ -526,7 +520,7 @@ def run_discussion(
 
     try:
         for member in members:
-            prompt = _template("proposal").substitute(
+            prompt = load_template("proposal").substitute(
                 persona=member.template, summary=summary
             )
             reply, _ = provider.complete([ChatTurn("user", prompt)], gen_params)
@@ -540,7 +534,7 @@ def run_discussion(
         for round_no in range(1, params.t_max + 1):
             critic_scores: Dict[str, float] = {}
             for member in members:  # submission order
-                prompt = _template("critic-score").substitute(
+                prompt = load_template("critic-score").substitute(
                     persona=critic.template,
                     summary=summary,
                     proposal=proposals[member.id],
@@ -564,7 +558,7 @@ def run_discussion(
                 (s, p) for s in member_ids for p in member_ids if s != p
             )
             for scorer_id, proposer_id in pairs:
-                prompt = _template("peer-score").substitute(
+                prompt = load_template("peer-score").substitute(
                     persona=by_id[scorer_id].template,
                     summary=summary,
                     proposal=proposals[proposer_id],
@@ -633,7 +627,7 @@ def run_discussion(
                 _weight_order(member_ids, weight_map, proposals)
             )
             for member in members:
-                prompt = _template("refine-proposal").substitute(
+                prompt = load_template("refine-proposal").substitute(
                     persona=member.template,
                     summary=summary,
                     digest=digest,

@@ -27,9 +27,7 @@ import sys
 import tempfile
 import time
 from dataclasses import dataclass, field
-from importlib import resources
 from pathlib import Path, PurePosixPath
-from string import Template
 from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple, Union
 
 from .consensus import ResearchPlan
@@ -48,6 +46,7 @@ from .metrics import (
 )
 from .protocol import KnowledgeEntity, MemoryStore
 from .providers import ChatProvider, ChatTurn, GenerationParams
+from .task_analysis import load_template
 
 EXIT_COMPLETED = "completed"
 EXIT_TIMEOUT = "timeout"
@@ -58,7 +57,6 @@ FAILURE_CATEGORIES = (
     "invalid-type-or-operation",
     "data-access-failure",
     "error-recovery-failure",
-    "hallucination",
     "other",
 )
 
@@ -248,11 +246,6 @@ def render_artifact(artifact: CodeArtifact) -> str:
     return "\n".join(parts)
 
 
-def _template(name: str) -> Template:
-    raw = resources.files("forge.data.prompts").joinpath(f"{name}.txt").read_text("utf-8")
-    return Template(raw)
-
-
 def generate_code(
     plan: ResearchPlan,
     provider: ChatProvider,
@@ -265,7 +258,7 @@ def generate_code(
     FILE blocks; a second failure raises a generation error.
     """
     gen_params = gen_params or GenerationParams()
-    prompt = _template("generate-code").substitute(
+    prompt = load_template("generate-code").substitute(
         plan=canonical_json(plan.to_json()["sections"])
     )
     turns = [ChatTurn("user", prompt)]
@@ -273,7 +266,7 @@ def generate_code(
     try:
         artifact = parse_artifact(reply, revision=0)
     except _ArtifactParseError as first:
-        retry = _template("format-retry").substitute(reason=str(first))
+        retry = load_template("format-retry").substitute(reason=str(first))
         turns = turns + [ChatTurn("assistant", reply), ChatTurn("user", retry)]
         reply2, _ = provider.complete(turns, gen_params)
         try:
@@ -573,21 +566,30 @@ def apply_thresholds(
 def validate_predictions(
     pred_path: str,
     truth: ExpressionMatrix,
+    control_rows: Sequence[int] = (),
     de_k: int = 20,
-    control: Optional[ExpressionMatrix] = None,
+    pseudo: float = 1e-6,
     thresholds: Optional[Dict[str, float]] = None,
     store: Optional[MemoryStore] = None,
 ) -> ValidationReport:
     """Score a prediction file against truth and judge it by thresholds.
 
-    With a control matrix present, the DE-restricted variants run over
-    the top-``de_k`` fold-change genes of the truth-vs-control contrast.
+    The DE-restricted variants run over the top-``de_k`` genes by |log2
+    fold change| of the pooled perturbed rows (every row not in
+    ``control_rows``) against the control rows, ties broken by gene index.
+    Without both groups they are skipped.
     """
     predictions = read_predictions(pred_path)
     aligned = align_predictions(predictions, truth)
+    perturbed_rows = [i for i in range(truth.shape[0]) if i not in set(control_rows)]
     de_genes = None
-    if control is not None:
-        de_genes = select_de_genes(truth, control, k=de_k)
+    if control_rows and perturbed_rows:
+        de_genes = select_de_genes(
+            truth.values[perturbed_rows],
+            truth.values[list(control_rows)],
+            k=min(int(de_k), truth.shape[1]),
+            pseudo=float(pseudo),
+        )
     metrics = metric_report(truth, aligned, de_genes=de_genes)
     thresholds = dict(thresholds or {})
     verdict = apply_thresholds(metrics, thresholds)
@@ -598,15 +600,8 @@ def validate_predictions(
             KnowledgeEntity(
                 id=store.new_id("result"),
                 kind="result",
-                body={
-                    "metrics": metrics.to_json(),
-                    "failing": failing,
-                    "verdict": dict(verdict),
-                },
-                provenance={
-                    "agent": "validator",
-                    "reasoning": "prediction scoring vs thresholds",
-                },
+                body={"metrics": metrics.to_json(), "failing": failing},
+                provenance={"agent": "evaluator", "reasoning": "final scoring"},
             )
         )
     return report
@@ -673,7 +668,7 @@ def _patch_artifact(
     provider: ChatProvider,
     gen_params: GenerationParams,
 ) -> CodeArtifact:
-    prompt = _template("patch-code").substitute(
+    prompt = load_template("patch-code").substitute(
         files=render_artifact(artifact),
         category=failure.category,
         evidence=failure.evidence,
@@ -684,7 +679,7 @@ def _patch_artifact(
     try:
         return parse_artifact(reply, revision=artifact.revision + 1)
     except _ArtifactParseError as first:
-        retry = _template("format-retry").substitute(reason=str(first))
+        retry = load_template("format-retry").substitute(reason=str(first))
         turns = turns + [ChatTurn("assistant", reply), ChatTurn("user", retry)]
         reply2, _ = provider.complete(turns, gen_params)
         try:

@@ -19,12 +19,7 @@ from scipy import sparse
 
 from .errors import LoadError, ValidationError
 from .metrics import ExpressionMatrix
-
-
-def canonical_json(doc: Any) -> str:
-    """Stable JSON text for byte-identical replay."""
-    return json.dumps(doc, sort_keys=True, separators=(",", ":"), ensure_ascii=False,
-                      allow_nan=False)
+from .protocol import canonical_json
 
 
 def write_json(path: str, doc: Any) -> None:

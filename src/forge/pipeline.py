@@ -1,10 +1,11 @@
 """End-to-end orchestration: analyze → design → execute → evaluate.
 
-Each stage is a standalone function over explicit inputs so the CLI's
-stage commands produce exactly the slice a full run would. A run owns a
-single run directory holding every stage output, the provider event log,
-and the knowledge store; re-running with the same config, fixture, seed,
-and bundle reproduces the directory byte for byte.
+Each stage is a standalone function over explicit inputs that writes its
+own outputs into the run directory, so the CLI's stage commands produce
+exactly the slice a full run would. A run owns a single run directory
+holding every stage output, the provider event log, and the knowledge
+store; re-running with the same config, fixture, seed, and bundle
+reproduces the directory byte for byte.
 """
 
 from __future__ import annotations
@@ -12,10 +13,10 @@ from __future__ import annotations
 import json
 import os
 import shutil
-from dataclasses import dataclass
+from dataclasses import MISSING, asdict, dataclass, fields, is_dataclass
 from importlib import resources
 from pathlib import Path
-from typing import Any, Dict, List, Optional, Tuple
+from typing import Any, Dict, List, Optional, Tuple, get_type_hints
 
 from .consensus import (
     DiscussionParams,
@@ -33,8 +34,8 @@ from .execution import (
     LoopTrace,
     SandboxLimits,
     ValidationReport,
-    apply_thresholds,
     refinement_loop,
+    validate_predictions,
 )
 from .matrixio import (
     align_predictions,
@@ -43,7 +44,7 @@ from .matrixio import (
     read_predictions,
     write_json,
 )
-from .metrics import ExpressionMatrix, metric_report, select_de_genes
+from .metrics import ExpressionMatrix
 from .protocol import (
     Envelope,
     EventStream,
@@ -107,6 +108,31 @@ def default_profile() -> Dict[str, Any]:
     return json.loads(raw)["defaults"]
 
 
+def _build_section(name: str, cls: type, doc: Any) -> Any:
+    """A config section as its parameter dataclass.
+
+    Each value is converted to the type of its field's default (int, float
+    or tuple); an unknown key or an unconvertible value names the section
+    and key in a :class:`ValidationError`.
+    """
+    if not isinstance(doc, dict):
+        raise ValidationError(f"config section {name!r} must be a JSON object")
+    defaults = {f.name: f.default for f in fields(cls)}
+    kwargs: Dict[str, Any] = {}
+    for key, value in doc.items():
+        if key not in defaults:
+            raise ValidationError(f"unknown config key {name}.{key}")
+        kind = type(defaults[key])
+        try:
+            kwargs[key] = kind(value) if kind in (int, float, tuple) else value
+        except (TypeError, ValueError) as exc:
+            raise ValidationError(f"bad value for config key {name}.{key}: {exc}") from exc
+    try:
+        return cls(**kwargs)
+    except (TypeError, ValueError) as exc:
+        raise ValidationError(f"bad config section {name!r}: {exc}") from exc
+
+
 @dataclass
 class RunConfig:
     """Resolved knobs for one pipeline run."""
@@ -142,61 +168,20 @@ class RunConfig:
         return int(self.execution.get("r_max", 10))
 
     def to_json(self) -> Dict[str, Any]:
-        return {
-            "provider": dict(self.provider),
-            "generation": {
-                "model": self.generation.model,
-                "temperature": self.generation.temperature,
-                "top_p": self.generation.top_p,
-                "max_tokens": self.generation.max_tokens,
-            },
-            "retrieval": {
-                "l_max": self.retrieval.l_max,
-                "overlap_tau": self.retrieval.overlap_tau,
-                "relevance_eps": self.retrieval.relevance_eps,
-                "alpha": self.retrieval.alpha,
-                "k_per_layer": self.retrieval.k_per_layer,
-                "term_window": self.retrieval.term_window,
-            },
-            "discussion": {
-                "lambdas": list(self.discussion.lambdas),
-                "tau": self.discussion.tau,
-                "eps": self.discussion.eps,
-                "t_max": self.discussion.t_max,
-                "beta": self.discussion.beta,
-                "n_experts": self.discussion.n_experts,
-            },
-            "execution": dict(self.execution),
-            "evaluation": dict(self.evaluation),
-            "pricing_table": self.pricing_table,
-            "seed": self.seed,
-        }
+        return asdict(self)
 
     @classmethod
     def from_profile(cls, profile: Dict[str, Any]) -> "RunConfig":
-        gen = profile.get("generation", {})
-        return cls(
-            provider=dict(profile.get("provider", {})),
-            generation=GenerationParams(
-                model=gen.get("model", "scripted"),
-                temperature=float(gen.get("temperature", 0.7)),
-                top_p=float(gen.get("top_p", 0.95)),
-                max_tokens=gen.get("max_tokens"),
-            ),
-            retrieval=RetrievalParams(**profile.get("retrieval", {})),
-            discussion=DiscussionParams(
-                lambdas=tuple(profile.get("discussion", {}).get("lambdas", (0.3, 0.4, 0.3))),
-                tau=float(profile.get("discussion", {}).get("tau", 0.8)),
-                eps=float(profile.get("discussion", {}).get("eps", 0.03)),
-                t_max=int(profile.get("discussion", {}).get("t_max", 10)),
-                beta=float(profile.get("discussion", {}).get("beta", 5.0)),
-                n_experts=int(profile.get("discussion", {}).get("n_experts", 5)),
-            ),
-            execution=dict(profile.get("execution", {})),
-            evaluation=dict(profile.get("evaluation", {})),
-            pricing_table=profile.get("pricing_table"),
-            seed=profile.get("seed", 0),
-        )
+        hints = get_type_hints(cls)
+        kwargs: Dict[str, Any] = {}
+        for f in fields(cls):
+            value = profile.get(f.name, {} if f.default is MISSING else f.default)
+            if is_dataclass(hints[f.name]):
+                value = _build_section(f.name, hints[f.name], value)
+            elif isinstance(value, dict):
+                value = dict(value)
+            kwargs[f.name] = value
+        return cls(**kwargs)
 
     @classmethod
     def from_json(cls, doc: Dict[str, Any]) -> "RunConfig":
@@ -347,11 +332,20 @@ class RunContext:
             Envelope(kind="event", method=method, payload=payload, sender="pipeline")
         )
 
+    def __enter__(self) -> "RunContext":
+        return self
+
+    def __exit__(self, *exc_info) -> None:
+        close_run(self)
+
 
 def open_run(
     config: RunConfig, out_dir: str, require_fixture: bool = True
 ) -> RunContext:
-    """Create the run directory and wire providers, store, and stream."""
+    """Create the run directory and wire providers, store, and stream.
+
+    Use the context as a ``with`` block to run :func:`close_run` on exit.
+    """
     path = Path(out_dir)
     path.mkdir(parents=True, exist_ok=True)
     stream = EventStream(str(path / "events.jsonl"))
@@ -407,7 +401,10 @@ def stage_analyze(
     ctx: RunContext,
     corpus: Optional[Corpus] = None,
 ) -> Tuple[AnalysisReport, RetrievalResult]:
-    """Profile the bundle, retrieve context, run the four analysis agents."""
+    """Profile the bundle, retrieve context, run the four analysis agents.
+
+    Writes ``report.json`` and ``retrieval_trace.json`` into the run directory.
+    """
     ctx.mark("stage.start", {"stage": "analyze"})
     ctx.chat.label = "analyze"
     profile = profile_dataset(bundle)
@@ -474,6 +471,11 @@ def stage_analyze(
     report_entity = ctx.store.query_entities(kind="report")[-1]
     for doc_id in doc_entity_ids:
         ctx.store.link_entities(report_entity.id, doc_id, "cites")
+    write_json(os.path.join(ctx.out_dir, "report.json"), report.to_json())
+    write_json(
+        os.path.join(ctx.out_dir, "retrieval_trace.json"),
+        {"trace": retrieval.trace.to_json(), "documents": retrieval.document_ids},
+    )
     ctx.mark("stage.complete", {"stage": "analyze"})
     return report, retrieval
 
@@ -488,7 +490,10 @@ def stage_design(
     ctx: RunContext,
     registry: Optional[List[ExpertRole]] = None,
 ) -> Tuple[ResearchPlan, DiscussionTrace]:
-    """Select the panel and run the consensus discussion."""
+    """Select the panel and run the consensus discussion.
+
+    Writes ``plan.json`` and ``discussion_trace.json`` into the run directory.
+    """
     ctx.mark("stage.start", {"stage": "design"})
     ctx.chat.label = "design"
     roles = registry if registry is not None else load_registry()
@@ -504,6 +509,8 @@ def stage_design(
         store=ctx.store,
         gen_params=ctx.config.generation,
     )
+    write_json(os.path.join(ctx.out_dir, "plan.json"), plan.to_json())
+    write_json(os.path.join(ctx.out_dir, "discussion_trace.json"), trace.to_json())
     ctx.mark("stage.complete", {"stage": "design"})
     return plan, trace
 
@@ -545,21 +552,37 @@ def stage_execute(
     bundle: DatasetBundle,
     ctx: RunContext,
 ) -> Tuple[CodeArtifact, ExecutionResult, LoopTrace]:
-    """Generate code from the plan and drive the refinement loop."""
+    """Generate code from the plan and drive the refinement loop.
+
+    Writes ``artifact/``, ``sandbox_logs/`` and ``predictions/`` into the
+    run directory. When the loop exhausts its budget the loop trace and the
+    rollback artifact are written before the :class:`LoopError` propagates:
+    they are the run's outcome.
+    """
     ctx.mark("stage.start", {"stage": "execute"})
     ctx.chat.label = "execute"
     sandbox_root = os.path.join(ctx.out_dir, "sandbox")
-    artifact, result, trace = refinement_loop(
-        plan,
-        ctx.chat,
-        r_max=ctx.config.r_max,
-        limits=ctx.config.limits,
-        inputs=_bundle_inputs(bundle.path),
-        validator=_prediction_validator(bundle.matrix),
-        workdir_root=sandbox_root,
-        store=ctx.store,
-        gen_params=ctx.config.generation,
-    )
+    try:
+        artifact, result, trace = refinement_loop(
+            plan,
+            ctx.chat,
+            r_max=ctx.config.r_max,
+            limits=ctx.config.limits,
+            inputs=_bundle_inputs(bundle.path),
+            validator=_prediction_validator(bundle.matrix),
+            workdir_root=sandbox_root,
+            store=ctx.store,
+            gen_params=ctx.config.generation,
+        )
+    except LoopError as exc:
+        if isinstance(exc.trace, LoopTrace):
+            persist_loop_trace(exc.trace, ctx.out_dir)
+        if exc.rollback is not None:
+            persist_artifact(exc.rollback, ctx.out_dir)
+        raise
+    persist_artifact(artifact, ctx.out_dir)
+    persist_loop_trace(trace, ctx.out_dir)
+    persist_predictions(result.workdir, ctx.out_dir)
     ctx.mark("stage.complete", {"stage": "execute"})
     return artifact, result, trace
 
@@ -608,40 +631,23 @@ def stage_evaluate(
     bundle: DatasetBundle,
     ctx: RunContext,
 ) -> ValidationReport:
-    """Score predictions against the bundle and apply config thresholds.
-
-    The DE-restricted variants use the pooled perturbed-vs-control
-    contrast of the truth matrix; bundles without both groups skip them.
+    """Score predictions against the bundle with the config's ``de_k``,
+    ``pseudo`` and thresholds; writes ``metrics.json`` into the run directory.
     """
     ctx.mark("stage.start", {"stage": "evaluate"})
-    truth = bundle.matrix
-    predictions = read_predictions(predictions_path)
-    aligned = align_predictions(predictions, truth)
-
-    control_rows = bundle.control_rows
-    perturbed_rows = [i for i in range(truth.shape[0]) if i not in set(control_rows)]
-    de_genes = None
-    if control_rows and perturbed_rows:
-        de_k = min(int(ctx.config.evaluation.get("de_k", 20)), truth.shape[1])
-        de_genes = select_de_genes(
-            truth.values[perturbed_rows],
-            truth.values[control_rows],
-            k=de_k,
-            pseudo=float(ctx.config.evaluation.get("pseudo", 1e-6)),
-        )
-    metrics = metric_report(truth, aligned, de_genes=de_genes)
-    thresholds = dict(ctx.config.evaluation.get("thresholds", {}))
-    verdict = apply_thresholds(metrics, thresholds)
-    report = ValidationReport(metrics=metrics, thresholds=thresholds, verdict=verdict)
-    failing = sorted(name for name, ok in verdict.items() if not ok)
-    report.critique_ref = ctx.store.put_entity(
-        KnowledgeEntity(
-            id=ctx.store.new_id("result"),
-            kind="result",
-            body={"metrics": metrics.to_json(), "failing": failing},
-            provenance={"agent": "evaluator", "reasoning": "final scoring"},
-        )
+    evaluation = ctx.config.evaluation
+    report = validate_predictions(
+        predictions_path,
+        bundle.matrix,
+        control_rows=bundle.control_rows,
+        de_k=evaluation.get("de_k", 20),
+        pseudo=evaluation.get("pseudo", 1e-6),
+        thresholds=evaluation.get("thresholds", {}),
+        store=ctx.store,
     )
+    doc = report.to_json()
+    doc["passed"] = report.passed
+    write_json(os.path.join(ctx.out_dir, "metrics.json"), doc)
     ctx.mark("stage.complete", {"stage": "evaluate"})
     return report
 
@@ -667,46 +673,14 @@ def run_pipeline(
     if not task_text.strip():
         raise ValidationError(f"task file {task_path} is empty")
     bundle = load_bundle(bundle_path)
-    ctx = open_run(config, out_dir)
-    try:
+    with open_run(config, out_dir) as ctx:
         corpus = (
             load_corpus(corpus_path, ctx.embedder) if corpus_path is not None else None
         )
         report, retrieval = stage_analyze(task_text, bundle, ctx, corpus)
-        write_json(os.path.join(ctx.out_dir, "report.json"), report.to_json())
-        write_json(
-            os.path.join(ctx.out_dir, "retrieval_trace.json"),
-            {
-                "trace": retrieval.trace.to_json(),
-                "documents": retrieval.document_ids,
-            },
-        )
-
-        plan, discussion = stage_design(report, ctx)
-        write_json(os.path.join(ctx.out_dir, "plan.json"), plan.to_json())
-        write_json(
-            os.path.join(ctx.out_dir, "discussion_trace.json"), discussion.to_json()
-        )
-
-        try:
-            artifact, result, loop_trace = stage_execute(plan, bundle, ctx)
-        except LoopError as exc:
-            # Terminal failure: keep the partial run directory — the loop
-            # trace and the rollback artifact are the run's outcome.
-            if isinstance(exc.trace, LoopTrace):
-                persist_loop_trace(exc.trace, ctx.out_dir)
-            if exc.rollback is not None:
-                persist_artifact(exc.rollback, ctx.out_dir)
-            raise
-        persist_artifact(artifact, ctx.out_dir)
-        persist_loop_trace(loop_trace, ctx.out_dir)
-        predictions_dir = persist_predictions(result.workdir, ctx.out_dir)
-
-        validation = stage_evaluate(predictions_dir, bundle, ctx)
-        metrics_doc = validation.to_json()
-        metrics_doc["passed"] = validation.passed
-        write_json(os.path.join(ctx.out_dir, "metrics.json"), metrics_doc)
-
+        plan, _ = stage_design(report, ctx)
+        _, _, loop_trace = stage_execute(plan, bundle, ctx)
+        validation = stage_evaluate(os.path.join(ctx.out_dir, "predictions"), bundle, ctx)
         summary = {
             "rounds_used": plan.rounds_used,
             "refinements": loop_trace.refinements,
@@ -718,5 +692,3 @@ def run_pipeline(
         # produce identical bytes; the caller still gets the directory.
         write_json(os.path.join(ctx.out_dir, "summary.json"), summary)
         return {**summary, "out_dir": ctx.out_dir}
-    finally:
-        close_run(ctx)

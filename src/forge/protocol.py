@@ -38,9 +38,6 @@ RESPONSE = "response"
 NOTIFICATION = "notification"
 EVENT = "event"
 
-# Reserved receiver meaning "deliver to every subscriber".
-BROADCAST = "*"
-
 _KINDS = (REQUEST, RESPONSE, NOTIFICATION, EVENT)
 
 ENTITY_KINDS = (

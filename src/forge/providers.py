@@ -244,13 +244,11 @@ class ScriptedChatProvider(ChatProvider):
         return reply, synthesize_usage(turns, reply)
 
 
-class HttpChatProvider(ChatProvider):
-    """Minimal JSON-over-HTTP chat client.
+class _HttpClient:
+    """JSON-over-HTTP POST with retries, shared by the HTTP providers.
 
-    POSTs ``{"model", "messages", "temperature", "top_p"}`` to ``base_url``
-    and expects ``{"text": ..., "usage": {"prompt_tokens", ...}}`` back.
     Retries 5xx responses and connection errors with exponential backoff;
-    4xx responses fail immediately.
+    4xx responses and bodies that are not a JSON object fail immediately.
     """
 
     def __init__(
@@ -299,10 +297,21 @@ class HttpChatProvider(ChatProvider):
             if resp.status_code >= 400:
                 raise ProviderError(f"provider rejected request: {resp.status_code}")
             try:
-                return resp.json()
+                doc = resp.json()
             except ValueError as exc:
                 raise ProviderError(f"provider returned non-JSON body: {exc}") from exc
+            if not isinstance(doc, dict):
+                raise ProviderError("provider reply is not a JSON object")
+            return doc
         raise ProviderError(f"provider unreachable after {self.retries} attempts: {last_error}")
+
+
+class HttpChatProvider(_HttpClient, ChatProvider):
+    """Minimal JSON-over-HTTP chat client.
+
+    POSTs ``{"model", "messages", "temperature", "top_p"}`` to ``base_url``
+    and expects ``{"text": ..., "usage": {"prompt_tokens", ...}}`` back.
+    """
 
     def complete(self, turns: Sequence[ChatTurn], params: GenerationParams) -> Tuple[str, Usage]:
         _check_turns(turns)
@@ -381,8 +390,11 @@ class ScriptedEmbedder(Embedder):
         return out
 
 
-class HttpEmbedder(Embedder):
-    """JSON-over-HTTP embedding client mirroring :class:`HttpChatProvider`."""
+class HttpEmbedder(_HttpClient, Embedder):
+    """JSON-over-HTTP embedding client mirroring :class:`HttpChatProvider`.
+
+    POSTs ``{"model", "input"}`` and expects ``{"embeddings": [...]}`` back.
+    """
 
     def __init__(
         self,
@@ -395,60 +407,25 @@ class HttpEmbedder(Embedder):
         session=None,
         sleep: Callable[[float], None] = time.sleep,
     ):
-        if not base_url:
-            raise ValidationError("base_url must be non-empty")
-        self.base_url = base_url
-        self.api_key = api_key
+        super().__init__(base_url, api_key, retries, backoff, session, sleep)
         self.model = model
         self.dim = dim
-        self.retries = retries
-        self.backoff = backoff
-        self._sleep = sleep
-        if session is None:
-            import requests
-
-            session = requests.Session()
-        self._session = session
 
     def embed(self, texts: Sequence[str]) -> List[np.ndarray]:
         if any(not t for t in texts):
             raise ValidationError("cannot embed an empty text")
         if not texts:
             return []
-        headers = {"Content-Type": "application/json"}
-        if self.api_key:
-            headers["Authorization"] = f"Bearer {self.api_key}"
-        last_error: Optional[Exception] = None
-        for attempt in range(self.retries):
-            try:
-                resp = self._session.post(
-                    self.base_url,
-                    json={"model": self.model, "input": list(texts)},
-                    headers=headers,
-                    timeout=120,
-                )
-            except Exception as exc:
-                last_error = exc
-                self._sleep(self.backoff * 2**attempt)
-                continue
-            if resp.status_code >= 500:
-                last_error = ProviderError(f"server error {resp.status_code}")
-                self._sleep(self.backoff * 2**attempt)
-                continue
-            if resp.status_code >= 400:
-                raise ProviderError(f"provider rejected request: {resp.status_code}")
-            doc = resp.json()
-            rows = doc.get("embeddings")
-            if not isinstance(rows, list) or len(rows) != len(texts):
-                raise ProviderError("embedding reply shape mismatch")
-            vecs = [_unit(np.asarray(row, dtype=np.float64), text)
-                    for row, text in zip(rows, texts)]
-            if self.dim:
-                for v in vecs:
-                    if v.shape[0] != self.dim:
-                        raise ProviderError("embedding dim mismatch")
-            return vecs
-        raise ProviderError(f"provider unreachable after {self.retries} attempts: {last_error}")
+        rows = self._post({"model": self.model, "input": list(texts)}).get("embeddings")
+        if not isinstance(rows, list) or len(rows) != len(texts):
+            raise ProviderError("embedding reply shape mismatch")
+        vecs = [_unit(np.asarray(row, dtype=np.float64), text)
+                for row, text in zip(rows, texts)]
+        if self.dim:
+            for v in vecs:
+                if v.shape[0] != self.dim:
+                    raise ProviderError("embedding dim mismatch")
+        return vecs
 
 
 def _unit(vec: np.ndarray, label: str) -> np.ndarray:
@@ -456,11 +433,6 @@ def _unit(vec: np.ndarray, label: str) -> np.ndarray:
     if norm == 0.0 or not np.isfinite(norm):
         raise ValidationError(f"cannot normalize zero/non-finite embedding for {label!r}")
     return vec / norm
-
-
-def usage_total(session: UsageLedger) -> Usage:
-    """Componentwise sum of every exchange recorded in the session."""
-    return session.total()
 
 
 def load_fixture(

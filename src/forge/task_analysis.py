@@ -222,13 +222,10 @@ class HoldoutSplit:
         }
 
 
-def split_holdout(
-    bundle: DatasetBundle, held_out: Iterable[str], seed: int = 0
-) -> HoldoutSplit:
+def split_holdout(bundle: DatasetBundle, held_out: Iterable[str]) -> HoldoutSplit:
     """Send all rows of the held-out labels to test, keep the rest in train.
 
-    The split is fully determined by the labels; the seed parameter is
-    accepted for interface stability but has no effect today.
+    Control rows go to both sides. The split is fully determined by the labels.
     """
     held = sorted(set(held_out))
     if not held:
@@ -273,7 +270,8 @@ def parse_json_reply(text: str) -> Any:
     return json.loads(candidate)
 
 
-def _load_template(name: str) -> Template:
+def load_template(name: str) -> Template:
+    """The prompt template ``forge/data/prompts/<name>.txt``."""
     text = resources.files("forge.data.prompts").joinpath(f"{name}.txt").read_text("utf-8")
     return Template(text)
 
@@ -348,7 +346,7 @@ def run_analysis_stage(
     profile = context.get("profile")
     if isinstance(profile, DatasetProfile):
         profile = profile.to_json()
-    prompt = _load_template(role).substitute(
+    prompt = load_template(role).substitute(
         task=str(context.get("task", "")).strip() or "(no task text)",
         profile=canonical_json(profile) if profile is not None else "(no profile)",
         documents=_format_documents(context.get("documents") or []),
@@ -365,7 +363,7 @@ def run_analysis_stage(
         parsed, reason = None, f"invalid JSON ({exc.msg})"
 
     if reason is not None:
-        retry_prompt = _load_template("schema-retry").substitute(
+        retry_prompt = load_template("schema-retry").substitute(
             reason=reason, keys=", ".join(ROLE_SCHEMAS[role])
         )
         turns = turns + [ChatTurn("assistant", reply), ChatTurn("user", retry_prompt)]

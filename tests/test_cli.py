@@ -19,6 +19,8 @@ from conftest import (
 )
 import forge
 from forge.cli import main
+from forge.pipeline import load_config, open_run, stage_analyze, stage_design
+from forge.task_analysis import load_bundle
 
 CRASH_REPLY = (
     "FILE: main.py\n```\nraise IndexError('index 28 is out of bounds "
@@ -201,6 +203,16 @@ def test_stage_commands_match_full_run(runner, workdir):
     assert stage_doc["metrics"] == full_doc["metrics"]
     assert stage_doc["metrics"]["mse"] == 0.0
 
+    # library use: the stage functions write the same files themselves
+    lib = workdir / "lib"
+    bundle = load_bundle(str(workdir / "bundle"))
+    with open_run(load_config(str(cfg)), str(lib)) as ctx:
+        report, _ = stage_analyze(TASK_TEXT, bundle, ctx)
+        stage_design(report, ctx)
+    for name in ("report.json", "retrieval_trace.json", "plan.json",
+                 "discussion_trace.json"):
+        assert (lib / name).read_bytes() == (full / name).read_bytes(), name
+
 
 # ---------------------------------------------------------------------------
 # exit codes
@@ -255,9 +267,7 @@ def test_fixture_underflow_exits_2(runner, workdir):
 
 
 def test_loop_exhaustion_exits_3_with_rollback(runner, workdir):
-    fx = workdir / "crash.json"
-    fx.write_text(json.dumps({"completions": [CRASH_REPLY, CRASH_REPLY]}))
-    cfg = write_config(workdir / "config.json", **profile(fx, r_max=1))
+    crashes = [CRASH_REPLY, CRASH_REPLY]
     plan_doc = {
         "sections": {
             "preprocessing": "none", "architecture": "identity",
@@ -267,20 +277,51 @@ def test_loop_exhaustion_exits_3_with_rollback(runner, workdir):
         "rounds_used": 1,
     }
     (workdir / "plan.json").write_text(json.dumps(plan_doc))
-    out = workdir / "out"
+    # a full run reaches the same rollback once analyze and design are done
+    upstream = json.loads(golden_fixture(workdir / "golden.json").read_text())
+    cases = {
+        "execute": (["--plan", workdir / "plan.json"], crashes),
+        "run": (["--task", workdir / "task.txt"], upstream["completions"][:-1] + crashes),
+    }
+    for command, (inputs, completions) in cases.items():
+        fx = workdir / f"crash-{command}.json"
+        fx.write_text(json.dumps({"completions": completions}))
+        cfg = write_config(workdir / f"config-{command}.json", **profile(fx, r_max=1))
+        out = workdir / f"out-{command}"
+        result = run_cli(
+            runner,
+            [command, *inputs, "--bundle", workdir / "bundle", "--out", out,
+             "--config", cfg],
+        )
+        assert result.exit_code == 3, command
+        assert "refinement loop exhausted" in everything(result)
+        loop = json.loads((out / "sandbox_logs" / "loop.json").read_text())
+        assert loop["refinements"] == 1
+        assert loop["rollback_revision"] == 1
+        # the rollback artifact is persisted for inspection
+        manifest = json.loads((out / "artifact" / "manifest.json").read_text())
+        assert manifest["revision"] == 1
+
+
+@pytest.mark.parametrize(
+    "section, key, value, named",
+    [
+        ("retrieval", "bogus", 1, "retrieval.bogus"),
+        ("generation", "temperature", "hot", "generation.temperature"),
+        ("discussion", "lambdas", ["a", 0.5, 0.5], "'discussion'"),
+    ],
+)
+def test_bad_config_key_exits_1(runner, workdir, section, key, value, named):
+    cfg = workdir / "config.json"
+    cfg.write_text(json.dumps({section: {key: value}}))
     result = run_cli(
         runner,
-        ["execute", "--plan", workdir / "plan.json", "--bundle",
-         workdir / "bundle", "--out", out, "--config", cfg],
+        ["analyze", "--task", workdir / "task.txt", "--bundle",
+         workdir / "bundle", "--out", workdir / "out", "--config", cfg],
     )
-    assert result.exit_code == 3
-    assert "refinement loop exhausted" in everything(result)
-    loop = json.loads((out / "sandbox_logs" / "loop.json").read_text())
-    assert loop["refinements"] == 1
-    assert loop["rollback_revision"] == 1
-    # the rollback artifact is persisted for inspection
-    manifest = json.loads((out / "artifact" / "manifest.json").read_text())
-    assert manifest["revision"] == 1
+    assert result.exit_code == 1
+    assert isinstance(result.exception, SystemExit)  # not an escaped exception
+    assert named in everything(result)
 
 
 def test_execute_requires_plan(runner, workdir):

@@ -384,23 +384,39 @@ def test_validate_predictions_roundtrip(tmp_path):
 
 
 def test_validate_predictions_de_variants_and_store(tmp_path):
+    # Row "c" is the control. Pooled perturbed means (a, b) against it give
+    # |log2 FC| of 2.17 (g1), 3 (g2), 2.17 (g3) and 1.42 (g4): the top 2 are
+    # g2 and g1, the g1/g3 tie going to the lower index. Contrasting all
+    # rows with the control would pick g1 and g3 instead.
     truth = ExpressionMatrix(
-        [[1.0, 5.0, 2.0], [2.0, 6.0, 1.0]],
-        row_ids=("a", "b"), column_ids=("g1", "g2", "g3"),
+        [[1.0, 8.0, 1.0, 4.0], [8.0, 1.0, 8.0, 1.0], [1.0, 1.0, 1.0, 2.0]],
+        row_ids=("c", "a", "b"), column_ids=("g1", "g2", "g3", "g4"),
     )
-    control = ExpressionMatrix([[1.0, 1.0, 1.0], [1.0, 1.0, 1.0]])
-    write_predictions(str(tmp_path / "p"), truth)
+    # a distinct error per gene, so mse_de names the DE set: {g1, g2} -> 0.5
+    pred = ExpressionMatrix(
+        truth.values + np.array([1.0, 0.0, 3.0, 2.0]),
+        row_ids=truth.row_ids, column_ids=truth.column_ids,
+    )
+    write_predictions(str(tmp_path / "p"), pred)
     store = MemoryStore()
     report = validate_predictions(
-        str(tmp_path / "p"), truth, de_k=2, control=control,
-        thresholds={"mse_de": 0.5}, store=store,
+        str(tmp_path / "p"), truth, control_rows=[0], de_k=2,
+        thresholds={"mse_de": 0.5, "mse": 0.5}, store=store,
     )
-    assert report.metrics.get("mse_de") == pytest.approx(0.0)
-    assert report.verdict == {"mse_de": True}
+    assert report.metrics.get("mse_de") == pytest.approx(0.5)
+    assert report.metrics.get("mse") == pytest.approx(3.5)
+    assert report.verdict == {"mse_de": True, "mse": False}
     assert report.critique_ref is not None
     entity = store.get_entity(report.critique_ref)
     assert entity.kind == "result"
-    assert entity.body["failing"] == []
+    assert entity.body["failing"] == ["mse"]
+    assert entity.body["metrics"] == report.metrics.to_json()
+
+    # without a control group (or with no perturbed rows) the DE variants are skipped
+    for rows in ([], [0, 1, 2]):
+        skipped = validate_predictions(str(tmp_path / "p"), truth, control_rows=rows)
+        assert "mse_de" not in skipped.metrics
+        assert skipped.metrics.get("mse") == pytest.approx(3.5)
 
 
 def test_validate_predictions_missing_ids(tmp_path):

@@ -244,6 +244,13 @@ def test_http_chat_bad_bodies():
     )
     with pytest.raises(ProviderError, match="missing 'text'"):
         provider.complete([ChatTurn("user", "q")], PARAMS)
+    provider = HttpChatProvider(
+        "https://api.test/v1",
+        session=FakeSession([FakeResponse(200, ["text"])]),
+        sleep=lambda s: None,
+    )
+    with pytest.raises(ProviderError, match="not a JSON object"):
+        provider.complete([ChatTurn("user", "q")], PARAMS)
 
 
 # ---------------------------------------------------------------------------
@@ -305,6 +312,12 @@ def test_http_embedder_round_trip_and_errors():
     )
     with pytest.raises(ProviderError, match="dim mismatch"):
         mismatched.embed(["a"])
+
+    not_json = HttpEmbedder(
+        "https://api.test/emb", session=FakeSession([FakeResponse(200)]), sleep=lambda s: None
+    )
+    with pytest.raises(ProviderError, match="non-JSON"):
+        not_json.embed(["a"])
 
 
 # ---------------------------------------------------------------------------

@@ -126,8 +126,6 @@ def test_split_holdout_duplicates_controls(bundle_dir):
     held_rows = {i for i, lab in enumerate(bundle.perturbations) if lab == "KO_A"}
     assert held_rows.isdisjoint(split.train_indices)
     assert held_rows <= set(split.test_indices)
-    # the seed is accepted but has no effect
-    assert split_holdout(bundle, ["KO_A"], seed=99) == split
 
 
 def test_split_holdout_errors(bundle_dir):
