@@ -30,6 +30,8 @@ from dataclasses import dataclass, field
 from pathlib import Path, PurePosixPath
 from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple, Union
 
+import numpy as np
+
 from .consensus import ResearchPlan
 from .errors import (
     GenerationError,
@@ -553,7 +555,7 @@ def apply_thresholds(
     """Pass/fail per thresholded metric; undefined values always fail."""
     verdict: Dict[str, bool] = {}
     for name, bound in thresholds.items():
-        value = metrics.get(name)
+        value = metrics.get(name) if name in metrics else None
         if value is None:
             verdict[name] = False
         elif name in _LOWER_IS_BETTER:
@@ -577,16 +579,23 @@ def validate_predictions(
     The DE-restricted variants run over the top-``de_k`` genes by |log2
     fold change| of the pooled perturbed rows (every row not in
     ``control_rows``) against the control rows, ties broken by gene index.
-    Without both groups they are skipped.
+    Without both groups they are skipped. Every control row must lie in
+    ``[0, n)``; repeats and order among them do not matter.
     """
-    predictions = read_predictions(pred_path)
-    aligned = align_predictions(predictions, truth)
-    perturbed_rows = [i for i in range(truth.shape[0]) if i not in set(control_rows)]
+    n = truth.shape[0]
+    bad = [r for r in control_rows if not 0 <= r < n]
+    if bad:
+        raise ValidationError(f"control row {bad[0]} out of range [0, {n})")
+    is_perturbed = np.ones(n, dtype=bool)
+    is_perturbed[list(control_rows)] = False
+    perturbed_rows = np.flatnonzero(is_perturbed)
+    control = np.flatnonzero(~is_perturbed)
+    aligned = align_predictions(read_predictions(pred_path), truth)
     de_genes = None
-    if control_rows and perturbed_rows:
+    if control.size and perturbed_rows.size:
         de_genes = select_de_genes(
             truth.values[perturbed_rows],
-            truth.values[list(control_rows)],
+            truth.values[control],
             k=min(int(de_k), truth.shape[1]),
             pseudo=float(pseudo),
         )

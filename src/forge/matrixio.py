@@ -8,6 +8,7 @@ keys, compact separators) so identical values serialize to identical bytes.
 
 from __future__ import annotations
 
+import contextlib
 import io
 import json
 import os
@@ -23,8 +24,22 @@ from .protocol import canonical_json
 
 
 def write_json(path: str, doc: Any) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write(canonical_json(doc) + "\n")
+    """Write ``doc`` as canonical JSON, replacing ``path`` atomically.
+
+    The text goes to a temporary file beside ``path`` that is then renamed
+    over it, so a failure part-way leaves the previous file whole and no
+    temporary file behind.
+    """
+    text = canonical_json(doc) + "\n"
+    tmp = f"{path}.{os.getpid()}.tmp"
+    try:
+        with open(tmp, "w", encoding="utf-8") as fh:
+            fh.write(text)
+        os.replace(tmp, path)
+    except BaseException:
+        with contextlib.suppress(FileNotFoundError):
+            os.unlink(tmp)
+        raise
 
 
 def read_json(path: str) -> Any:
@@ -167,5 +182,8 @@ def align_predictions(pred: ExpressionMatrix, truth: ExpressionMatrix) -> Expres
         raise ValidationError(f"predictions missing columns: {missing_cols[:5]}")
     ridx = [row_pos[r] for r in truth.row_ids]
     cidx = [col_pos[c] for c in truth.column_ids]
-    values = pred.values[np.ix_(ridx, cidx)]
+    values = pred.values
+    if ridx != list(range(values.shape[0])):
+        values = values[ridx]
+    values = values.take(cidx, axis=1)
     return ExpressionMatrix(values, row_ids=truth.row_ids, column_ids=truth.column_ids)

@@ -175,21 +175,42 @@ def pointwise_metrics(
     y, yhat = _check_pair(truth, pred)
     if y.size == 0:
         raise ValidationError("cannot score an empty matrix")
-    diff = y - yhat
-    mse = float(np.mean(diff * diff))
+    # At most two full-size buffers are alive: ``buf`` and the centred
+    # truth ``yc``. A sum's rounding depends on the memory order of what it
+    # reduces, so every product lands in a buffer laid out as numpy lays out
+    # the plain expression, and each sum equals ``np.sum(a * b)`` exactly.
+    buf = y - yhat
+    np.multiply(buf, buf, out=buf)
+    sse = float(np.sum(buf))
+    mse = sse / y.size
 
     yc = y - y.mean(axis=0, keepdims=True)
-    pc = yhat - yhat.mean(axis=0, keepdims=True)
-    sst = float(np.sum(yc * yc))
-    spp = float(np.sum(pc * pc))
+    buf = _laid_out_as(buf, yc)
+    np.multiply(yc, yc, out=buf)
+    sst = float(np.sum(buf))
     if sst == 0.0:
         return mse, None, None
+    pmean = yhat.mean(axis=0, keepdims=True)
+    buf = _laid_out_as(buf, yhat)
+    np.subtract(yhat, pmean, out=buf)
+    np.multiply(buf, buf, out=buf)
+    spp = float(np.sum(buf))
     pcc: Optional[float] = None
     if spp > 0.0:
-        pcc = float(np.sum(yc * pc) / math.sqrt(sst * spp))
-    sse = float(np.sum(diff * diff))
+        np.subtract(yhat, pmean, out=buf)
+        # yc * pc is Fortran-ordered only when both operands are, so
+        # C-ordered yc can take the product, and otherwise buf can.
+        cross = np.multiply(yc, buf, out=yc if yc.flags.c_contiguous else buf)
+        pcc = float(np.sum(cross) / math.sqrt(sst * spp))
     r2 = 1.0 - sse / sst
     return mse, pcc, r2
+
+
+def _laid_out_as(buf: np.ndarray, like: np.ndarray) -> np.ndarray:
+    """``buf``, or a new array if an elementwise result of ``like`` would be
+    laid out differently. An unwritten new array costs no memory yet."""
+    fresh = np.empty_like(like)
+    return buf if buf.strides == fresh.strides else fresh
 
 
 def log_fold_change(

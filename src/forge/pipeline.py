@@ -44,7 +44,7 @@ from .matrixio import (
     read_predictions,
     write_json,
 )
-from .metrics import ExpressionMatrix
+from .metrics import METRIC_IDS, ExpressionMatrix
 from .protocol import (
     Envelope,
     EventStream,
@@ -108,29 +108,58 @@ def default_profile() -> Dict[str, Any]:
     return json.loads(raw)["defaults"]
 
 
-def _build_section(name: str, cls: type, doc: Any) -> Any:
-    """A config section as its parameter dataclass.
+def _section_values(name: str, doc: Any, defaults: Dict[str, Any]) -> Dict[str, Any]:
+    """A config section's values, each converted to the type of its default.
 
-    Each value is converted to the type of its field's default (int, float
-    or tuple); an unknown key or an unconvertible value names the section
+    int, float and tuple defaults convert the value; a dict default needs a
+    JSON object. An unknown key or an unconvertible value names the section
     and key in a :class:`ValidationError`.
     """
     if not isinstance(doc, dict):
         raise ValidationError(f"config section {name!r} must be a JSON object")
-    defaults = {f.name: f.default for f in fields(cls)}
-    kwargs: Dict[str, Any] = {}
+    values: Dict[str, Any] = {}
     for key, value in doc.items():
         if key not in defaults:
             raise ValidationError(f"unknown config key {name}.{key}")
         kind = type(defaults[key])
+        if kind is dict and not isinstance(value, dict):
+            raise ValidationError(f"config key {name}.{key} must be a JSON object")
         try:
-            kwargs[key] = kind(value) if kind in (int, float, tuple) else value
-        except (TypeError, ValueError) as exc:
+            values[key] = kind(value) if kind in (int, float, tuple) else value
+        except (TypeError, ValueError, OverflowError) as exc:
             raise ValidationError(f"bad value for config key {name}.{key}: {exc}") from exc
+    return values
+
+
+def _build_section(name: str, cls: type, doc: Any) -> Any:
+    """A config section as its parameter dataclass."""
+    kwargs = _section_values(name, doc, {f.name: f.default for f in fields(cls)})
     try:
         return cls(**kwargs)
     except (TypeError, ValueError) as exc:
         raise ValidationError(f"bad config section {name!r}: {exc}") from exc
+
+
+# The smallest value the execute and evaluate stages accept for these keys
+# of the plain-dict sections; SandboxLimits checks the sandbox's own keys.
+_FREE_MINIMA = {("execution", "r_max"): 0, ("evaluation", "de_k"): 1, ("evaluation", "pseudo"): 0}
+
+
+def _check_free_sections(execution: Dict[str, Any], evaluation: Dict[str, Any]) -> None:
+    """Check the plain-dict sections against the keys and value types of the
+    shipped defaults and against :data:`_FREE_MINIMA`, so that a bad value
+    fails at load rather than in the stage that uses it."""
+    defaults = default_profile()
+    for name, doc in (("execution", execution), ("evaluation", evaluation)):
+        for key, value in _section_values(name, doc, defaults[name]).items():
+            low = _FREE_MINIMA.get((name, key))
+            if low is not None and not value >= low:
+                raise ValidationError(f"config key {name}.{key} must be at least {low}: {value!r}")
+    for metric, bound in evaluation.get("thresholds", {}).items():
+        if metric not in METRIC_IDS:
+            raise ValidationError(f"unknown metric {metric!r} in config key evaluation.thresholds")
+        if isinstance(bound, bool) or not isinstance(bound, (int, float)):
+            raise ValidationError(f"config key evaluation.thresholds.{metric} must be a number")
 
 
 @dataclass
@@ -152,8 +181,8 @@ class RunConfig:
             raise ValidationError(f"provider type must be scripted or http: {kind!r}")
         if kind == "scripted" and self.seed is None:
             raise ValidationError("scripted runs require a seed")
-        if int(self.execution.get("r_max", 0)) < 0:
-            raise ValidationError("execution r_max must be non-negative")
+        _check_free_sections(self.execution, self.evaluation)
+        self.limits  # SandboxLimits rejects a bad wall time or output cap
 
     @property
     def limits(self) -> SandboxLimits:
@@ -173,6 +202,10 @@ class RunConfig:
     @classmethod
     def from_profile(cls, profile: Dict[str, Any]) -> "RunConfig":
         hints = get_type_hints(cls)
+        known = {f.name for f in fields(cls)}
+        unknown = sorted(key for key in profile if key not in known)
+        if unknown:
+            raise ValidationError(f"unknown config key {unknown[0]}")
         kwargs: Dict[str, Any] = {}
         for f in fields(cls):
             value = profile.get(f.name, {} if f.default is MISSING else f.default)

@@ -309,6 +309,9 @@ def test_loop_exhaustion_exits_3_with_rollback(runner, workdir):
         ("retrieval", "bogus", 1, "retrieval.bogus"),
         ("generation", "temperature", "hot", "generation.temperature"),
         ("discussion", "lambdas", ["a", 0.5, 0.5], "'discussion'"),
+        ("execution", "r_max", "x", "execution.r_max"),
+        ("evaluation", "de_k", "many", "evaluation.de_k"),
+        ("retreival", "l_max", 2, "retreival"),  # unknown top-level key
     ],
 )
 def test_bad_config_key_exits_1(runner, workdir, section, key, value, named):

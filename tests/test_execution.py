@@ -26,7 +26,7 @@ from forge.execution import (
     run_sandbox,
     validate_predictions,
 )
-from forge.matrixio import write_predictions
+from forge.matrixio import align_predictions, write_json, write_predictions
 from forge.metrics import ExpressionMatrix, MetricReport
 from forge.protocol import MemoryStore
 from forge.providers import ScriptedChatProvider
@@ -360,6 +360,8 @@ def test_apply_thresholds_directions():
     verdict = apply_thresholds(report, {"mse": 0.25, "pcc": 0.9, "r2": 0.0})
     assert verdict == {"mse": True, "pcc": False, "r2": False}
     assert apply_thresholds(report, {}) == {}
+    # a thresholded metric the report never computed is undefined, so it fails
+    assert apply_thresholds(report, {"mse_de": 1.0}) == {"mse_de": False}
 
 
 def test_validate_predictions_roundtrip(tmp_path):
@@ -419,6 +421,60 @@ def test_validate_predictions_de_variants_and_store(tmp_path):
         assert skipped.metrics.get("mse") == pytest.approx(3.5)
 
 
+def _de_fixture(tmp_path):
+    rng = np.random.default_rng(5)
+    truth = ExpressionMatrix(
+        rng.gamma(2.0, 1.0, size=(9, 6)),
+        row_ids=tuple(f"c{i}" for i in range(9)),
+        column_ids=tuple(f"g{j}" for j in range(6)),
+    )
+    pred = ExpressionMatrix(
+        truth.values + rng.normal(size=(9, 6)),
+        row_ids=truth.row_ids, column_ids=truth.column_ids,
+    )
+    write_predictions(str(tmp_path / "p"), pred)
+    return truth
+
+
+@pytest.mark.parametrize("rows, bad", [([0, 9], 9), ([1, -1], -1)])
+def test_validate_predictions_rejects_control_rows_out_of_range(tmp_path, rows, bad):
+    truth = _de_fixture(tmp_path)
+    with pytest.raises(ValidationError, match=rf"control row {bad} out of range \[0, 9\)"):
+        validate_predictions(str(tmp_path / "p"), truth, control_rows=rows)
+
+
+def test_validate_predictions_control_rows_order_and_repeats(tmp_path):
+    truth = _de_fixture(tmp_path)
+    want = validate_predictions(str(tmp_path / "p"), truth, control_rows=[1, 4, 7], de_k=3)
+    got = validate_predictions(
+        str(tmp_path / "p"), truth, control_rows=[7, 1, 4, 1, 7], de_k=3
+    )
+    assert "mse_de" in want.metrics
+    assert got.metrics.to_json() == want.metrics.to_json()
+
+
+def test_align_predictions_matches_2d_gather():
+    rng = np.random.default_rng(9)
+    truth = ExpressionMatrix(
+        rng.normal(size=(4, 3)), row_ids=("a", "b", "c", "d"), column_ids=("x", "y", "z")
+    )
+    cases = [
+        (("a", "b", "c", "d"), ("z", "x", "y")),  # rows already in order
+        (("c", "a", "d", "b"), ("x", "y", "z")),
+        (("a", "b", "c", "d", "e"), ("y", "z", "w", "x")),  # extra row and column
+    ]
+    for row_ids, col_ids in cases:
+        pred = ExpressionMatrix(
+            rng.normal(size=(len(row_ids), len(col_ids))), row_ids=row_ids, column_ids=col_ids
+        )
+        ridx = [row_ids.index(r) for r in truth.row_ids]
+        cidx = [col_ids.index(c) for c in truth.column_ids]
+        aligned = align_predictions(pred, truth)
+        assert np.array_equal(aligned.values, pred.values[np.ix_(ridx, cidx)])
+        assert aligned.values.flags.c_contiguous
+        assert (aligned.row_ids, aligned.column_ids) == (truth.row_ids, truth.column_ids)
+
+
 def test_validate_predictions_missing_ids(tmp_path):
     truth = ExpressionMatrix(
         [[1.0, 2.0]], row_ids=("r1",), column_ids=("g1", "g2")
@@ -429,6 +485,16 @@ def test_validate_predictions_missing_ids(tmp_path):
     write_predictions(str(tmp_path / "p"), pred)
     with pytest.raises(ValidationError, match="missing rows"):
         validate_predictions(str(tmp_path / "p"), truth)
+
+
+def test_write_json_failure_keeps_previous_file(tmp_path):
+    path = tmp_path / "metrics.json"
+    write_json(str(path), {"mse": 0.5})
+    before = path.read_bytes()
+    with pytest.raises(TypeError):
+        write_json(str(path), {"mse": object()})  # not serialisable
+    assert path.read_bytes() == before == b'{"mse":0.5}\n'
+    assert os.listdir(tmp_path) == ["metrics.json"]
 
 
 # ---------------------------------------------------------------------------

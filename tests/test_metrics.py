@@ -158,6 +158,61 @@ def test_pointwise_metrics_match_oracle():
         assert got[2] == pytest.approx(want[2], abs=1e-9)
 
 
+def plain_pointwise(y, yhat):
+    """pointwise_metrics as whole-array expressions, one temporary each.
+
+    pointwise_metrics reuses two buffers instead; it must give these exact
+    floats, which a tolerance-based oracle cannot tell from a reordered sum.
+    """
+    diff = y - yhat
+    mse = float(np.mean(diff * diff))
+    yc = y - y.mean(axis=0, keepdims=True)
+    pc = yhat - yhat.mean(axis=0, keepdims=True)
+    sst = float(np.sum(yc * yc))
+    spp = float(np.sum(pc * pc))
+    if sst == 0.0:
+        return mse, None, None
+    pcc = None
+    if spp > 0.0:
+        pcc = float(np.sum(yc * pc) / math.sqrt(sst * spp))
+    sse = float(np.sum(diff * diff))
+    return mse, pcc, 1.0 - sse / sst
+
+
+def _laid_out(values, layout):
+    if layout == "C":
+        return np.ascontiguousarray(values)
+    if layout == "F":
+        return np.asfortranarray(values)
+    # a strided view of a Fortran-ordered parent
+    parent = np.zeros((2 * values.shape[0], 2 * values.shape[1]), order="F")
+    view = parent[::2, ::2]
+    view[...] = values
+    return view
+
+
+@pytest.mark.parametrize(
+    "layout_y, layout_p",
+    [("C", "C"), ("F", "F"), ("C", "F"), ("F", "C"), ("view", "C"), ("C", "view")],
+)
+def test_pointwise_metrics_bit_exact(layout_y, layout_p):
+    rng = np.random.default_rng(23)
+    n, d = 150, 90  # many pairwise-summation blocks, in C or Fortran order
+    for _ in range(12):  # a reordered sum rounds differently on about half
+        y = rng.gamma(2.0, 1.5, size=(n, d))
+        yhat = y + rng.normal(scale=0.7, size=(n, d))
+        truth, pred = _laid_out(y, layout_y), _laid_out(yhat, layout_p)
+        got = pointwise_metrics(truth, pred)
+        assert got[1] is not None and got[2] is not None
+        assert got == plain_pointwise(truth, pred)
+    for truth, pred in [
+        (np.full((n, d), 3.25), yhat),  # constant truth: sst == 0
+        (y, np.full((n, d), 1.5)),  # constant predictions: spp == 0
+    ]:
+        truth, pred = _laid_out(truth, layout_y), _laid_out(pred, layout_p)
+        assert pointwise_metrics(truth, pred) == plain_pointwise(truth, pred)
+
+
 def test_auc_match_oracle_exactly():
     rng = np.random.default_rng(12)
     for _ in range(60):
