@@ -182,8 +182,5 @@ def align_predictions(pred: ExpressionMatrix, truth: ExpressionMatrix) -> Expres
         raise ValidationError(f"predictions missing columns: {missing_cols[:5]}")
     ridx = [row_pos[r] for r in truth.row_ids]
     cidx = [col_pos[c] for c in truth.column_ids]
-    values = pred.values
-    if ridx != list(range(values.shape[0])):
-        values = values[ridx]
-    values = values.take(cidx, axis=1)
+    values = pred.values[np.ix_(ridx, cidx)]
     return ExpressionMatrix(values, row_ids=truth.row_ids, column_ids=truth.column_ids)

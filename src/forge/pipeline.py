@@ -140,26 +140,25 @@ def _build_section(name: str, cls: type, doc: Any) -> Any:
         raise ValidationError(f"bad config section {name!r}: {exc}") from exc
 
 
-# The smallest value the execute and evaluate stages accept for these keys
-# of the plain-dict sections; SandboxLimits checks the sandbox's own keys.
-_FREE_MINIMA = {("execution", "r_max"): 0, ("evaluation", "de_k"): 1, ("evaluation", "pseudo"): 0}
+# Keys and default values of the two sections kept as plain dicts, so that
+# config.json holds exactly the keys a profile gave. A given value converts to
+# the type of its default.
+_EXECUTION_DEFAULTS = {"r_max": 10, "wall_seconds": 60.0, "stdout_bytes": 65536, "stderr_bytes": 65536}
+_EVALUATION_DEFAULTS = {"de_k": 20, "pseudo": 1e-6, "thresholds": {}}
+# The smallest value the execute and evaluate stages accept for these keys;
+# SandboxLimits checks the sandbox's own keys.
+_MINIMA = {"r_max": 0, "de_k": 1, "pseudo": 0}
 
 
-def _check_free_sections(execution: Dict[str, Any], evaluation: Dict[str, Any]) -> None:
-    """Check the plain-dict sections against the keys and value types of the
-    shipped defaults and against :data:`_FREE_MINIMA`, so that a bad value
-    fails at load rather than in the stage that uses it."""
-    defaults = default_profile()
-    for name, doc in (("execution", execution), ("evaluation", evaluation)):
-        for key, value in _section_values(name, doc, defaults[name]).items():
-            low = _FREE_MINIMA.get((name, key))
-            if low is not None and not value >= low:
-                raise ValidationError(f"config key {name}.{key} must be at least {low}: {value!r}")
-    for metric, bound in evaluation.get("thresholds", {}).items():
-        if metric not in METRIC_IDS:
-            raise ValidationError(f"unknown metric {metric!r} in config key evaluation.thresholds")
-        if isinstance(bound, bool) or not isinstance(bound, (int, float)):
-            raise ValidationError(f"config key evaluation.thresholds.{metric} must be a number")
+def _resolve_section(name: str, doc: Any, defaults: Dict[str, Any]) -> Dict[str, Any]:
+    """A plain-dict section with its defaults filled in, converted and checked
+    against :data:`_MINIMA`."""
+    values = {**defaults, **_section_values(name, doc, defaults)}
+    for key, value in values.items():
+        low = _MINIMA.get(key)
+        if low is not None and not value >= low:
+            raise ValidationError(f"config key {name}.{key} must be at least {low}: {value!r}")
+    return values
 
 
 @dataclass
@@ -181,20 +180,30 @@ class RunConfig:
             raise ValidationError(f"provider type must be scripted or http: {kind!r}")
         if kind == "scripted" and self.seed is None:
             raise ValidationError("scripted runs require a seed")
-        _check_free_sections(self.execution, self.evaluation)
-        self.limits  # SandboxLimits rejects a bad wall time or output cap
+        # The plain-dict sections are converted and checked once, here, so a
+        # bad value fails at load rather than in the stage that uses it.
+        execution = _resolve_section("execution", self.execution, _EXECUTION_DEFAULTS)
+        self._r_max: int = execution.pop("r_max")
+        self._limits = SandboxLimits(**execution)
+        self._scoring = _resolve_section("evaluation", self.evaluation, _EVALUATION_DEFAULTS)
+        for metric, bound in self._scoring["thresholds"].items():
+            if metric not in METRIC_IDS:
+                raise ValidationError(f"unknown metric {metric!r} in config key evaluation.thresholds")
+            if isinstance(bound, bool) or not isinstance(bound, (int, float)):
+                raise ValidationError(f"config key evaluation.thresholds.{metric} must be a number")
 
     @property
     def limits(self) -> SandboxLimits:
-        return SandboxLimits(
-            wall_seconds=float(self.execution.get("wall_seconds", 60.0)),
-            stdout_bytes=int(self.execution.get("stdout_bytes", 65536)),
-            stderr_bytes=int(self.execution.get("stderr_bytes", 65536)),
-        )
+        return self._limits
 
     @property
     def r_max(self) -> int:
-        return int(self.execution.get("r_max", 10))
+        return self._r_max
+
+    @property
+    def scoring(self) -> Dict[str, Any]:
+        """The evaluation section with its defaults: de_k, pseudo, thresholds."""
+        return self._scoring
 
     def to_json(self) -> Dict[str, Any]:
         return asdict(self)
@@ -668,14 +677,14 @@ def stage_evaluate(
     ``pseudo`` and thresholds; writes ``metrics.json`` into the run directory.
     """
     ctx.mark("stage.start", {"stage": "evaluate"})
-    evaluation = ctx.config.evaluation
+    scoring = ctx.config.scoring
     report = validate_predictions(
         predictions_path,
         bundle.matrix,
         control_rows=bundle.control_rows,
-        de_k=evaluation.get("de_k", 20),
-        pseudo=evaluation.get("pseudo", 1e-6),
-        thresholds=evaluation.get("thresholds", {}),
+        de_k=scoring["de_k"],
+        pseudo=scoring["pseudo"],
+        thresholds=scoring["thresholds"],
         store=ctx.store,
     )
     doc = report.to_json()

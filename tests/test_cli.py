@@ -19,7 +19,15 @@ from conftest import (
 )
 import forge
 from forge.cli import main
-from forge.pipeline import load_config, open_run, stage_analyze, stage_design
+from forge.execution import SandboxLimits
+from forge.pipeline import (
+    RunConfig,
+    default_profile,
+    load_config,
+    open_run,
+    stage_analyze,
+    stage_design,
+)
 from forge.task_analysis import load_bundle
 
 CRASH_REPLY = (
@@ -325,6 +333,18 @@ def test_bad_config_key_exits_1(runner, workdir, section, key, value, named):
     assert result.exit_code == 1
     assert isinstance(result.exception, SystemExit)  # not an escaped exception
     assert named in everything(result)
+
+
+def test_shipped_defaults_are_the_run_config_defaults():
+    # RunConfig fills in the execution and evaluation keys a profile leaves
+    # out; those fallbacks must be the shipped defaults.
+    shipped = default_profile()
+    execution = dict(shipped["execution"])
+    bare = RunConfig.from_profile({"provider": {"type": "scripted"}})
+    assert (bare.execution, bare.evaluation) == ({}, {})
+    assert bare.r_max == execution.pop("r_max")
+    assert bare.limits == SandboxLimits(**execution)
+    assert bare.scoring == shipped["evaluation"]
 
 
 def test_execute_requires_plan(runner, workdir):
