@@ -105,7 +105,6 @@ from .consensus import (
     DiscussionParams,
     DiscussionTrace,
     ExpertRole,
-    ExpertState,
     ResearchPlan,
     converged,
     integration_weights,

@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import os
 import sys
-from pathlib import Path
 from typing import Any, Callable, Dict, Optional
 
 import click
@@ -29,6 +28,7 @@ from .pipeline import (
     build_providers,
     load_config,
     open_run,
+    read_task,
     run_pipeline,
     stage_analyze,
     stage_design,
@@ -64,7 +64,7 @@ def _config_options(f):
         "config_path",
         type=click.Path(dir_okay=False),
         default=None,
-        help="JSON config file merged over the shipped defaults.",
+        help="JSON config file merged over the defaults.",
     )(f)
     f = click.option("--seed", type=int, default=None, help="Run seed override.")(f)
     f = click.option(
@@ -87,15 +87,6 @@ def _resolve_config(
     if fixture is not None:
         overrides["provider"] = {"fixture": fixture}
     return load_config(config_path, overrides)
-
-
-def _read_task(path: str) -> str:
-    if not os.path.exists(path):
-        raise LoadError(f"task file not found: {path}")
-    text = Path(path).read_text(encoding="utf-8")
-    if not text.strip():
-        raise ValidationError(f"task file {path} is empty")
-    return text
 
 
 def _require(path: str, producer: str) -> str:
@@ -127,7 +118,6 @@ def cmd_run(task_path, bundle_path, corpus_path, out_dir, config_path, seed, fix
 
     def action() -> None:
         config = _resolve_config(config_path, seed, fixture)
-        _read_task(task_path)
         summary = run_pipeline(task_path, bundle_path, config, out_dir, corpus_path)
         click.echo(f"run complete: {summary['out_dir']}")
         click.echo(
@@ -151,7 +141,7 @@ def cmd_analyze(task_path, bundle_path, corpus_path, out_dir, config_path, seed,
 
     def action() -> None:
         config = _resolve_config(config_path, seed, fixture)
-        task_text = _read_task(task_path)
+        task_text = read_task(task_path)
         bundle = load_bundle(bundle_path)
         with open_run(config, out_dir) as ctx:
             corpus = (

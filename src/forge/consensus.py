@@ -23,7 +23,7 @@ corrective re-prompt and then falls back to the neutral 0.5.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from importlib import resources
 from pathlib import Path
 from typing import Any, Dict, List, Optional, Sequence, Tuple
@@ -35,7 +35,7 @@ from .errors import (
     ProviderError,
     ValidationError,
 )
-from .protocol import KnowledgeEntity, MemoryStore
+from .protocol import KnowledgeEntity, MemoryStore, canonical_json
 from .providers import (
     ChatProvider,
     ChatTurn,
@@ -43,7 +43,6 @@ from .providers import (
     GenerationParams,
     extract_score,
 )
-from .matrixio import canonical_json
 from .task_analysis import AnalysisReport, load_template, parse_json_reply
 
 CRITIC_ID = "critic"
@@ -114,7 +113,7 @@ def load_registry(path: Optional[str] = None) -> List[ExpertRole]:
 
 
 # ----------------------------------------------------------------------
-# Parameters and state
+# Parameters
 # ----------------------------------------------------------------------
 
 
@@ -148,21 +147,6 @@ class DiscussionParams:
             raise ValidationError("beta must be positive")
         if self.n_experts < 1:
             raise ValidationError("n_experts must be a positive integer")
-
-
-@dataclass
-class ExpertState:
-    """A panel member's confidence track and latest proposal."""
-
-    id: str
-    role_name: str
-    prompt_template_ref: str
-    confidence_history: List[float] = field(default_factory=lambda: [0.0])
-    current_proposal: Optional[str] = None
-
-    @property
-    def confidence(self) -> float:
-        return self.confidence_history[-1]
 
 
 # ----------------------------------------------------------------------
@@ -304,15 +288,7 @@ class RoundTrace:
     reason: str
 
     def to_json(self) -> Dict[str, Any]:
-        return {
-            "round": self.round,
-            "proposals": dict(self.proposals),
-            "critic_scores": dict(self.critic_scores),
-            "peer_scores": {s: dict(row) for s, row in self.peer_scores.items()},
-            "confidences": dict(self.confidences),
-            "converged": self.converged,
-            "reason": self.reason,
-        }
+        return asdict(self)
 
 
 @dataclass
@@ -326,13 +302,7 @@ class DiscussionTrace:
     reason: str = ""
 
     def to_json(self) -> Dict[str, Any]:
-        return {
-            "experts": list(self.experts),
-            "rounds": [r.to_json() for r in self.rounds],
-            "rounds_used": self.rounds_used,
-            "converged": self.converged,
-            "reason": self.reason,
-        }
+        return asdict(self)
 
 
 @dataclass
@@ -460,26 +430,17 @@ def run_discussion(
     report: AnalysisReport,
     params: DiscussionParams,
     provider: ChatProvider,
-    seed: int = 0,
     *,
-    experts: Optional[Sequence[ExpertRole]] = None,
-    registry: Optional[Sequence[ExpertRole]] = None,
-    embedder: Optional[Embedder] = None,
+    experts: Sequence[ExpertRole],
     store: Optional[MemoryStore] = None,
     gen_params: Optional[GenerationParams] = None,
 ) -> Tuple[ResearchPlan, DiscussionTrace]:
     """Run the full deliberation and return the plan plus its trace.
 
-    The panel is either supplied directly (critic last) or selected from
-    ``registry`` with ``embedder``. Proposals, scores, confidences, and
-    the final plan are stored as knowledge entities with round numbers.
+    ``experts`` is the panel, critic last (see :func:`select_experts`).
+    Proposals, scores, confidences, and the final plan are stored as
+    knowledge entities with round numbers.
     """
-    if experts is None:
-        if registry is None or embedder is None:
-            raise ValidationError(
-                "run_discussion needs either experts or registry + embedder"
-            )
-        experts = select_experts(registry, report, params, seed, embedder)
     panel = list(experts)
     if not panel or panel[-1].id != CRITIC_ID:
         raise ValidationError("expert panel must end with the critic")
@@ -495,10 +456,7 @@ def run_discussion(
     gen_params = gen_params or GenerationParams()
     summary = report.summary_text()
     trace = DiscussionTrace(experts=member_ids + [CRITIC_ID])
-    states = {
-        m.id: ExpertState(id=m.id, role_name=m.name, prompt_template_ref=m.id)
-        for m in members
-    }
+    latest = {m: 0.0 for m in member_ids}  # each member's current confidence
 
     def _put(kind: str, body: Dict[str, Any], agent: str, round_no: int,
              confidence: Optional[float] = None) -> str:
@@ -528,7 +486,6 @@ def run_discussion(
             proposal_entities[member.id] = _put(
                 "proposal", {"expert": member.id, "text": reply}, member.id, 0
             )
-            states[member.id].current_proposal = proposal_entities[member.id]
 
         final_reason = ""
         for round_no in range(1, params.t_max + 1):
@@ -577,20 +534,19 @@ def run_discussion(
                     round_no,
                 )
 
-            previous = [states[m].confidence for m in member_ids]
+            previous = [latest[m] for m in member_ids]
             confidences: Dict[str, float] = {}
             for member_id in member_ids:
                 incoming = [
                     peer_scores[s][member_id] for s in member_ids if s != member_id
                 ]
                 value = update_confidence(
-                    states[member_id].confidence,
+                    latest[member_id],
                     critic_scores[member_id],
                     incoming,
                     params.lambdas,
                 )
                 confidences[member_id] = value
-                states[member_id].confidence_history.append(value)
                 _put(
                     "result",
                     {"metric": "confidence", "expert": member_id, "value": value},
@@ -599,6 +555,7 @@ def run_discussion(
                     confidence=value,
                 )
 
+            latest = confidences
             current = [confidences[m] for m in member_ids]
             done, reason = converged(current, previous, params.tau, params.eps)
             trace.rounds.append(
@@ -638,7 +595,6 @@ def run_discussion(
                 proposal_entities[member.id] = _put(
                     "proposal", {"expert": member.id, "text": reply}, member.id, round_no
                 )
-                states[member.id].current_proposal = proposal_entities[member.id]
     except ProviderError as exc:
         raise DiscussionError(
             f"provider failed during round {trace.rounds_used + 1}: {exc}",
@@ -646,7 +602,6 @@ def run_discussion(
         ) from exc
 
     trace.reason = final_reason
-    final_conf = {m: states[m].confidence for m in member_ids}
-    plan = finalize_plan(member_ids, final_conf, proposals, trace.rounds_used)
+    plan = finalize_plan(member_ids, latest, proposals, trace.rounds_used)
     _put("plan", plan.to_json(), "discussion", trace.rounds_used)
     return plan, trace

@@ -26,7 +26,7 @@ import subprocess
 import sys
 import tempfile
 import time
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from pathlib import Path, PurePosixPath
 from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple, Union
 
@@ -35,18 +35,22 @@ import numpy as np
 from .consensus import ResearchPlan
 from .errors import (
     GenerationError,
+    LoadError,
     LoopError,
     SandboxError,
     ValidationError,
 )
-from .matrixio import align_predictions, canonical_json, read_predictions
+from .matrixio import align_predictions, read_predictions
 from .metrics import (
+    DEFAULT_DE_K,
+    DEFAULT_DE_PSEUDO,
+    METRIC_IDS,
     ExpressionMatrix,
     MetricReport,
     metric_report,
     select_de_genes,
 )
-from .protocol import KnowledgeEntity, MemoryStore
+from .protocol import KnowledgeEntity, MemoryStore, canonical_json
 from .providers import ChatProvider, ChatTurn, GenerationParams
 from .task_analysis import load_template
 
@@ -307,7 +311,20 @@ class SandboxLimits:
         if self.wall_seconds <= 0:
             raise ValidationError("wall_seconds must be positive")
         if self.stdout_bytes < 0 or self.stderr_bytes < 0:
-            raise ValidationError("byte caps must be non-negative")
+            raise ValidationError("stdout_bytes and stderr_bytes must be non-negative")
+
+
+@dataclass
+class ExecutionParams(SandboxLimits):
+    """The ``execution`` config section: the sandbox limits plus ``r_max``,
+    the number of refinements the loop may make."""
+
+    r_max: int = 10
+
+    def __post_init__(self):
+        super().__post_init__()
+        if self.r_max < 0:
+            raise ValidationError("r_max must be non-negative")
 
 
 @dataclass
@@ -367,9 +384,10 @@ def run_sandbox(
 ) -> ExecutionResult:
     """Materialize the artifact, launch its entrypoint, capture the outcome.
 
-    ``inputs`` maps a relative destination path to either a source file to
-    copy in or raw content bytes. The child sees only the allow-listed
-    environment; its whole process group is killed at the wall limit.
+    ``inputs`` maps a relative destination path to either an existing file
+    to copy in or raw content bytes; any other source is a
+    :class:`LoadError`. The child sees only the allow-listed environment;
+    its whole process group is killed at the wall limit.
     Absolute paths of the working directory are scrubbed from captured
     output so persisted traces stay location-independent.
     """
@@ -390,13 +408,10 @@ def run_sandbox(
         dest.parent.mkdir(parents=True, exist_ok=True)
         if isinstance(source, bytes):
             dest.write_bytes(source)
-        elif os.path.exists(source):
-            if os.path.isdir(source):
-                shutil.copytree(source, dest, dirs_exist_ok=True)
-            else:
-                shutil.copy(source, dest)
+        elif os.path.isfile(source):
+            shutil.copy(source, dest)
         else:
-            dest.write_text(str(source), encoding="utf-8")
+            raise LoadError(f"sandbox input {rel!r} is not a file: {source}")
 
     before = set(_walk_files(root))
     env = {k: os.environ[k] for k in ENV_ALLOW_LIST if k in os.environ}
@@ -461,11 +476,7 @@ class FailureRecord:
             raise ValidationError(f"unknown failure category: {self.category!r}")
 
     def to_json(self) -> Dict[str, Any]:
-        return {
-            "category": self.category,
-            "evidence": self.evidence,
-            "round": self.round,
-        }
+        return asdict(self)
 
     def same_failure(self, other: Optional["FailureRecord"]) -> bool:
         return (
@@ -545,6 +556,28 @@ class ValidationReport:
         }
 
 
+@dataclass
+class EvaluationParams:
+    """The ``evaluation`` config section: the DE-gene count and fold-change
+    pseudocount of :func:`validate_predictions`, and pass/fail bounds by
+    metric id."""
+
+    de_k: int = DEFAULT_DE_K
+    pseudo: float = DEFAULT_DE_PSEUDO
+    thresholds: Dict[str, float] = field(default_factory=dict)
+
+    def __post_init__(self):
+        if self.de_k < 1:
+            raise ValidationError("de_k must be at least 1")
+        if not self.pseudo >= 0:
+            raise ValidationError("pseudo must be non-negative")
+        for metric, bound in self.thresholds.items():
+            if metric not in METRIC_IDS:
+                raise ValidationError(f"unknown metric {metric!r} in thresholds")
+            if isinstance(bound, bool) or not isinstance(bound, (int, float)):
+                raise ValidationError(f"thresholds.{metric} must be a number")
+
+
 # Metrics where smaller is better; everything else passes by meeting a floor.
 _LOWER_IS_BETTER = frozenset({"mse", "mse_de", "rmse"})
 
@@ -569,8 +602,8 @@ def validate_predictions(
     pred_path: str,
     truth: ExpressionMatrix,
     control_rows: Sequence[int] = (),
-    de_k: int = 20,
-    pseudo: float = 1e-6,
+    de_k: int = DEFAULT_DE_K,
+    pseudo: float = DEFAULT_DE_PSEUDO,
     thresholds: Optional[Dict[str, float]] = None,
     store: Optional[MemoryStore] = None,
 ) -> ValidationReport:

@@ -121,13 +121,6 @@ def read_table(path: str) -> Tuple[List[str], List[Dict[str, str]]]:
     return header, rows
 
 
-def write_table(path: str, header: Sequence[str], rows: Sequence[Dict[str, str]]) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write("\t".join(header) + "\n")
-        for row in rows:
-            fh.write("\t".join(str(row[col]) for col in header) + "\n")
-
-
 PREDICTIONS_STEM = "predictions"
 PREDICTIONS_ROWS = "predictions_rows.tsv"
 PREDICTIONS_COLS = "predictions_cols.tsv"

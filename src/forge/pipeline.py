@@ -10,18 +10,15 @@ reproduces the directory byte for byte.
 
 from __future__ import annotations
 
-import json
 import os
 import shutil
 from dataclasses import MISSING, asdict, dataclass, fields, is_dataclass
-from importlib import resources
 from pathlib import Path
-from typing import Any, Dict, List, Optional, Tuple, get_type_hints
+from typing import Any, Dict, Optional, Tuple, get_type_hints
 
 from .consensus import (
     DiscussionParams,
     DiscussionTrace,
-    ExpertRole,
     ResearchPlan,
     load_registry,
     run_discussion,
@@ -30,9 +27,10 @@ from .consensus import (
 from .errors import EmptyQueryError, LoadError, LoopError, ValidationError
 from .execution import (
     CodeArtifact,
+    EvaluationParams,
+    ExecutionParams,
     ExecutionResult,
     LoopTrace,
-    SandboxLimits,
     ValidationReport,
     refinement_loop,
     validate_predictions,
@@ -44,7 +42,7 @@ from .matrixio import (
     read_predictions,
     write_json,
 )
-from .metrics import METRIC_IDS, ExpressionMatrix
+from .metrics import ExpressionMatrix
 from .protocol import (
     Envelope,
     EventStream,
@@ -102,22 +100,22 @@ def _deep_merge(base: Dict[str, Any], override: Dict[str, Any]) -> Dict[str, Any
     return merged
 
 
-def default_profile() -> Dict[str, Any]:
-    """The shipped defaults profile as a plain dict."""
-    raw = resources.files("forge.data").joinpath("default_config.json").read_text("utf-8")
-    return json.loads(raw)["defaults"]
+def _build_section(name: str, cls: type, doc: Any) -> Any:
+    """A config section as its dataclass, which defines its keys and checks.
 
-
-def _section_values(name: str, doc: Any, defaults: Dict[str, Any]) -> Dict[str, Any]:
-    """A config section's values, each converted to the type of its default.
-
-    int, float and tuple defaults convert the value; a dict default needs a
-    JSON object. An unknown key or an unconvertible value names the section
-    and key in a :class:`ValidationError`.
+    Each given value converts to the type of its field's default: int,
+    float and tuple convert the value, a dict default needs a JSON object,
+    and other values pass as given. An unknown key, an unconvertible value
+    or a value the dataclass rejects raises :class:`ValidationError` naming
+    the section.
     """
     if not isinstance(doc, dict):
         raise ValidationError(f"config section {name!r} must be a JSON object")
-    values: Dict[str, Any] = {}
+    defaults = {
+        f.name: f.default if f.default_factory is MISSING else f.default_factory()
+        for f in fields(cls)
+    }
+    kwargs: Dict[str, Any] = {}
     for key, value in doc.items():
         if key not in defaults:
             raise ValidationError(f"unknown config key {name}.{key}")
@@ -125,40 +123,13 @@ def _section_values(name: str, doc: Any, defaults: Dict[str, Any]) -> Dict[str, 
         if kind is dict and not isinstance(value, dict):
             raise ValidationError(f"config key {name}.{key} must be a JSON object")
         try:
-            values[key] = kind(value) if kind in (int, float, tuple) else value
+            kwargs[key] = kind(value) if kind in (int, float, tuple) else value
         except (TypeError, ValueError, OverflowError) as exc:
             raise ValidationError(f"bad value for config key {name}.{key}: {exc}") from exc
-    return values
-
-
-def _build_section(name: str, cls: type, doc: Any) -> Any:
-    """A config section as its parameter dataclass."""
-    kwargs = _section_values(name, doc, {f.name: f.default for f in fields(cls)})
     try:
         return cls(**kwargs)
-    except (TypeError, ValueError) as exc:
+    except (ValidationError, TypeError, ValueError) as exc:
         raise ValidationError(f"bad config section {name!r}: {exc}") from exc
-
-
-# Keys and default values of the two sections kept as plain dicts, so that
-# config.json holds exactly the keys a profile gave. A given value converts to
-# the type of its default.
-_EXECUTION_DEFAULTS = {"r_max": 10, "wall_seconds": 60.0, "stdout_bytes": 65536, "stderr_bytes": 65536}
-_EVALUATION_DEFAULTS = {"de_k": 20, "pseudo": 1e-6, "thresholds": {}}
-# The smallest value the execute and evaluate stages accept for these keys;
-# SandboxLimits checks the sandbox's own keys.
-_MINIMA = {"r_max": 0, "de_k": 1, "pseudo": 0}
-
-
-def _resolve_section(name: str, doc: Any, defaults: Dict[str, Any]) -> Dict[str, Any]:
-    """A plain-dict section with its defaults filled in, converted and checked
-    against :data:`_MINIMA`."""
-    values = {**defaults, **_section_values(name, doc, defaults)}
-    for key, value in values.items():
-        low = _MINIMA.get(key)
-        if low is not None and not value >= low:
-            raise ValidationError(f"config key {name}.{key} must be at least {low}: {value!r}")
-    return values
 
 
 @dataclass
@@ -169,8 +140,8 @@ class RunConfig:
     generation: GenerationParams
     retrieval: RetrievalParams
     discussion: DiscussionParams
-    execution: Dict[str, Any]
-    evaluation: Dict[str, Any]
+    execution: ExecutionParams
+    evaluation: EvaluationParams
     pricing_table: Optional[str] = None
     seed: int = 0
 
@@ -180,30 +151,6 @@ class RunConfig:
             raise ValidationError(f"provider type must be scripted or http: {kind!r}")
         if kind == "scripted" and self.seed is None:
             raise ValidationError("scripted runs require a seed")
-        # The plain-dict sections are converted and checked once, here, so a
-        # bad value fails at load rather than in the stage that uses it.
-        execution = _resolve_section("execution", self.execution, _EXECUTION_DEFAULTS)
-        self._r_max: int = execution.pop("r_max")
-        self._limits = SandboxLimits(**execution)
-        self._scoring = _resolve_section("evaluation", self.evaluation, _EVALUATION_DEFAULTS)
-        for metric, bound in self._scoring["thresholds"].items():
-            if metric not in METRIC_IDS:
-                raise ValidationError(f"unknown metric {metric!r} in config key evaluation.thresholds")
-            if isinstance(bound, bool) or not isinstance(bound, (int, float)):
-                raise ValidationError(f"config key evaluation.thresholds.{metric} must be a number")
-
-    @property
-    def limits(self) -> SandboxLimits:
-        return self._limits
-
-    @property
-    def r_max(self) -> int:
-        return self._r_max
-
-    @property
-    def scoring(self) -> Dict[str, Any]:
-        """The evaluation section with its defaults: de_k, pseudo, thresholds."""
-        return self._scoring
 
     def to_json(self) -> Dict[str, Any]:
         return asdict(self)
@@ -233,12 +180,14 @@ class RunConfig:
 def load_config(
     path: Optional[str] = None, overrides: Optional[Dict[str, Any]] = None
 ) -> RunConfig:
-    """Shipped defaults, deep-merged with a user file, then with overrides.
+    """The defaults, deep-merged with a user file, then with overrides.
 
     A user file may either be a flat profile or wrap one under a
-    ``defaults`` key; overrides use the same nested shape.
+    ``defaults`` key; overrides use the same nested shape. Every section but
+    ``provider``, whose keys depend on its type, takes its defaults from its
+    dataclass.
     """
-    profile = default_profile()
+    profile = {"provider": {"type": "scripted", "fixture": None, "embed_dim": 64}}
     if path is not None:
         doc = read_json(path)
         if not isinstance(doc, dict):
@@ -386,9 +335,13 @@ def open_run(
 ) -> RunContext:
     """Create the run directory and wire providers, store, and stream.
 
-    Use the context as a ``with`` block to run :func:`close_run` on exit.
+    Use the context as a ``with`` block to run :func:`close_run` on exit. A
+    directory that already holds a run's ``events.jsonl`` is refused before
+    anything is written, so one run never appends to another's log.
     """
     path = Path(out_dir)
+    if (path / "events.jsonl").exists():
+        raise ValidationError(f"{out_dir} already holds a run; use a new output directory")
     path.mkdir(parents=True, exist_ok=True)
     stream = EventStream(str(path / "events.jsonl"))
     ledger = UsageLedger()
@@ -528,9 +481,7 @@ def stage_analyze(
 
 
 def stage_design(
-    report: AnalysisReport,
-    ctx: RunContext,
-    registry: Optional[List[ExpertRole]] = None,
+    report: AnalysisReport, ctx: RunContext
 ) -> Tuple[ResearchPlan, DiscussionTrace]:
     """Select the panel and run the consensus discussion.
 
@@ -538,15 +489,13 @@ def stage_design(
     """
     ctx.mark("stage.start", {"stage": "design"})
     ctx.chat.label = "design"
-    roles = registry if registry is not None else load_registry()
     panel = select_experts(
-        roles, report, ctx.config.discussion, ctx.config.seed, ctx.embedder
+        load_registry(), report, ctx.config.discussion, ctx.config.seed, ctx.embedder
     )
     plan, trace = run_discussion(
         report,
         ctx.config.discussion,
         ctx.chat,
-        ctx.config.seed,
         experts=panel,
         store=ctx.store,
         gen_params=ctx.config.generation,
@@ -608,8 +557,8 @@ def stage_execute(
         artifact, result, trace = refinement_loop(
             plan,
             ctx.chat,
-            r_max=ctx.config.r_max,
-            limits=ctx.config.limits,
+            r_max=ctx.config.execution.r_max,
+            limits=ctx.config.execution,
             inputs=_bundle_inputs(bundle.path),
             validator=_prediction_validator(bundle.matrix),
             workdir_root=sandbox_root,
@@ -677,14 +626,14 @@ def stage_evaluate(
     ``pseudo`` and thresholds; writes ``metrics.json`` into the run directory.
     """
     ctx.mark("stage.start", {"stage": "evaluate"})
-    scoring = ctx.config.scoring
+    params = ctx.config.evaluation
     report = validate_predictions(
         predictions_path,
         bundle.matrix,
         control_rows=bundle.control_rows,
-        de_k=scoring["de_k"],
-        pseudo=scoring["pseudo"],
-        thresholds=scoring["thresholds"],
+        de_k=params.de_k,
+        pseudo=params.pseudo,
+        thresholds=params.thresholds,
         store=ctx.store,
     )
     doc = report.to_json()
@@ -699,6 +648,17 @@ def stage_evaluate(
 # ----------------------------------------------------------------------
 
 
+def read_task(path: str) -> str:
+    """The task file's text; a missing, unreadable or blank file is an error."""
+    try:
+        text = Path(path).read_text(encoding="utf-8")
+    except (OSError, UnicodeDecodeError) as exc:
+        raise LoadError(f"cannot read task file {path}: {exc}") from exc
+    if not text.strip():
+        raise ValidationError(f"task file {path} is empty")
+    return text
+
+
 def run_pipeline(
     task_path: str,
     bundle_path: str,
@@ -710,10 +670,7 @@ def run_pipeline(
 
     Returns a summary dict of the headline numbers (also on disk).
     """
-    with open(task_path, "r", encoding="utf-8") as fh:
-        task_text = fh.read()
-    if not task_text.strip():
-        raise ValidationError(f"task file {task_path} is empty")
+    task_text = read_task(task_path)
     bundle = load_bundle(bundle_path)
     with open_run(config, out_dir) as ctx:
         corpus = (

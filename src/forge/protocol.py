@@ -335,9 +335,6 @@ class MemoryStore:
             raise KeyError(entity_id)
         return copy.deepcopy(self._entities[entity_id])
 
-    def has_entity(self, entity_id: str) -> bool:
-        return entity_id in self._entities
-
     def link_entities(self, source: str, target: str, label: str) -> Relation:
         if source not in self._entities:
             raise ValidationError(f"relation source {source!r} not stored")

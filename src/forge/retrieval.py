@@ -22,7 +22,7 @@ import math
 import os
 import re
 from collections import Counter
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from typing import Dict, Iterable, List, Optional, Sequence, Set, Tuple
 
 import numpy as np
@@ -409,15 +409,7 @@ class LayerTrace:
     collected: List[str]
 
     def to_json(self) -> Dict[str, object]:
-        return {
-            "layer": self.layer,
-            "mode": self.mode,
-            "doc_ids": list(self.doc_ids),
-            "scores": list(self.scores),
-            "max_score": self.max_score,
-            "overlap_with_previous": self.overlap_with_previous,
-            "collected": list(self.collected),
-        }
+        return asdict(self)
 
 
 @dataclass
@@ -427,11 +419,7 @@ class RetrievalTrace:
     stop_layer: int = 0
 
     def to_json(self) -> Dict[str, object]:
-        return {
-            "layers": [layer.to_json() for layer in self.layers],
-            "stop_reason": self.stop_reason,
-            "stop_layer": self.stop_layer,
-        }
+        return asdict(self)
 
 
 @dataclass

@@ -32,9 +32,9 @@ from .errors import (
     StageError,
     ValidationError,
 )
-from .matrixio import canonical_json, find_matrix_file, read_json, read_matrix, read_table
+from .matrixio import find_matrix_file, read_json, read_matrix, read_table
 from .metrics import ExpressionMatrix
-from .protocol import KnowledgeEntity, MemoryStore
+from .protocol import KnowledgeEntity, MemoryStore, canonical_json
 from .providers import ChatProvider, ChatTurn, GenerationParams, Usage
 
 CONTROL_LABEL = "control"

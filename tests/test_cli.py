@@ -19,12 +19,11 @@ from conftest import (
 )
 import forge
 from forge.cli import main
-from forge.execution import SandboxLimits
+from forge.errors import LoadError
 from forge.pipeline import (
-    RunConfig,
-    default_profile,
     load_config,
     open_run,
+    run_pipeline,
     stage_analyze,
     stage_design,
 )
@@ -250,6 +249,38 @@ def test_empty_task_exits_1(runner, workdir):
     assert result.exit_code == 1
 
 
+def test_missing_task_exits_1(runner, workdir):
+    fixture = golden_fixture(workdir / "fixture.json")
+    cfg = write_config(workdir / "config.json", **profile(fixture))
+    missing = workdir / "missing.txt"
+    result = run_cli(
+        runner,
+        ["run", "--task", missing, "--bundle", workdir / "bundle",
+         "--out", workdir / "out", "--config", cfg],
+    )
+    assert result.exit_code == 1
+    assert isinstance(result.exception, SystemExit)
+    assert "cannot read task file" in everything(result)
+    with pytest.raises(LoadError, match="missing.txt"):
+        run_pipeline(str(missing), str(workdir / "bundle"), load_config(str(cfg)),
+                     str(workdir / "lib"))
+
+
+def test_second_run_into_same_out_is_refused(runner, workdir):
+    fx = workdir / "fx.json"
+    fx.write_text(json.dumps({"completions": ANALYSIS_REPLIES}))
+    cfg = write_config(workdir / "config.json", **profile(fx))
+    out = workdir / "out"
+    args = ["analyze", "--task", workdir / "task.txt", "--bundle",
+            workdir / "bundle", "--out", out, "--config", cfg]
+    assert run_cli(runner, args).exit_code == 0
+    first = tree_digest(out)
+    result = run_cli(runner, args)
+    assert result.exit_code == 1
+    assert f"{out} already holds a run" in everything(result)
+    assert tree_digest(out) == first
+
+
 def test_missing_config_exits_1(runner, workdir):
     result = run_cli(
         runner,
@@ -320,6 +351,12 @@ def test_loop_exhaustion_exits_3_with_rollback(runner, workdir):
         ("execution", "r_max", "x", "execution.r_max"),
         ("evaluation", "de_k", "many", "evaluation.de_k"),
         ("retreival", "l_max", 2, "retreival"),  # unknown top-level key
+        # values the section's dataclass rejects
+        ("execution", "r_max", -1, "'execution': r_max must be non-negative"),
+        ("evaluation", "de_k", 0, "'evaluation': de_k must be at least 1"),
+        ("evaluation", "thresholds", {"bogus": 1},
+         "'evaluation': unknown metric 'bogus' in thresholds"),
+        ("retrieval", "l_max", 0, "'retrieval': l_max must be positive"),
     ],
 )
 def test_bad_config_key_exits_1(runner, workdir, section, key, value, named):
@@ -335,16 +372,13 @@ def test_bad_config_key_exits_1(runner, workdir, section, key, value, named):
     assert named in everything(result)
 
 
-def test_shipped_defaults_are_the_run_config_defaults():
-    # RunConfig fills in the execution and evaluation keys a profile leaves
-    # out; those fallbacks must be the shipped defaults.
-    shipped = default_profile()
-    execution = dict(shipped["execution"])
-    bare = RunConfig.from_profile({"provider": {"type": "scripted"}})
-    assert (bare.execution, bare.evaluation) == ({}, {})
-    assert bare.r_max == execution.pop("r_max")
-    assert bare.limits == SandboxLimits(**execution)
-    assert bare.scoring == shipped["evaluation"]
+def test_readme_config_block_is_the_defaults():
+    # The README's configuration block documents every key and default.
+    readme = (Path(__file__).parents[1] / "README.md").read_text(encoding="utf-8")
+    section = readme.split("## Configuration", 1)[1]
+    block = section.split("```json\n", 1)[1].split("```", 1)[0]
+    defaults = json.loads(json.dumps(load_config().to_json()))
+    assert json.loads(block) == defaults
 
 
 def test_execute_requires_plan(runner, workdir):

@@ -471,8 +471,6 @@ def test_discussion_panel_validation():
             report, DiscussionParams(), provider,
             experts=[role("a"), role("a"), CRITIC],
         )
-    with pytest.raises(ValidationError, match="registry"):
-        run_discussion(report, DiscussionParams(), provider)
 
 
 def test_discussion_trace_serializes():

@@ -9,7 +9,13 @@ import numpy as np
 import pytest
 
 from forge.consensus import PLAN_SECTIONS, ResearchPlan
-from forge.errors import GenerationError, LoopError, SandboxError, ValidationError
+from forge.errors import (
+    GenerationError,
+    LoadError,
+    LoopError,
+    SandboxError,
+    ValidationError,
+)
 from forge.execution import (
     ENV_ALLOW_LIST,
     CodeArtifact,
@@ -179,6 +185,18 @@ def test_sandbox_inputs_copied_and_inlined(tmp_path):
     assert "1\t2" in result.stdout and "inline-bytes" in result.stdout
     # pre-seeded inputs are not "produced"
     assert result.produced_files == []
+
+
+def test_sandbox_missing_input_is_a_load_error(tmp_path):
+    # a vanished source is an error, not a file holding its own path
+    missing = tmp_path / "gone.tsv"
+    with pytest.raises(LoadError, match="gone.tsv"):
+        run_sandbox(art("print(1)"), inputs={"data.tsv": str(missing)},
+                    workdir=str(tmp_path / "run"))
+    assert not (tmp_path / "run" / "data.tsv").exists()
+    with pytest.raises(LoadError, match="not a file"):
+        run_sandbox(art("print(1)"), inputs={"data": str(tmp_path / "run")},
+                    workdir=str(tmp_path / "run2"))
 
 
 def test_sandbox_env_allow_list(tmp_path, monkeypatch):
