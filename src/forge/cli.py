@@ -35,7 +35,7 @@ from .pipeline import (
     stage_evaluate,
     stage_execute,
 )
-from .matrixio import read_json
+from .matrixio import align_predictions, read_json, read_predictions
 from .retrieval import load_corpus, write_embeddings
 from .task_analysis import AnalysisReport, load_bundle
 
@@ -217,8 +217,9 @@ def cmd_evaluate(predictions_path, bundle_path, out_dir, config_path, seed, fixt
         config = _resolve_config(config_path, seed, fixture)
         _require(predictions_path, "execute")
         bundle = load_bundle(bundle_path)
+        predictions = align_predictions(read_predictions(predictions_path), bundle.matrix)
         with open_run(config, out_dir, require_fixture=False) as ctx:
-            validation = stage_evaluate(predictions_path, bundle, ctx)
+            validation = stage_evaluate(predictions, bundle, ctx)
         click.echo(f"metrics written: {os.path.join(out_dir, 'metrics.json')}")
         _echo_metrics(validation.metrics.to_json())
         click.echo(f"  passed={validation.passed}")

@@ -40,7 +40,6 @@ from .errors import (
     SandboxError,
     ValidationError,
 )
-from .matrixio import align_predictions, read_predictions
 from .metrics import (
     DEFAULT_DE_K,
     DEFAULT_DE_PSEUDO,
@@ -141,7 +140,12 @@ class CodeArtifact:
             raise ValidationError("artifact revision must be non-negative")
         for path in self.files:
             _check_relative(path)
-        tokens = shlex.split(self.entrypoint)
+        try:
+            tokens = shlex.split(self.entrypoint)
+        except ValueError as exc:
+            raise ValidationError(
+                f"entrypoint {self.entrypoint!r} does not parse: {exc}"
+            ) from exc
         if not any(tok in self.files for tok in tokens):
             raise ValidationError(
                 f"entrypoint {self.entrypoint!r} references no artifact file"
@@ -252,31 +256,29 @@ def render_artifact(artifact: CodeArtifact) -> str:
     return "\n".join(parts)
 
 
-def generate_code(
-    plan: ResearchPlan,
+def _request_artifact(
+    prompt: str,
     provider: ChatProvider,
-    gen_params: Optional[GenerationParams] = None,
-    store: Optional[MemoryStore] = None,
+    gen_params: GenerationParams,
+    revision: int,
+    store: Optional[MemoryStore],
+    reasoning: str,
 ) -> CodeArtifact:
-    """Turn the plan into revision 0 of a code artifact.
+    """Ask the provider for an artifact and record it in ``store``.
 
-    One corrective retry is granted when the reply carries no parseable
-    FILE blocks; a second failure raises a generation error.
+    One corrective retry is granted when the reply carries no usable
+    envelope; a second failure raises a generation error.
     """
-    gen_params = gen_params or GenerationParams()
-    prompt = load_template("generate-code").substitute(
-        plan=canonical_json(plan.to_json()["sections"])
-    )
     turns = [ChatTurn("user", prompt)]
     reply, _ = provider.complete(turns, gen_params)
     try:
-        artifact = parse_artifact(reply, revision=0)
+        artifact = parse_artifact(reply, revision)
     except _ArtifactParseError as first:
         retry = load_template("format-retry").substitute(reason=str(first))
         turns = turns + [ChatTurn("assistant", reply), ChatTurn("user", retry)]
-        reply2, _ = provider.complete(turns, gen_params)
+        reply, _ = provider.complete(turns, gen_params)
         try:
-            artifact = parse_artifact(reply2, revision=0)
+            artifact = parse_artifact(reply, revision)
         except _ArtifactParseError as second:
             raise GenerationError(
                 f"no parseable artifact after retry: {second}"
@@ -287,11 +289,26 @@ def generate_code(
                 id=store.new_id("artifact"),
                 kind="artifact",
                 body=artifact.to_json(),
-                provenance={"agent": "code-generator", "reasoning": "plan realization"},
-                round=artifact.revision,
+                provenance={"agent": "code-generator", "reasoning": reasoning},
+                round=revision,
             )
         )
     return artifact
+
+
+def generate_code(
+    plan: ResearchPlan,
+    provider: ChatProvider,
+    gen_params: Optional[GenerationParams] = None,
+    store: Optional[MemoryStore] = None,
+) -> CodeArtifact:
+    """Turn the plan into revision 0 of a code artifact."""
+    prompt = load_template("generate-code").substitute(
+        plan=canonical_json(plan.to_json()["sections"])
+    )
+    return _request_artifact(
+        prompt, provider, gen_params or GenerationParams(), 0, store, "plan realization"
+    )
 
 
 # ----------------------------------------------------------------------
@@ -338,13 +355,14 @@ class ExecutionResult:
     produced_files: List[str]
     exit_path: str = EXIT_COMPLETED
     workdir: str = ""
+    output: Any = None  # what the loop's validator accepted
 
     @property
     def succeeded(self) -> bool:
         return self.exit_path == EXIT_COMPLETED and self.exit_code == 0
 
     def to_json(self) -> Dict[str, Any]:
-        # wall_time stays out: persisted traces must be byte-stable.
+        # wall_time (a clock reading) and output (data) stay out of traces.
         return {
             "exit_code": self.exit_code,
             "stdout": self.stdout,
@@ -478,19 +496,20 @@ class FailureRecord:
     def to_json(self) -> Dict[str, Any]:
         return asdict(self)
 
-    def same_failure(self, other: Optional["FailureRecord"]) -> bool:
-        return (
-            other is not None
-            and self.category == other.category
-            and self.evidence == other.evidence
-        )
-
 
 def _evidence_line(stderr: str, pattern: str) -> str:
     for line in stderr.splitlines():
         if pattern in line:
             return line.strip()
     return pattern
+
+
+def _escalate(record: FailureRecord, previous: Optional[FailureRecord]) -> FailureRecord:
+    """``record``, or an error-recovery-failure when it repeats ``previous``."""
+    repeated = previous is not None and previous.evidence == record.evidence
+    if repeated and previous.category == record.category:
+        return FailureRecord("error-recovery-failure", record.evidence, record.round)
+    return record
 
 
 def classify_failure(
@@ -524,9 +543,7 @@ def classify_failure(
             tail = [ln.strip() for ln in result.stderr.splitlines() if ln.strip()]
             evidence = tail[-1] if tail else f"exit code {result.exit_code}"
             record = FailureRecord("other", evidence, round_no)
-    if record.same_failure(previous):
-        return FailureRecord("error-recovery-failure", record.evidence, round_no)
-    return record
+    return _escalate(record, previous)
 
 
 # ----------------------------------------------------------------------
@@ -599,7 +616,7 @@ def apply_thresholds(
 
 
 def validate_predictions(
-    pred_path: str,
+    predictions: ExpressionMatrix,
     truth: ExpressionMatrix,
     control_rows: Sequence[int] = (),
     de_k: int = DEFAULT_DE_K,
@@ -607,14 +624,18 @@ def validate_predictions(
     thresholds: Optional[Dict[str, float]] = None,
     store: Optional[MemoryStore] = None,
 ) -> ValidationReport:
-    """Score a prediction file against truth and judge it by thresholds.
+    """Score predictions against truth and judge them by thresholds.
 
+    ``predictions`` must already follow the truth's row and column ids
+    (:func:`forge.matrixio.align_predictions` puts them in that order).
     The DE-restricted variants run over the top-``de_k`` genes by |log2
     fold change| of the pooled perturbed rows (every row not in
     ``control_rows``) against the control rows, ties broken by gene index.
     Without both groups they are skipped. Every control row must lie in
     ``[0, n)``; repeats and order among them do not matter.
     """
+    if (predictions.row_ids, predictions.column_ids) != (truth.row_ids, truth.column_ids):
+        raise ValidationError("predictions are not in the truth's row and column order")
     n = truth.shape[0]
     bad = [r for r in control_rows if not 0 <= r < n]
     if bad:
@@ -623,7 +644,6 @@ def validate_predictions(
     is_perturbed[list(control_rows)] = False
     perturbed_rows = np.flatnonzero(is_perturbed)
     control = np.flatnonzero(~is_perturbed)
-    aligned = align_predictions(read_predictions(pred_path), truth)
     de_genes = None
     if control.size and perturbed_rows.size:
         de_genes = select_de_genes(
@@ -632,7 +652,7 @@ def validate_predictions(
             k=min(int(de_k), truth.shape[1]),
             pseudo=float(pseudo),
         )
-    metrics = metric_report(truth, aligned, de_genes=de_genes)
+    metrics = metric_report(truth, predictions, de_genes=de_genes)
     thresholds = dict(thresholds or {})
     verdict = apply_thresholds(metrics, thresholds)
     report = ValidationReport(metrics=metrics, thresholds=thresholds, verdict=verdict)
@@ -700,36 +720,7 @@ class LoopTrace:
         }
 
 
-Validator = Callable[[ExecutionResult, str], Optional[str]]
-
-
-def _patch_artifact(
-    artifact: CodeArtifact,
-    failure: FailureRecord,
-    result: ExecutionResult,
-    provider: ChatProvider,
-    gen_params: GenerationParams,
-) -> CodeArtifact:
-    prompt = load_template("patch-code").substitute(
-        files=render_artifact(artifact),
-        category=failure.category,
-        evidence=failure.evidence,
-        stderr=result.stderr[-4000:] if result.stderr else "(no stderr)",
-    )
-    turns = [ChatTurn("user", prompt)]
-    reply, _ = provider.complete(turns, gen_params)
-    try:
-        return parse_artifact(reply, revision=artifact.revision + 1)
-    except _ArtifactParseError as first:
-        retry = load_template("format-retry").substitute(reason=str(first))
-        turns = turns + [ChatTurn("assistant", reply), ChatTurn("user", retry)]
-        reply2, _ = provider.complete(turns, gen_params)
-        try:
-            return parse_artifact(reply2, revision=artifact.revision + 1)
-        except _ArtifactParseError as second:
-            raise GenerationError(
-                f"no parseable patch after retry: {second}"
-            ) from second
+Validator = Callable[[ExecutionResult, str], Any]
 
 
 def refinement_loop(
@@ -747,9 +738,11 @@ def refinement_loop(
 ) -> Tuple[CodeArtifact, ExecutionResult, LoopTrace]:
     """Generate, run, and iteratively patch until success or the cap.
 
-    Success means exit 0 on the completed path plus a passing validator
-    (when given; the validator returns None on success or an explanation
-    string that becomes a data-access-failure for the next patch round).
+    Success means exit 0 on the completed path plus a passing validator,
+    when one is given. The validator, called with the result and its
+    working directory, returns what it accepted, which becomes the result's
+    ``output``, or raises :class:`ValidationError` or :class:`LoadError`,
+    whose message becomes a data-access-failure's evidence.
     On terminal failure the loop raises carrying the full trace and the
     rollback artifact: the revision with the highest milestone, latest
     revision winning ties.
@@ -769,53 +762,21 @@ def refinement_loop(
         )
         result = run_sandbox(artifact, limits, inputs, workdir)
 
-        failure: Optional[FailureRecord] = None
         raw: Optional[FailureRecord] = None
         if result.succeeded:
-            complaint = validator(result, result.workdir) if validator else None
-            if complaint is None:
-                trace.revisions.append(
-                    RevisionRecord(
-                        revision=artifact.revision,
-                        artifact=artifact,
-                        result=result,
-                        failure=None,
-                        milestone=_MILESTONE_SUCCESS,
-                    )
-                )
-                trace.refinements = round_no
-                trace.succeeded = True
-                if store is not None:
-                    store.put_entity(
-                        KnowledgeEntity(
-                            id=store.new_id("result"),
-                            kind="result",
-                            body=trace.to_json(),
-                            provenance={
-                                "agent": "refinement-loop",
-                                "reasoning": "successful execution",
-                            },
-                            round=round_no,
-                        )
-                    )
-                return artifact, result, trace
-            raw = FailureRecord("data-access-failure", complaint, round_no)
-            failure = (
-                FailureRecord("error-recovery-failure", raw.evidence, round_no)
-                if raw.same_failure(previous_raw)
-                else raw
-            )
-            milestone = _MILESTONE_EXIT0_INVALID
+            milestone = _MILESTONE_SUCCESS
+            if validator is not None:
+                try:
+                    result.output = validator(result, result.workdir)
+                except ValidationError as exc:
+                    raw = FailureRecord("data-access-failure", str(exc), round_no)
+                    milestone = _MILESTONE_EXIT0_INVALID
         else:
             raw = classify_failure(result, round_no=round_no)
-            failure = classify_failure(result, previous=previous_raw, round_no=round_no)
-            milestone = (
-                _MILESTONE_TIMEOUT
-                if result.exit_path == EXIT_TIMEOUT
-                else _MILESTONE_CRASH
-            )
+            timed_out = result.exit_path == EXIT_TIMEOUT
+            milestone = _MILESTONE_TIMEOUT if timed_out else _MILESTONE_CRASH
+        failure = None if raw is None else _escalate(raw, previous_raw)
         previous_raw = raw
-
         trace.revisions.append(
             RevisionRecord(
                 revision=artifact.revision,
@@ -825,22 +786,36 @@ def refinement_loop(
                 milestone=milestone,
             )
         )
+
+        if failure is None:
+            trace.refinements = round_no
+            trace.succeeded = True
+            if store is not None:
+                store.put_entity(
+                    KnowledgeEntity(
+                        id=store.new_id("result"),
+                        kind="result",
+                        body=trace.to_json(),
+                        provenance={
+                            "agent": "refinement-loop",
+                            "reasoning": "successful execution",
+                        },
+                        round=round_no,
+                    )
+                )
+            return artifact, result, trace
         if round_no == r_max:
             break
-        artifact = _patch_artifact(artifact, failure, result, provider, gen_params)
-        if store is not None:
-            store.put_entity(
-                KnowledgeEntity(
-                    id=store.new_id("artifact"),
-                    kind="artifact",
-                    body=artifact.to_json(),
-                    provenance={
-                        "agent": "code-generator",
-                        "reasoning": f"patch for {failure.category}",
-                    },
-                    round=artifact.revision,
-                )
-            )
+        prompt = load_template("patch-code").substitute(
+            files=render_artifact(artifact),
+            category=failure.category,
+            evidence=failure.evidence,
+            stderr=result.stderr[-4000:] if result.stderr else "(no stderr)",
+        )
+        artifact = _request_artifact(
+            prompt, provider, gen_params, artifact.revision + 1, store,
+            f"patch for {failure.category}",
+        )
 
     trace.refinements = r_max
     best = max(trace.revisions, key=lambda rec: (rec.milestone, rec.revision))

@@ -14,7 +14,7 @@ import os
 import shutil
 from dataclasses import MISSING, asdict, dataclass, fields, is_dataclass
 from pathlib import Path
-from typing import Any, Dict, Optional, Tuple, get_type_hints
+from typing import Any, Dict, Optional, Tuple, Union, get_args, get_origin, get_type_hints
 
 from .consensus import (
     DiscussionParams,
@@ -100,32 +100,55 @@ def _deep_merge(base: Dict[str, Any], override: Dict[str, Any]) -> Dict[str, Any
     return merged
 
 
+# What each config type hint accepts, and its name in error messages.
+_JSON_KINDS = {
+    float: ((int, float), "a number"),
+    int: (int, "an integer"),
+    str: (str, "a string"),
+    tuple: ((list, tuple), "a JSON list"),
+    dict: (dict, "a JSON object"),
+    type(None): (type(None), "null"),
+}
+
+# The keys each provider type reads; http takes the default "fixture": null.
+_PROVIDER_KEYS = {
+    "scripted": {"type": str, "fixture": Optional[str], "embed_dim": int},
+    "http": {"type": str, "fixture": type(None), "embed_dim": int, "embed_model": str},
+}
+
+
+def _convert(key: str, hint: Any, value: Any) -> Any:
+    """``value`` checked against the type hint of config key ``key``.
+
+    ``Optional[X]`` takes null or an X; a bool is not a number. An int
+    converts to a float and a list to a tuple; a dict is copied.
+    """
+    if get_origin(hint) is Union:
+        if value is None:
+            return None
+        hint = next(arg for arg in get_args(hint) if arg is not type(None))
+    kind = get_origin(hint) or hint
+    accepted, name = _JSON_KINDS[kind]
+    if isinstance(value, bool) or not isinstance(value, accepted):
+        raise ValidationError(f"config key {key} must be {name}: got {value!r}")
+    try:
+        return kind(value) if kind in (float, tuple, dict) else value
+    except OverflowError:
+        raise ValidationError(f"config key {key} is out of range: {value!r}") from None
+
+
 def _build_section(name: str, cls: type, doc: Any) -> Any:
     """A config section as its dataclass, which defines its keys and checks.
 
-    Each given value converts to the type of its field's default: int,
-    float and tuple convert the value, a dict default needs a JSON object,
-    and other values pass as given. An unknown key, an unconvertible value
-    or a value the dataclass rejects raises :class:`ValidationError` naming
-    the section.
+    Values are checked by :func:`_convert`; an unknown key or a value the
+    dataclass rejects raises :class:`ValidationError` naming it.
     """
-    if not isinstance(doc, dict):
-        raise ValidationError(f"config section {name!r} must be a JSON object")
-    defaults = {
-        f.name: f.default if f.default_factory is MISSING else f.default_factory()
-        for f in fields(cls)
-    }
+    hints = get_type_hints(cls)
     kwargs: Dict[str, Any] = {}
-    for key, value in doc.items():
-        if key not in defaults:
+    for key, value in _convert(name, dict, doc).items():
+        if key not in hints:
             raise ValidationError(f"unknown config key {name}.{key}")
-        kind = type(defaults[key])
-        if kind is dict and not isinstance(value, dict):
-            raise ValidationError(f"config key {name}.{key} must be a JSON object")
-        try:
-            kwargs[key] = kind(value) if kind in (int, float, tuple) else value
-        except (TypeError, ValueError, OverflowError) as exc:
-            raise ValidationError(f"bad value for config key {name}.{key}: {exc}") from exc
+        kwargs[key] = _convert(f"{name}.{key}", hints[key], value)
     try:
         return cls(**kwargs)
     except (ValidationError, TypeError, ValueError) as exc:
@@ -143,12 +166,16 @@ class RunConfig:
     execution: ExecutionParams
     evaluation: EvaluationParams
     pricing_table: Optional[str] = None
-    seed: int = 0
+    seed: Optional[int] = 0
 
     def __post_init__(self):
         kind = self.provider.get("type")
-        if kind not in ("scripted", "http"):
+        if kind not in _PROVIDER_KEYS:
             raise ValidationError(f"provider type must be scripted or http: {kind!r}")
+        for key, value in self.provider.items():
+            if key not in _PROVIDER_KEYS[kind]:
+                raise ValidationError(f"unknown config key provider.{key} for type {kind}")
+            _convert(f"provider.{key}", _PROVIDER_KEYS[kind][key], value)
         if kind == "scripted" and self.seed is None:
             raise ValidationError("scripted runs require a seed")
 
@@ -158,23 +185,16 @@ class RunConfig:
     @classmethod
     def from_profile(cls, profile: Dict[str, Any]) -> "RunConfig":
         hints = get_type_hints(cls)
-        known = {f.name for f in fields(cls)}
-        unknown = sorted(key for key in profile if key not in known)
+        unknown = sorted(key for key in profile if key not in hints)
         if unknown:
             raise ValidationError(f"unknown config key {unknown[0]}")
         kwargs: Dict[str, Any] = {}
         for f in fields(cls):
             value = profile.get(f.name, {} if f.default is MISSING else f.default)
-            if is_dataclass(hints[f.name]):
-                value = _build_section(f.name, hints[f.name], value)
-            elif isinstance(value, dict):
-                value = dict(value)
-            kwargs[f.name] = value
+            hint = hints[f.name]
+            build = _build_section if is_dataclass(hint) else _convert
+            kwargs[f.name] = build(f.name, hint, value)
         return cls(**kwargs)
-
-    @classmethod
-    def from_json(cls, doc: Dict[str, Any]) -> "RunConfig":
-        return cls.from_profile(doc)
 
 
 def load_config(
@@ -412,6 +432,9 @@ def stage_analyze(
         )
     )
 
+    retrieval = RetrievalResult(
+        documents=[], trace=RetrievalTrace(stop_reason="no-documents", stop_layer=0)
+    )
     if corpus is not None and len(corpus) > 0:
         try:
             q0 = construct_initial_query(
@@ -420,12 +443,7 @@ def stage_analyze(
             )
             retrieval = retrieve(q0, corpus, ctx.config.retrieval, ctx.embedder)
         except EmptyQueryError:
-            retrieval = RetrievalResult(documents=[], trace=RetrievalTrace(
-                stop_reason="no-documents", stop_layer=0))
-    else:
-        retrieval = RetrievalResult(
-            documents=[], trace=RetrievalTrace(stop_reason="no-documents", stop_layer=0)
-        )
+            pass  # no key terms: nothing retrieved
     documents = [{"id": d.id, "text": d.text} for d in retrieval.documents]
     doc_entity_ids = []
     for doc in documents:
@@ -525,15 +543,13 @@ def _bundle_inputs(bundle_path: str) -> Dict[str, str]:
 
 
 def _prediction_validator(truth: ExpressionMatrix):
-    """Validator closure: predictions must exist, parse, and align."""
+    """Validator closure: the run's predictions, read and aligned to ``truth``."""
 
-    def check(result: ExecutionResult, workdir: str) -> Optional[str]:
+    def check(result: ExecutionResult, workdir: str) -> ExpressionMatrix:
         try:
-            predictions = read_predictions(workdir)
-            align_predictions(predictions, truth)
-        except (LoadError, ValidationError) as exc:
-            return f"prediction output invalid: {exc}"
-        return None
+            return align_predictions(read_predictions(workdir), truth)
+        except ValidationError as exc:
+            raise ValidationError(f"prediction output invalid: {exc}") from exc
 
     return check
 
@@ -545,10 +561,12 @@ def stage_execute(
 ) -> Tuple[CodeArtifact, ExecutionResult, LoopTrace]:
     """Generate code from the plan and drive the refinement loop.
 
-    Writes ``artifact/``, ``sandbox_logs/`` and ``predictions/`` into the
-    run directory. When the loop exhausts its budget the loop trace and the
-    rollback artifact are written before the :class:`LoopError` propagates:
-    they are the run's outcome.
+    The returned result's ``output`` holds the run's predictions, read once
+    and aligned to the bundle by the loop's validator. Writes ``artifact/``,
+    ``sandbox_logs/`` and ``predictions/`` into the run directory. When the
+    loop exhausts its budget the loop trace and the rollback artifact are
+    written before the :class:`LoopError` propagates: they are the run's
+    outcome.
     """
     ctx.mark("stage.start", {"stage": "execute"})
     ctx.chat.label = "execute"
@@ -618,17 +636,18 @@ def persist_loop_trace(trace: LoopTrace, out_dir: str) -> None:
 
 
 def stage_evaluate(
-    predictions_path: str,
+    predictions: ExpressionMatrix,
     bundle: DatasetBundle,
     ctx: RunContext,
 ) -> ValidationReport:
-    """Score predictions against the bundle with the config's ``de_k``,
-    ``pseudo`` and thresholds; writes ``metrics.json`` into the run directory.
+    """Score predictions, aligned to the bundle's row and column ids, with the
+    config's ``de_k``, ``pseudo`` and thresholds; writes ``metrics.json`` into
+    the run directory.
     """
     ctx.mark("stage.start", {"stage": "evaluate"})
     params = ctx.config.evaluation
     report = validate_predictions(
-        predictions_path,
+        predictions,
         bundle.matrix,
         control_rows=bundle.control_rows,
         de_k=params.de_k,
@@ -678,8 +697,8 @@ def run_pipeline(
         )
         report, retrieval = stage_analyze(task_text, bundle, ctx, corpus)
         plan, _ = stage_design(report, ctx)
-        _, _, loop_trace = stage_execute(plan, bundle, ctx)
-        validation = stage_evaluate(os.path.join(ctx.out_dir, "predictions"), bundle, ctx)
+        _, result, loop_trace = stage_execute(plan, bundle, ctx)
+        validation = stage_evaluate(result.output, bundle, ctx)
         summary = {
             "rounds_used": plan.rounds_used,
             "refinements": loop_trace.refinements,

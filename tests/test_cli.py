@@ -3,6 +3,7 @@
 import hashlib
 import json
 import os
+import sys
 from pathlib import Path
 
 import pytest
@@ -18,6 +19,7 @@ from conftest import (
     write_corpus,
 )
 import forge
+import forge.matrixio
 from forge.cli import main
 from forge.errors import LoadError
 from forge.pipeline import (
@@ -131,6 +133,31 @@ def test_run_directories_are_byte_identical(runner, workdir):
         assert result.exit_code == 0, everything(result)
         digests.append(tree_digest(workdir / name))
     assert digests[0] == digests[1]
+
+
+def test_run_reads_predictions_once(workdir, monkeypatch):
+    # The execute stage's validator reads and aligns the predictions; the
+    # evaluate stage scores that matrix instead of reading the files again.
+    calls = []
+    for name in ("read_predictions", "align_predictions"):
+        original = getattr(forge.matrixio, name)
+
+        def counted(*args, _name=name, _fn=original):
+            calls.append(_name)
+            return _fn(*args)
+
+        for module in list(sys.modules.values()):
+            if getattr(module, "__name__", "").startswith("forge") and (
+                getattr(module, name, None) is original
+            ):
+                monkeypatch.setattr(module, name, counted)
+    fixture = golden_fixture(workdir / "fixture.json")
+    config = load_config(str(write_config(workdir / "config.json", **profile(fixture))))
+    summary = run_pipeline(
+        str(workdir / "task.txt"), str(workdir / "bundle"), config, str(workdir / "out")
+    )
+    assert summary["metrics"]["mse"] == 0.0
+    assert calls == ["read_predictions", "align_predictions"]
 
 
 # ---------------------------------------------------------------------------
@@ -357,6 +384,12 @@ def test_loop_exhaustion_exits_3_with_rollback(runner, workdir):
         ("evaluation", "thresholds", {"bogus": 1},
          "'evaluation': unknown metric 'bogus' in thresholds"),
         ("retrieval", "l_max", 0, "'retrieval': l_max must be positive"),
+        # values of the wrong JSON type
+        ("generation", "max_tokens", "x", "generation.max_tokens must be an integer"),
+        ("generation", "model", 5, "generation.model must be a string"),
+        ("retrieval", "l_max", True, "retrieval.l_max must be an integer"),
+        pytest.param("discussion", "tau", 10**400, "discussion.tau is out of range",
+                     id="discussion-tau-beyond-float"),
     ],
 )
 def test_bad_config_key_exits_1(runner, workdir, section, key, value, named):
@@ -370,6 +403,38 @@ def test_bad_config_key_exits_1(runner, workdir, section, key, value, named):
     assert result.exit_code == 1
     assert isinstance(result.exception, SystemExit)  # not an escaped exception
     assert named in everything(result)
+
+
+@pytest.mark.parametrize(
+    "doc, named",
+    [
+        ({"seed": "abc"}, "config key seed must be an integer"),
+        ({"seed": True}, "config key seed must be an integer"),
+        ({"pricing_table": 7}, "config key pricing_table must be a string"),
+        ({"provider": "x"}, "config key provider must be a JSON object"),
+        ({"provider": {"fixtur": "f"}}, "unknown config key provider.fixtur"),
+        ({"provider": {"embed_dim": "64"}}, "config key provider.embed_dim must be an integer"),
+        ({"provider": {"type": "http", "fixture": "f"}}, "provider.fixture must be null"),
+        ({"provider": {"type": "local"}}, "provider type must be scripted or http"),
+    ],
+)
+def test_bad_top_level_config_value_exits_1(runner, workdir, doc, named):
+    cfg = workdir / "config.json"
+    cfg.write_text(json.dumps(doc))
+    result = run_cli(
+        runner,
+        ["analyze", "--task", workdir / "task.txt", "--bundle",
+         workdir / "bundle", "--out", workdir / "out", "--config", cfg],
+    )
+    assert result.exit_code == 1
+    assert isinstance(result.exception, SystemExit)  # not an escaped exception
+    assert named in everything(result)
+
+
+def test_http_provider_config_loads():
+    config = load_config(overrides={"provider": {"type": "http", "embed_model": "m"}, "seed": None})
+    assert config.provider == {"type": "http", "fixture": None, "embed_dim": 64, "embed_model": "m"}
+    assert config.seed is None
 
 
 def test_readme_config_block_is_the_defaults():

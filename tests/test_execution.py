@@ -7,6 +7,8 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from forge.consensus import PLAN_SECTIONS, ResearchPlan
 from forge.errors import (
@@ -23,6 +25,7 @@ from forge.execution import (
     FailureRecord,
     LoopTrace,
     SandboxLimits,
+    _ArtifactParseError,
     apply_thresholds,
     classify_failure,
     generate_code,
@@ -32,7 +35,12 @@ from forge.execution import (
     run_sandbox,
     validate_predictions,
 )
-from forge.matrixio import align_predictions, write_json, write_predictions
+from forge.matrixio import (
+    align_predictions,
+    read_predictions,
+    write_json,
+    write_predictions,
+)
 from forge.metrics import ExpressionMatrix, MetricReport
 from forge.protocol import MemoryStore
 from forge.providers import ScriptedChatProvider
@@ -128,6 +136,67 @@ def test_render_parse_round_trip():
     assert again.files == artifact.files
     assert again.entrypoint == artifact.entrypoint
     assert again.declared_dependencies == artifact.declared_dependencies
+
+
+# Envelope lines: headers with short payloads (quotes and backslashes
+# included, which shlex cannot always split), fences and free text.
+_payloads = st.text(alphabet='ab./ "\'\\,-', max_size=12)
+_envelope_lines = st.one_of(
+    st.builds("FILE: {}".format, _payloads),
+    st.builds("ENTRYPOINT: {}".format, _payloads),
+    st.builds("DEPENDENCIES: {}".format, _payloads),
+    st.sampled_from(["```", "```python", "", "  "]),
+    _payloads,
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(_envelope_lines, max_size=12))
+def test_parse_artifact_fuzz(lines):
+    try:
+        artifact = parse_artifact("\n".join(lines))
+    except _ArtifactParseError:
+        return
+    assert isinstance(artifact, CodeArtifact)
+
+
+@pytest.mark.parametrize(
+    "entrypoint", ['python "main.py', "python main.py\\", "python 'main.py"]
+)
+def test_unparseable_entrypoint_is_retried(entrypoint):
+    bad = reply("print('ok')", entrypoint=entrypoint)
+    provider = ScriptedChatProvider([bad, GOOD_REPLY])
+    assert generate_code(make_plan(), provider).entrypoint == "python main.py"
+    assert provider.consumed == 2
+    assert "does not parse" in provider.calls[1][2].text
+    with pytest.raises(GenerationError, match="does not parse"):
+        generate_code(make_plan(), ScriptedChatProvider([bad, bad]))
+    # the default entrypoint, python <path>, fails the same way
+    with pytest.raises(_ArtifactParseError, match="does not parse"):
+        parse_artifact("FILE: a\".py\n```\nprint(1)\n```\n")
+
+
+_segments = st.text(alphabet="abcxyz019_", min_size=1, max_size=6)
+_paths = st.lists(_segments, min_size=1, max_size=3).map("/".join)
+# Body lines never start with a fence: a body line that does ends the
+# rendered fence early.
+_body_lines = st.text(alphabet="ab =()'\"#:`\t", max_size=10).filter(
+    lambda line: not line.strip().startswith("```")
+)
+_bodies = st.lists(_body_lines, max_size=4).map(lambda ls: "\n".join(ls).rstrip() + "\n")
+_dependencies = st.lists(st.text(alphabet="abc-_=<>.0", min_size=1, max_size=6), max_size=3)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.dictionaries(_paths, _bodies, min_size=1, max_size=3), st.data())
+def test_render_parse_round_trip_fuzz(files, data):
+    entrypoint = "python " + data.draw(st.sampled_from(sorted(files)))
+    dependencies = data.draw(_dependencies)
+    artifact = CodeArtifact(files, entrypoint, declared_dependencies=dependencies)
+    again = parse_artifact(render_artifact(artifact))
+    assert again.files == artifact.files
+    assert again.entrypoint == entrypoint
+    assert again.declared_dependencies == dependencies
 
 
 def test_code_artifact_validation_and_json():
@@ -394,9 +463,8 @@ def test_validate_predictions_roundtrip(tmp_path):
         column_ids=("g3", "g2", "g1"),
     )
     write_predictions(str(tmp_path / "artifact"), perm)
-    report = validate_predictions(
-        str(tmp_path / "artifact"), truth, thresholds={"mse": 1e-9, "pcc": 0.999}
-    )
+    aligned = align_predictions(read_predictions(str(tmp_path / "artifact")), truth)
+    report = validate_predictions(aligned, truth, thresholds={"mse": 1e-9, "pcc": 0.999})
     assert report.metrics.get("mse") == pytest.approx(0.0, abs=1e-12)
     assert report.passed
     doc = report.to_json()
@@ -417,10 +485,9 @@ def test_validate_predictions_de_variants_and_store(tmp_path):
         truth.values + np.array([1.0, 0.0, 3.0, 2.0]),
         row_ids=truth.row_ids, column_ids=truth.column_ids,
     )
-    write_predictions(str(tmp_path / "p"), pred)
     store = MemoryStore()
     report = validate_predictions(
-        str(tmp_path / "p"), truth, control_rows=[0], de_k=2,
+        pred, truth, control_rows=[0], de_k=2,
         thresholds={"mse_de": 0.5, "mse": 0.5}, store=store,
     )
     assert report.metrics.get("mse_de") == pytest.approx(0.5)
@@ -434,12 +501,12 @@ def test_validate_predictions_de_variants_and_store(tmp_path):
 
     # without a control group (or with no perturbed rows) the DE variants are skipped
     for rows in ([], [0, 1, 2]):
-        skipped = validate_predictions(str(tmp_path / "p"), truth, control_rows=rows)
+        skipped = validate_predictions(pred, truth, control_rows=rows)
         assert "mse_de" not in skipped.metrics
         assert skipped.metrics.get("mse") == pytest.approx(3.5)
 
 
-def _de_fixture(tmp_path):
+def _de_fixture():
     rng = np.random.default_rng(5)
     truth = ExpressionMatrix(
         rng.gamma(2.0, 1.0, size=(9, 6)),
@@ -450,23 +517,20 @@ def _de_fixture(tmp_path):
         truth.values + rng.normal(size=(9, 6)),
         row_ids=truth.row_ids, column_ids=truth.column_ids,
     )
-    write_predictions(str(tmp_path / "p"), pred)
-    return truth
+    return truth, pred
 
 
 @pytest.mark.parametrize("rows, bad", [([0, 9], 9), ([1, -1], -1)])
-def test_validate_predictions_rejects_control_rows_out_of_range(tmp_path, rows, bad):
-    truth = _de_fixture(tmp_path)
+def test_validate_predictions_rejects_control_rows_out_of_range(rows, bad):
+    truth, pred = _de_fixture()
     with pytest.raises(ValidationError, match=rf"control row {bad} out of range \[0, 9\)"):
-        validate_predictions(str(tmp_path / "p"), truth, control_rows=rows)
+        validate_predictions(pred, truth, control_rows=rows)
 
 
-def test_validate_predictions_control_rows_order_and_repeats(tmp_path):
-    truth = _de_fixture(tmp_path)
-    want = validate_predictions(str(tmp_path / "p"), truth, control_rows=[1, 4, 7], de_k=3)
-    got = validate_predictions(
-        str(tmp_path / "p"), truth, control_rows=[7, 1, 4, 1, 7], de_k=3
-    )
+def test_validate_predictions_control_rows_order_and_repeats():
+    truth, pred = _de_fixture()
+    want = validate_predictions(pred, truth, control_rows=[1, 4, 7], de_k=3)
+    got = validate_predictions(pred, truth, control_rows=[7, 1, 4, 1, 7], de_k=3)
     assert "mse_de" in want.metrics
     assert got.metrics.to_json() == want.metrics.to_json()
 
@@ -492,16 +556,27 @@ def test_align_predictions_reorders_by_id():
         assert (aligned.row_ids, aligned.column_ids) == (truth.row_ids, truth.column_ids)
 
 
-def test_validate_predictions_missing_ids(tmp_path):
+def test_validate_predictions_missing_ids():
     truth = ExpressionMatrix(
         [[1.0, 2.0]], row_ids=("r1",), column_ids=("g1", "g2")
     )
     pred = ExpressionMatrix(
         [[1.0, 2.0]], row_ids=("other",), column_ids=("g1", "g2")
     )
-    write_predictions(str(tmp_path / "p"), pred)
     with pytest.raises(ValidationError, match="missing rows"):
-        validate_predictions(str(tmp_path / "p"), truth)
+        align_predictions(pred, truth)
+
+
+def test_validate_predictions_rejects_unaligned_matrix():
+    truth = ExpressionMatrix(
+        [[1.0, 2.0]], row_ids=("r1",), column_ids=("g1", "g2")
+    )
+    other_row = ExpressionMatrix([[1.0, 2.0]], row_ids=("other",), column_ids=("g1", "g2"))
+    swapped = ExpressionMatrix([[2.0, 1.0]], row_ids=("r1",), column_ids=("g2", "g1"))
+    for unaligned in (other_row, swapped):
+        with pytest.raises(ValidationError, match="not in the truth's row and column order"):
+            validate_predictions(unaligned, truth)
+    assert validate_predictions(align_predictions(swapped, truth), truth).metrics.get("mse") == 0.0
 
 
 def test_write_json_failure_keeps_previous_file(tmp_path):
@@ -603,9 +678,8 @@ def test_loop_rollback_prefers_furthest_milestone(tmp_path):
     provider = ScriptedChatProvider([print_only, CRASH_REPLY, CRASH_REPLY])
 
     def validator(result, workdir):
-        if os.path.exists(os.path.join(workdir, "predictions.tsv")):
-            return None
-        return "predictions.tsv missing"
+        if not os.path.exists(os.path.join(workdir, "predictions.tsv")):
+            raise ValidationError("predictions.tsv missing")
 
     with pytest.raises(LoopError) as excinfo:
         refinement_loop(
@@ -626,9 +700,8 @@ def test_loop_validator_complaint_then_fix(tmp_path):
     provider = ScriptedChatProvider([print_only, writes])
 
     def validator(result, workdir):
-        if os.path.exists(os.path.join(workdir, "predictions.tsv")):
-            return None
-        return "predictions.tsv missing"
+        if not os.path.exists(os.path.join(workdir, "predictions.tsv")):
+            raise ValidationError("predictions.tsv missing")
 
     artifact, result, trace = refinement_loop(
         make_plan(), provider, r_max=2,
@@ -639,12 +712,24 @@ def test_loop_validator_complaint_then_fix(tmp_path):
     assert trace.revisions[1].milestone == 3
 
 
+def test_loop_keeps_what_the_validator_accepted(tmp_path):
+    provider = ScriptedChatProvider([GOOD_REPLY])
+    accepted = object()
+    _, result, trace = refinement_loop(
+        make_plan(), provider, r_max=0,
+        validator=lambda result, workdir: accepted, workdir_root=str(tmp_path),
+    )
+    assert result.output is accepted
+    assert trace.revisions[0].result.output is accepted
+    assert "output" not in result.to_json()
+
+
 def test_loop_repeated_validator_complaint_upgrades(tmp_path):
     print_only = reply("print('still no file')")
     provider = ScriptedChatProvider([print_only, print_only])
 
     def validator(result, workdir):
-        return "predictions.tsv missing"
+        raise ValidationError("predictions.tsv missing")
 
     with pytest.raises(LoopError) as excinfo:
         refinement_loop(
