@@ -24,7 +24,6 @@ import shutil
 import signal
 import subprocess
 import sys
-import tempfile
 import time
 from dataclasses import asdict, dataclass, field
 from pathlib import Path, PurePosixPath
@@ -179,8 +178,9 @@ def parse_artifact(text: str, revision: int = 0) -> CodeArtifact:
     """Decode a FILE/ENTRYPOINT/DEPENDENCIES envelope from a reply.
 
     File content may sit inside a markdown fence or run bare until the
-    next header line. A reply with no FILE blocks raises the internal
-    parse error the caller converts into a retry.
+    next header line. A fence of n backticks closes only at a line holding
+    nothing but at least n backticks. A reply with no FILE blocks raises
+    the internal parse error the caller converts into a retry.
     """
     lines = text.splitlines()
     files: Dict[str, str] = {}
@@ -200,9 +200,10 @@ def parse_artifact(text: str, revision: int = 0) -> CodeArtifact:
             while i < len(lines) and not lines[i].strip():
                 i += 1
             body: List[str] = []
-            if i < len(lines) and lines[i].lstrip().startswith("```"):
+            fence = _backtick_run(lines[i]) if i < len(lines) else 0
+            if fence >= 3:
                 i += 1
-                while i < len(lines) and not lines[i].strip().startswith("```"):
+                while i < len(lines) and not _closes_fence(lines[i], fence):
                     body.append(lines[i])
                     i += 1
                 if i >= len(lines):
@@ -245,11 +246,28 @@ def parse_artifact(text: str, revision: int = 0) -> CodeArtifact:
         raise _ArtifactParseError(str(exc)) from exc
 
 
+def _backtick_run(line: str) -> int:
+    """How many backticks open ``line``, leading whitespace aside."""
+    text = line.lstrip()
+    return len(text) - len(text.lstrip("`"))
+
+
+def _closes_fence(line: str, fence: int) -> bool:
+    text = line.strip()
+    return len(text) >= fence and not text.strip("`")
+
+
 def render_artifact(artifact: CodeArtifact) -> str:
-    """The inverse of :func:`parse_artifact`, used inside patch prompts."""
+    """The inverse of :func:`parse_artifact`, used inside patch prompts.
+
+    Each file's fence is one backtick longer than the longest run of
+    backticks that opens one of its lines, and at least three long.
+    """
     parts = []
     for path in sorted(artifact.files):
-        parts.append(f"FILE: {path}\n```\n{artifact.files[path].rstrip()}\n```")
+        body = artifact.files[path].rstrip()
+        fence = "`" * max([3] + [_backtick_run(ln) + 1 for ln in body.splitlines()])
+        parts.append(f"FILE: {path}\n{fence}\n{body}\n{fence}")
     parts.append(f"ENTRYPOINT: {artifact.entrypoint}")
     if artifact.declared_dependencies:
         parts.append("DEPENDENCIES: " + ", ".join(artifact.declared_dependencies))
@@ -384,10 +402,10 @@ def _truncate(data: bytes, cap: int) -> str:
     return data[:cap].decode("utf-8", errors="replace")
 
 
-def _scrub(text: str, roots: Sequence[str]) -> str:
-    for root in roots:
-        if root:
-            text = text.replace(root, "<workdir>")
+def _scrub(text: str, workdir: str) -> str:
+    """``text`` with ``workdir``, as given and as resolved, shown as ``<workdir>``."""
+    for root in (workdir, str(Path(workdir).resolve())):
+        text = text.replace(root, "<workdir>")
     return text
 
 
@@ -398,23 +416,21 @@ def run_sandbox(
     artifact: CodeArtifact,
     limits: Optional[SandboxLimits] = None,
     inputs: Optional[InputSpec] = None,
-    workdir: Optional[str] = None,
+    *,
+    workdir: str,
 ) -> ExecutionResult:
-    """Materialize the artifact, launch its entrypoint, capture the outcome.
+    """Materialize the artifact in ``workdir``, run it, capture the outcome.
 
-    ``inputs`` maps a relative destination path to either an existing file
-    to copy in or raw content bytes; any other source is a
-    :class:`LoadError`. The child sees only the allow-listed environment;
+    The caller owns ``workdir``. ``inputs`` maps a relative destination
+    path to either an existing file to copy in or raw content bytes; any
+    other source is a :class:`LoadError`. The child sees only the allow-listed environment;
     its whole process group is killed at the wall limit.
     Absolute paths of the working directory are scrubbed from captured
     output so persisted traces stay location-independent.
     """
     limits = limits or SandboxLimits()
-    if workdir is None:
-        root = Path(tempfile.mkdtemp(prefix="forge-run-"))
-    else:
-        root = Path(workdir)
-        root.mkdir(parents=True, exist_ok=True)
+    root = Path(workdir)
+    root.mkdir(parents=True, exist_ok=True)
 
     for rel, content in artifact.files.items():
         dest = root / rel
@@ -464,11 +480,10 @@ def run_sandbox(
 
     after = _walk_files(root)
     produced = sorted(set(after) - before)
-    roots = [str(root), str(root.resolve())]
     return ExecutionResult(
         exit_code=proc.returncode,
-        stdout=_scrub(_truncate(out, limits.stdout_bytes), roots),
-        stderr=_scrub(_truncate(err, limits.stderr_bytes), roots),
+        stdout=_scrub(_truncate(out, limits.stdout_bytes), str(root)),
+        stderr=_scrub(_truncate(err, limits.stderr_bytes), str(root)),
         wall_time=wall_time,
         produced_files=produced,
         exit_path=exit_path,
@@ -731,18 +746,19 @@ def refinement_loop(
     inputs: Optional[InputSpec] = None,
     *,
     validator: Optional[Validator] = None,
-    workdir_root: Optional[str] = None,
+    workdir_root: str,
     store: Optional[MemoryStore] = None,
     gen_params: Optional[GenerationParams] = None,
     artifact: Optional[CodeArtifact] = None,
 ) -> Tuple[CodeArtifact, ExecutionResult, LoopTrace]:
     """Generate, run, and iteratively patch until success or the cap.
 
+    Revision n runs in ``workdir_root/rev-n``; the caller owns the root.
     Success means exit 0 on the completed path plus a passing validator,
     when one is given. The validator, called with the result and its
     working directory, returns what it accepted, which becomes the result's
     ``output``, or raises :class:`ValidationError` or :class:`LoadError`,
-    whose message becomes a data-access-failure's evidence.
+    whose message (the directory shown as ``<workdir>``) is the evidence.
     On terminal failure the loop raises carrying the full trace and the
     rollback artifact: the revision with the highest milestone, latest
     revision winning ties.
@@ -757,10 +773,8 @@ def refinement_loop(
     previous_raw: Optional[FailureRecord] = None
 
     for round_no in range(r_max + 1):
-        workdir = (
-            os.path.join(workdir_root, f"rev-{round_no}") if workdir_root else None
-        )
-        result = run_sandbox(artifact, limits, inputs, workdir)
+        workdir = os.path.join(workdir_root, f"rev-{round_no}")
+        result = run_sandbox(artifact, limits, inputs, workdir=workdir)
 
         raw: Optional[FailureRecord] = None
         if result.succeeded:
@@ -769,7 +783,8 @@ def refinement_loop(
                 try:
                     result.output = validator(result, result.workdir)
                 except ValidationError as exc:
-                    raw = FailureRecord("data-access-failure", str(exc), round_no)
+                    evidence = _scrub(str(exc), result.workdir)
+                    raw = FailureRecord("data-access-failure", evidence, round_no)
                     milestone = _MILESTONE_EXIT0_INVALID
         else:
             raw = classify_failure(result, round_no=round_no)

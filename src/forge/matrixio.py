@@ -9,7 +9,6 @@ keys, compact separators) so identical values serialize to identical bytes.
 from __future__ import annotations
 
 import contextlib
-import io
 import json
 import os
 from typing import Any, Dict, List, Optional, Sequence, Tuple
@@ -42,23 +41,25 @@ def write_json(path: str, doc: Any) -> None:
         raise
 
 
-def read_json(path: str) -> Any:
+def read_text(path: str) -> str:
+    """The file's text; an unreadable or non-UTF-8 file is a :class:`LoadError`."""
     try:
         with open(path, "r", encoding="utf-8") as fh:
-            return json.load(fh)
-    except OSError as exc:
+            return fh.read()
+    except (OSError, UnicodeDecodeError) as exc:
         raise LoadError(f"cannot read {path}: {exc}") from exc
-    except json.JSONDecodeError as exc:
+
+
+def read_json(path: str) -> Any:
+    text = read_text(path)
+    try:
+        return json.loads(text)
+    except (json.JSONDecodeError, RecursionError) as exc:
         raise LoadError(f"{path} is not valid JSON: {exc}") from exc
 
 
 def read_id_list(path: str) -> List[str]:
-    try:
-        with open(path, "r", encoding="utf-8") as fh:
-            ids = [line.rstrip("\n") for line in fh]
-    except OSError as exc:
-        raise LoadError(f"cannot read {path}: {exc}") from exc
-    ids = [i for i in ids if i]
+    ids = [line for line in read_text(path).split("\n") if line]
     if not ids:
         raise LoadError(f"{path} lists no identifiers")
     return ids
@@ -103,12 +104,7 @@ def find_matrix_file(directory: str, stem: str) -> str:
 
 def read_table(path: str) -> Tuple[List[str], List[Dict[str, str]]]:
     """Header-row TSV into (column names, list of row dicts)."""
-    try:
-        with open(path, "r", encoding="utf-8") as fh:
-            lines = [line.rstrip("\n") for line in fh]
-    except OSError as exc:
-        raise LoadError(f"cannot read {path}: {exc}") from exc
-    lines = [line for line in lines if line]
+    lines = [line for line in read_text(path).split("\n") if line]
     if not lines:
         raise LoadError(f"table {path} is empty")
     header = lines[0].split("\t")

@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import os
 import shutil
+import tempfile
 from dataclasses import MISSING, asdict, dataclass, fields, is_dataclass
 from pathlib import Path
 from typing import Any, Dict, Optional, Tuple, Union, get_args, get_origin, get_type_hints
@@ -561,37 +562,38 @@ def stage_execute(
 ) -> Tuple[CodeArtifact, ExecutionResult, LoopTrace]:
     """Generate code from the plan and drive the refinement loop.
 
-    The returned result's ``output`` holds the run's predictions, read once
-    and aligned to the bundle by the loop's validator. Writes ``artifact/``,
-    ``sandbox_logs/`` and ``predictions/`` into the run directory. When the
-    loop exhausts its budget the loop trace and the rollback artifact are
-    written before the :class:`LoopError` propagates: they are the run's
-    outcome.
+    Revisions run in a temporary directory this stage removes however it
+    ends. The returned result's ``output`` holds the run's predictions, read
+    once and aligned to the bundle by the loop's validator. Writes
+    ``artifact/``, ``sandbox_logs/loop.json`` and ``predictions/`` (the
+    accepted revision's files, moved) into the run directory. When the loop
+    exhausts its budget the loop trace and the rollback artifact are written
+    before the :class:`LoopError` propagates: they are the run's outcome.
     """
     ctx.mark("stage.start", {"stage": "execute"})
     ctx.chat.label = "execute"
-    sandbox_root = os.path.join(ctx.out_dir, "sandbox")
-    try:
-        artifact, result, trace = refinement_loop(
-            plan,
-            ctx.chat,
-            r_max=ctx.config.execution.r_max,
-            limits=ctx.config.execution,
-            inputs=_bundle_inputs(bundle.path),
-            validator=_prediction_validator(bundle.matrix),
-            workdir_root=sandbox_root,
-            store=ctx.store,
-            gen_params=ctx.config.generation,
-        )
-    except LoopError as exc:
-        if isinstance(exc.trace, LoopTrace):
-            persist_loop_trace(exc.trace, ctx.out_dir)
-        if exc.rollback is not None:
-            persist_artifact(exc.rollback, ctx.out_dir)
-        raise
-    persist_artifact(artifact, ctx.out_dir)
-    persist_loop_trace(trace, ctx.out_dir)
-    persist_predictions(result.workdir, ctx.out_dir)
+    with tempfile.TemporaryDirectory(prefix="forge-sandbox-") as sandbox_root:
+        try:
+            artifact, result, trace = refinement_loop(
+                plan,
+                ctx.chat,
+                r_max=ctx.config.execution.r_max,
+                limits=ctx.config.execution,
+                inputs=_bundle_inputs(bundle.path),
+                validator=_prediction_validator(bundle.matrix),
+                workdir_root=sandbox_root,
+                store=ctx.store,
+                gen_params=ctx.config.generation,
+            )
+        except LoopError as exc:
+            if isinstance(exc.trace, LoopTrace):
+                persist_loop_trace(exc.trace, ctx.out_dir)
+            if exc.rollback is not None:
+                persist_artifact(exc.rollback, ctx.out_dir)
+            raise
+        persist_artifact(artifact, ctx.out_dir)
+        persist_loop_trace(trace, ctx.out_dir)
+        persist_predictions(result.workdir, ctx.out_dir)
     ctx.mark("stage.complete", {"stage": "execute"})
     return artifact, result, trace
 
@@ -609,24 +611,23 @@ def persist_artifact(artifact: CodeArtifact, out_dir: str) -> str:
 
 
 def persist_predictions(workdir: str, out_dir: str) -> str:
-    """Copy the run's prediction files into ``predictions/``."""
+    """Move the run's prediction files from ``workdir`` into ``predictions/``."""
     dest = Path(out_dir) / "predictions"
     dest.mkdir(parents=True, exist_ok=True)
-    copied = []
+    moved = []
     for name in sorted(os.listdir(workdir)):
         if name.startswith("predictions"):
-            shutil.copy(os.path.join(workdir, name), dest / name)
-            copied.append(name)
-    if not copied:
+            shutil.move(os.path.join(workdir, name), dest / name)
+            moved.append(name)
+    if not moved:
         raise LoadError(f"no prediction files found under {workdir}")
     return str(dest)
 
 
 def persist_loop_trace(trace: LoopTrace, out_dir: str) -> None:
+    """Write the loop trace as ``sandbox_logs/loop.json``."""
     logs = Path(out_dir) / "sandbox_logs"
     logs.mkdir(parents=True, exist_ok=True)
-    for record in trace.revisions:
-        write_json(str(logs / f"rev-{record.revision}.json"), record.to_json())
     write_json(str(logs / "loop.json"), trace.to_json())
 
 

@@ -116,11 +116,9 @@ def encode_message(env: Envelope) -> bytes:
 
 def decode_message(raw: bytes | str) -> Envelope:
     """Parse wire bytes back into a validated :class:`Envelope`."""
-    if isinstance(raw, bytes):
-        raw = raw.decode("utf-8")
     try:
-        doc = json.loads(raw)
-    except (json.JSONDecodeError, UnicodeDecodeError) as exc:
+        doc = json.loads(raw.decode("utf-8") if isinstance(raw, bytes) else raw)
+    except (json.JSONDecodeError, UnicodeDecodeError, RecursionError) as exc:
         raise ProtocolError(f"malformed envelope: {exc}") from exc
     if not isinstance(doc, dict):
         raise ProtocolError("envelope must be a JSON object")

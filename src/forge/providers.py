@@ -36,6 +36,7 @@ from typing import Callable, Dict, Iterable, List, Optional, Sequence, Tuple
 import numpy as np
 
 from .errors import FixtureUnderflowError, LoadError, ProviderError, ValidationError
+from .matrixio import read_json
 
 CHAT_ROLES = ("user", "assistant")
 
@@ -444,14 +445,8 @@ def load_fixture(
     an optional ``embeddings`` object mapping exact texts to vectors that
     override the hash-derived embeddings.
     """
-    try:
-        with open(path, "r", encoding="utf-8") as fh:
-            doc = json.load(fh)
-    except OSError as exc:
-        raise LoadError(f"cannot read fixture {path}: {exc}") from exc
-    except json.JSONDecodeError as exc:
-        raise LoadError(f"fixture {path} is not valid JSON: {exc}") from exc
-    completions = doc.get("completions")
+    doc = read_json(path)
+    completions = doc.get("completions") if isinstance(doc, dict) else None
     if not isinstance(completions, list) or not all(isinstance(c, str) for c in completions):
         raise LoadError(f"fixture {path} needs a 'completions' array of strings")
     overrides = doc.get("embeddings") or {}

@@ -28,6 +28,7 @@ from typing import Dict, Iterable, List, Optional, Sequence, Set, Tuple
 import numpy as np
 
 from .errors import EmptyQueryError, LoadError, ValidationError
+from .matrixio import read_text
 from .providers import Embedder
 
 log = logging.getLogger(__name__)
@@ -174,31 +175,31 @@ def load_corpus(directory: str, embedder: Embedder) -> Corpus:
     precomputed: Dict[str, np.ndarray] = {}
     emb_path = os.path.join(directory, "embeddings.tsv")
     if os.path.exists(emb_path):
-        with open(emb_path, "r", encoding="utf-8") as fh:
-            for line in fh:
-                parts = line.split()
-                if len(parts) < 2:
-                    continue
+        for line in read_text(emb_path).split("\n"):
+            parts = line.split()
+            if len(parts) < 2:
+                continue
+            try:
                 precomputed[parts[0]] = np.array([float(x) for x in parts[1:]])
+            except ValueError as exc:
+                raise LoadError(f"bad embeddings line for {parts[0]!r}: {exc}") from exc
 
     citations: Dict[str, List[str]] = {}
     cit_path = os.path.join(directory, "citations.tsv")
     if os.path.exists(cit_path):
-        with open(cit_path, "r", encoding="utf-8") as fh:
-            for line in fh:
-                line = line.strip()
-                if not line:
-                    continue
-                parts = line.split("\t")
-                if len(parts) != 2:
-                    raise LoadError(f"bad citations line: {line!r}")
-                citations.setdefault(parts[0], []).append(parts[1])
+        for line in read_text(cit_path).split("\n"):
+            line = line.strip()
+            if not line:
+                continue
+            parts = line.split("\t")
+            if len(parts) != 2:
+                raise LoadError(f"bad citations line: {line!r}")
+            citations.setdefault(parts[0], []).append(parts[1])
 
     docs = []
     for name in names:
         doc_id = name[:-4]
-        with open(os.path.join(directory, name), "r", encoding="utf-8") as fh:
-            text = fh.read()
+        text = read_text(os.path.join(directory, name))
         if not text.strip():
             raise LoadError(f"document {doc_id!r} is empty")
         if doc_id in precomputed:

@@ -4,6 +4,7 @@ import hashlib
 import json
 import os
 import sys
+import tempfile
 from pathlib import Path
 
 import pytest
@@ -35,6 +36,8 @@ CRASH_REPLY = (
     "FILE: main.py\n```\nraise IndexError('index 28 is out of bounds "
     "for axis 0 with size 10')\n```\nENTRYPOINT: python main.py\n"
 )
+
+QUIET_REPLY = "FILE: main.py\n```\nprint('no predictions')\n```\nENTRYPOINT: python main.py\n"
 
 TASK_TEXT = "Predict perturbed expression for KO_A cells from control profiles.\n"
 
@@ -109,8 +112,12 @@ def test_run_full_pipeline(runner, workdir):
     ):
         assert (out / name).exists(), name
     assert (out / "artifact" / "main.py").exists()
-    assert (out / "predictions" / "predictions.tsv").exists()
-    assert (out / "sandbox_logs" / "loop.json").exists()
+    # One copy of the predictions; the revisions ran outside the run directory.
+    assert sorted(os.listdir(out / "predictions")) == [
+        "predictions.tsv", "predictions_cols.tsv", "predictions_rows.tsv"
+    ]
+    assert sorted(os.listdir(out / "sandbox_logs")) == ["loop.json"]
+    assert not (out / "sandbox").exists()
     summary = json.loads((out / "summary.json").read_text())
     assert summary["metrics"]["mse"] == 0.0
     assert summary["metrics"]["pcc"] == 1.0
@@ -133,6 +140,83 @@ def test_run_directories_are_byte_identical(runner, workdir):
         assert result.exit_code == 0, everything(result)
         digests.append(tree_digest(workdir / name))
     assert digests[0] == digests[1]
+
+
+def test_validator_evidence_is_location_free(runner, workdir):
+    # Revision 0 writes no predictions; the validator's complaint names its
+    # working directory, a fresh temporary one in every run.
+    fixture = golden_fixture(workdir / "fixture.json")
+    completions = json.loads(fixture.read_text())["completions"]
+    completions[-1:-1] = [QUIET_REPLY]
+    fixture.write_text(json.dumps({"completions": completions}))
+    cfg = write_config(workdir / "config.json", **profile(fixture))
+    digests = []
+    for out in (workdir / "out", workdir / "elsewhere" / "out2"):
+        result = run_cli(
+            runner,
+            ["run", "--task", workdir / "task.txt", "--bundle",
+             workdir / "bundle", "--out", out, "--config", cfg],
+        )
+        assert result.exit_code == 0, everything(result)
+        digests.append(tree_digest(out))
+    assert digests[0] == digests[1]
+    loop = json.loads((out / "sandbox_logs" / "loop.json").read_text())
+    assert loop["revisions"][0]["failure"] == {
+        "category": "data-access-failure",
+        "evidence": "prediction output invalid: no predictions.mtx or "
+                    "predictions.tsv under <workdir>",
+        "round": 0,
+    }
+
+
+@pytest.mark.parametrize(
+    "outcome, replies, exit_code",
+    [
+        pytest.param(outcome, replies, code, id=outcome)
+        for outcome, replies, code in (
+            ("success", [IDENTITY_ARTIFACT_REPLY], 0),
+            ("loop-error", [CRASH_REPLY, CRASH_REPLY], 3),
+            ("provider-error", [CRASH_REPLY], 2),  # the fixture ends before the patch
+            ("validator-crash", [IDENTITY_ARTIFACT_REPLY], 1),
+        )
+    ],
+)
+def test_sandbox_is_removed_however_execute_ends(
+    runner, workdir, monkeypatch, outcome, replies, exit_code
+):
+    scratch = workdir / "tmp"
+    scratch.mkdir()
+    monkeypatch.setattr(tempfile, "tempdir", str(scratch))
+    roots = []
+    loop = forge.pipeline.refinement_loop
+
+    def spy(*args, **kwargs):
+        roots.append(kwargs["workdir_root"])
+        return loop(*args, **kwargs)
+
+    monkeypatch.setattr(forge.pipeline, "refinement_loop", spy)
+    if outcome == "validator-crash":
+        def crashing(truth):
+            def check(result, workdir):
+                raise RuntimeError("validator crashed")
+            return check
+
+        monkeypatch.setattr(forge.pipeline, "_prediction_validator", crashing)
+    upstream = json.loads(golden_fixture(workdir / "golden.json").read_text())
+    fx = workdir / "fx.json"
+    fx.write_text(json.dumps({"completions": upstream["completions"][:-1] + replies}))
+    cfg = write_config(workdir / "config.json", **profile(fx, r_max=1))
+    out = workdir / "out"
+    result = run_cli(
+        runner,
+        ["run", "--task", workdir / "task.txt", "--bundle", workdir / "bundle",
+         "--out", out, "--config", cfg],
+    )
+    assert result.exit_code == exit_code, everything(result)
+    assert len(roots) == 1 and Path(roots[0]).parent == scratch
+    assert Path(roots[0]).name.startswith("forge-sandbox-")
+    assert list(scratch.iterdir()) == []
+    assert not (out / "sandbox").exists()
 
 
 def test_run_reads_predictions_once(workdir, monkeypatch):
@@ -306,6 +390,20 @@ def test_second_run_into_same_out_is_refused(runner, workdir):
     assert result.exit_code == 1
     assert f"{out} already holds a run" in everything(result)
     assert tree_digest(out) == first
+
+
+def test_non_utf8_bundle_table_exits_1(runner, workdir):
+    (workdir / "bundle" / "obs.tsv").write_bytes(
+        "cell_id\tperturbation\ncafé\tKO_A\n".encode("latin-1")
+    )
+    result = run_cli(
+        runner,
+        ["analyze", "--task", workdir / "task.txt", "--bundle",
+         workdir / "bundle", "--out", workdir / "out"],
+    )
+    assert result.exit_code == 1
+    assert isinstance(result.exception, SystemExit)
+    assert "error:" in everything(result) and "obs.tsv" in everything(result)
 
 
 def test_missing_config_exits_1(runner, workdir):

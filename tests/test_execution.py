@@ -42,6 +42,7 @@ from forge.matrixio import (
     write_predictions,
 )
 from forge.metrics import ExpressionMatrix, MetricReport
+from forge.pipeline import _prediction_validator
 from forge.protocol import MemoryStore
 from forge.providers import ScriptedChatProvider
 
@@ -178,11 +179,7 @@ def test_unparseable_entrypoint_is_retried(entrypoint):
 
 _segments = st.text(alphabet="abcxyz019_", min_size=1, max_size=6)
 _paths = st.lists(_segments, min_size=1, max_size=3).map("/".join)
-# Body lines never start with a fence: a body line that does ends the
-# rendered fence early.
-_body_lines = st.text(alphabet="ab =()'\"#:`\t", max_size=10).filter(
-    lambda line: not line.strip().startswith("```")
-)
+_body_lines = st.text(alphabet="ab =()'\"#:`\t", max_size=10)
 _bodies = st.lists(_body_lines, max_size=4).map(lambda ls: "\n".join(ls).rstrip() + "\n")
 _dependencies = st.lists(st.text(alphabet="abc-_=<>.0", min_size=1, max_size=6), max_size=3)
 
@@ -197,6 +194,18 @@ def test_render_parse_round_trip_fuzz(files, data):
     assert again.files == artifact.files
     assert again.entrypoint == entrypoint
     assert again.declared_dependencies == dependencies
+
+
+def test_render_fences_files_holding_backtick_lines():
+    # A body line of backticks must not close the rendered fence early.
+    files = {"a.py": 's = """\n```\ncode\n```\n"""\n', "b.py": "  `````\n"}
+    text = render_artifact(CodeArtifact(files, "python a.py"))
+    assert "\n````\n" in text and "\n``````\n" in text
+    assert parse_artifact(text).files == files
+    # A line of fewer backticks than the opening fence, or one holding
+    # more than backticks, stays in the body.
+    parsed = parse_artifact("FILE: c.py\n````\n```\n```x\n````\n")
+    assert parsed.files == {"c.py": "```\n```x\n"}
 
 
 def test_code_artifact_validation_and_json():
@@ -724,6 +733,28 @@ def test_loop_keeps_what_the_validator_accepted(tmp_path):
     assert "output" not in result.to_json()
 
 
+def test_loop_patches_undecodable_prediction_ids(tmp_path):
+    truth = ExpressionMatrix(np.zeros((1, 1)), row_ids=("c1",), column_ids=("g1",))
+    write = textwrap.dedent("""\
+        open("predictions.tsv", "w").write("0.0\\n")
+        open("predictions_cols.tsv", "w").write("g1\\n")
+        open("predictions_rows.tsv", "wb").write({rows!r})
+    """)
+    latin1 = reply(write.format(rows="café\n".encode("latin-1")))
+    utf8 = reply(write.format(rows=b"c1\n"))
+    provider = ScriptedChatProvider([latin1, utf8])
+    _, result, trace = refinement_loop(
+        make_plan(), provider, r_max=1,
+        validator=_prediction_validator(truth), workdir_root=str(tmp_path),
+    )
+    failure = trace.revisions[0].failure
+    assert failure.category == "data-access-failure"
+    assert failure.evidence.startswith(
+        "prediction output invalid: cannot read <workdir>/predictions_rows.tsv"
+    )
+    assert result.output.row_ids == ("c1",)
+
+
 def test_loop_repeated_validator_complaint_upgrades(tmp_path):
     print_only = reply("print('still no file')")
     provider = ScriptedChatProvider([print_only, print_only])
@@ -747,7 +778,7 @@ def test_loop_r_max_zero_single_run(tmp_path):
     assert excinfo.value.trace.refinements == 0
     assert len(excinfo.value.trace.revisions) == 1
     with pytest.raises(ValidationError):
-        refinement_loop(make_plan(), provider, r_max=-1)
+        refinement_loop(make_plan(), provider, r_max=-1, workdir_root=str(tmp_path))
 
 
 def test_loop_accepts_prebuilt_artifact(tmp_path):

@@ -346,6 +346,7 @@ def test_load_fixture(tmp_path):
         json.dumps({"completions": "nope"}),
         json.dumps({"completions": [1, 2]}),
         json.dumps({"completions": [], "embeddings": [1]}),
+        json.dumps(["a completion"]),
     ],
 )
 def test_load_fixture_rejects_bad_documents(tmp_path, doc):

@@ -130,6 +130,10 @@ def test_load_corpus_error_paths(tmp_path):
     with pytest.raises(LoadError):
         load_corpus(str(directory), ScriptedEmbedder())
     (directory / "citations.tsv").unlink()
+    (directory / "embeddings.tsv").write_text("d1 0.5 not-a-number\n")
+    with pytest.raises(LoadError, match="bad embeddings line for 'd1'"):
+        load_corpus(str(directory), ScriptedEmbedder())
+    (directory / "embeddings.tsv").unlink()
     (directory / "empty.txt").write_text("   ")
     with pytest.raises(LoadError):
         load_corpus(str(directory), ScriptedEmbedder())
