@@ -9,8 +9,8 @@ keys, compact separators) so identical values serialize to identical bytes.
 from __future__ import annotations
 
 import contextlib
-import json
 import os
+from collections import Counter
 from typing import Any, Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
@@ -19,7 +19,7 @@ from scipy import sparse
 
 from .errors import LoadError, ValidationError
 from .metrics import ExpressionMatrix
-from .protocol import canonical_json
+from .protocol import canonical_json, parse_json, read_text
 
 
 def write_json(path: str, doc: Any) -> None:
@@ -41,21 +41,8 @@ def write_json(path: str, doc: Any) -> None:
         raise
 
 
-def read_text(path: str) -> str:
-    """The file's text; an unreadable or non-UTF-8 file is a :class:`LoadError`."""
-    try:
-        with open(path, "r", encoding="utf-8") as fh:
-            return fh.read()
-    except (OSError, UnicodeDecodeError) as exc:
-        raise LoadError(f"cannot read {path}: {exc}") from exc
-
-
 def read_json(path: str) -> Any:
-    text = read_text(path)
-    try:
-        return json.loads(text)
-    except (json.JSONDecodeError, RecursionError) as exc:
-        raise LoadError(f"{path} is not valid JSON: {exc}") from exc
+    return parse_json(read_text(path), path)
 
 
 def read_id_list(path: str) -> List[str]:
@@ -108,6 +95,9 @@ def read_table(path: str) -> Tuple[List[str], List[Dict[str, str]]]:
     if not lines:
         raise LoadError(f"table {path} is empty")
     header = lines[0].split("\t")
+    repeated = [name for name, count in Counter(header).items() if count > 1]
+    if repeated:
+        raise LoadError(f"{path}:1: repeated column name {', '.join(map(repr, repeated))}")
     rows = []
     for n, line in enumerate(lines[1:], start=2):
         cells = line.split("\t")

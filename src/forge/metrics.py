@@ -25,7 +25,6 @@ from fractions import Fraction
 from typing import Dict, Iterable, List, Optional, Sequence, Set, Tuple, Union
 
 import numpy as np
-from scipy.stats import rankdata
 
 from .errors import ValidationError
 
@@ -474,6 +473,24 @@ def knn_accuracy(
     return hits1 / n_q, hits5 / n_q
 
 
+def _average_ranks(x: np.ndarray) -> np.ndarray:
+    """1-based ranks of a vector; each block of ties gets its mean rank.
+
+    Equals ``scipy.stats.rankdata(x, method="average")``: any NaN makes
+    every rank NaN.
+    """
+    ranks = np.empty(x.size, dtype=np.float64)
+    if np.isnan(x).any():
+        ranks.fill(np.nan)
+        return ranks
+    order = np.argsort(x, kind="mergesort")
+    xs = x[order]
+    starts = np.flatnonzero(np.r_[True, xs[1:] != xs[:-1]])
+    counts = np.diff(np.r_[starts, x.size])
+    ranks[order] = np.repeat(starts + (counts + 1) / 2.0, counts)
+    return ranks
+
+
 def spearman_rho(a: Sequence[float], b: Sequence[float]) -> Optional[float]:
     """Spearman correlation of two vectors: Pearson on average ranks.
 
@@ -485,8 +502,8 @@ def spearman_rho(a: Sequence[float], b: Sequence[float]) -> Optional[float]:
         raise ValidationError("spearman inputs must be equal-length vectors")
     if x.size < 2:
         raise ValidationError("spearman needs at least 2 entries")
-    rx = rankdata(x, method="average")
-    ry = rankdata(y, method="average")
+    rx = _average_ranks(x)
+    ry = _average_ranks(y)
     rxc = rx - rx.mean()
     ryc = ry - ry.mean()
     denom = math.sqrt(float(np.sum(rxc * rxc)) * float(np.sum(ryc * ryc)))
@@ -598,7 +615,7 @@ def roc_auc(labels: Sequence[int], scores: Sequence[float]) -> Optional[float]:
     if n_pos == 0 or n_neg == 0:
         return None
     # Rank-sum form of the pairwise count; average ranks handle ties exactly.
-    ranks = rankdata(s, method="average")
+    ranks = _average_ranks(s)
     pos_rank_sum = float(ranks[y == 1].sum())
     u = pos_rank_sum - n_pos * (n_pos + 1) / 2.0
     return u / (n_pos * n_neg)

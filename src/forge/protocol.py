@@ -84,10 +84,12 @@ class Envelope:
                 raise ProtocolError(f"{self.kind} must not carry an id")
             if not self.method:
                 raise ProtocolError(f"{self.kind} requires a method")
+        if self.method is not None and not isinstance(self.method, str):
+            raise ProtocolError("method must be a string")
         if self.id is not None and not isinstance(self.id, (int, str)):
             raise ProtocolError("id must be an integer or string")
         if self.timestamp is not None:
-            if not isinstance(self.timestamp, int) or self.timestamp < 1:
+            if type(self.timestamp) is not int or self.timestamp < 1:
                 raise ProtocolError("timestamp must be a positive integer")
 
 
@@ -412,6 +414,30 @@ def save_store(store: MemoryStore, directory: str) -> None:
             )
 
 
+def read_text(path: str) -> str:
+    """The file's text; an unreadable or non-UTF-8 file is a :class:`LoadError`."""
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            return fh.read()
+    except (OSError, UnicodeDecodeError) as exc:
+        raise LoadError(f"cannot read {path}: {exc}") from exc
+
+
+def parse_json(text: str, source: str) -> Any:
+    """``text`` parsed as JSON; malformed or too deeply nested text is a :class:`LoadError`."""
+    try:
+        return json.loads(text)
+    except (json.JSONDecodeError, RecursionError) as exc:
+        raise LoadError(f"{source} is not valid JSON: {exc}") from exc
+
+
+def _stored_document(text: str, source: str, keys: Tuple[str, ...]) -> Dict[str, Any]:
+    doc = parse_json(text, source)
+    if not isinstance(doc, dict) or not all(key in doc for key in keys):
+        raise LoadError(f"{source} must be a JSON object with {', '.join(keys)}")
+    return doc
+
+
 def load_store(directory: str) -> MemoryStore:
     """Rebuild a store persisted by :func:`save_store`."""
     ent_dir = os.path.join(directory, "entities")
@@ -421,11 +447,11 @@ def load_store(directory: str) -> MemoryStore:
     for name in sorted(os.listdir(ent_dir)):
         if not name.endswith(".json"):
             continue
-        with open(os.path.join(ent_dir, name), "r", encoding="utf-8") as fh:
-            try:
-                docs.append(json.load(fh))
-            except json.JSONDecodeError as exc:
-                raise LoadError(f"bad entity document {name}: {exc}") from exc
+        path = os.path.join(ent_dir, name)
+        doc = _stored_document(read_text(path), path, ("id", "kind", "body"))
+        if not all(isinstance(doc.get(key, 0), int) for key in ("seq", "round")):
+            raise LoadError(f"{path}: seq and round must be integers")
+        docs.append(doc)
     docs.sort(key=lambda d: d.get("seq", 0))
     store = MemoryStore()
     for doc in docs:
@@ -449,11 +475,9 @@ def load_store(directory: str) -> MemoryStore:
                 )
     rel_path = os.path.join(directory, "relations.jsonl")
     if os.path.exists(rel_path):
-        with open(rel_path, "r", encoding="utf-8") as fh:
-            for line in fh:
-                line = line.strip()
-                if not line:
-                    continue
-                doc = json.loads(line)
-                store.link_entities(doc["source"], doc["target"], doc["label"])
+        for n, line in enumerate(read_text(rel_path).split("\n"), start=1):
+            if not line.strip():
+                continue
+            doc = _stored_document(line, f"{rel_path}:{n}", ("source", "target", "label"))
+            store.link_entities(doc["source"], doc["target"], doc["label"])
     return store

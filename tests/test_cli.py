@@ -3,6 +3,7 @@
 import hashlib
 import json
 import os
+import subprocess
 import sys
 import tempfile
 from pathlib import Path
@@ -654,3 +655,18 @@ def test_version_flag(runner):
     result = run_cli(runner, ["--version"])
     assert result.exit_code == 0, everything(result)
     assert result.output.strip() == f"forge, version {forge.__version__}"
+
+
+def test_import_leaves_scipy_stats_unloaded():
+    # Every CLI call pays forge's import; scipy.stats alone costs about a second.
+    root = Path(__file__).parents[1]
+    probe = (
+        "import sys, forge, forge.cli\n"
+        "print(sorted(m for m in sys.modules if m.split('.')[:2] == ['scipy', 'stats']))"
+    )
+    result = subprocess.run(
+        [sys.executable, "-c", probe], env=dict(os.environ, PYTHONPATH=str(root / "src")),
+        capture_output=True, text=True, timeout=120,
+    )
+    assert result.returncode == 0, result.stderr[-2000:]
+    assert result.stdout.strip() == "[]"

@@ -77,7 +77,23 @@ def test_read_table_fuzz(tmp_path_factory, raw):
         header, rows = read_table(str(path))
     except LoadError:
         return
-    assert header and all(set(row) == set(header) for row in rows)
+    assert header and len(set(header)) == len(header)
+    assert all(list(row) == header for row in rows)
+
+
+@pytest.mark.parametrize(
+    "text, repeated",
+    [
+        ("cell_id\tcell_id\n1\t2\n", "'cell_id'"),
+        ("a\tb\ta\tb\n", "'a', 'b'"),
+        ("perturbation\tcell_id\tperturbation\n", "'perturbation'"),
+    ],
+)
+def test_read_table_rejects_repeated_column_names(tmp_path, text, repeated):
+    path = tmp_path / "obs.tsv"
+    path.write_text(text)
+    with pytest.raises(LoadError, match=f"repeated column name {repeated}$"):
+        read_table(str(path))
 
 
 _json_values = st.recursive(
@@ -110,3 +126,5 @@ def test_decode_message_fuzz(raw):
     except ProtocolError:
         return
     assert env.kind in (REQUEST, RESPONSE, NOTIFICATION, EVENT)
+    assert env.method is None or isinstance(env.method, str)
+    assert env.timestamp is None or type(env.timestamp) is int

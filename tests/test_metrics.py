@@ -6,10 +6,12 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.stats import rankdata
 
 from forge.errors import ValidationError
 from forge.metrics import (
     METRIC_IDS,
+    _average_ranks,
     EmbeddingSet,
     ExpressionMatrix,
     MetricReport,
@@ -519,6 +521,39 @@ def test_spearman_rho_examples():
     assert spearman_rho([1, 2, 2, 3], [1, 2, 3, 4]) == pytest.approx(math.sqrt(0.9))
     with pytest.raises(ValidationError):
         spearman_rho([1.0], [2.0])
+
+
+def _rank_inputs():
+    rng = np.random.default_rng(31)
+    for n in (1, 2, 3, 10, 100, 1_000, 10_000, 100_000):
+        yield pytest.param(rng.normal(size=n), id=f"distinct-{n}")
+        ties = rng.integers(0, max(2, n // 4), size=n).astype(np.float64)
+        yield pytest.param(ties, id=f"ties-{n}")
+        yield pytest.param(np.full(n, 2.5), id=f"equal-{n}")
+        inf = rng.normal(size=n)
+        inf[rng.integers(0, n, size=max(1, n // 5))] = np.inf
+        inf[rng.integers(0, n, size=max(1, n // 5))] = -np.inf
+        yield pytest.param(inf, id=f"inf-{n}")
+        nan = rng.normal(size=n)
+        nan[n // 2] = np.nan
+        yield pytest.param(nan, id=f"nan-{n}")
+    yield pytest.param(np.array([0.0, -0.0, 1.0, -0.0, -1.0]), id="signed-zero")
+    yield pytest.param(np.array([], dtype=np.float64), id="empty")
+
+
+@pytest.mark.parametrize("x", _rank_inputs())
+def test_average_ranks_match_scipy(x):
+    got = _average_ranks(x)
+    want = rankdata(x, method="average")
+    assert got.dtype == want.dtype
+    assert np.array_equal(got, want, equal_nan=True)
+    if np.isnan(x).any():
+        assert np.isnan(got).all()
+
+
+def test_spearman_rho_nan_input_is_nan():
+    assert math.isnan(spearman_rho([1.0, float("nan"), 3.0], [1.0, 2.0, 3.0]))
+    assert math.isnan(spearman_rho([1.0, 2.0, 3.0], [3.0, 2.0, float("nan")]))
 
 
 def test_spearman_decodability_linear_map_recovers_ranks():

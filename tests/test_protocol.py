@@ -103,7 +103,17 @@ def test_invalid_envelopes_rejected(env):
 
 @pytest.mark.parametrize(
     "raw",
-    [b"not json", b"[1,2]", b'{"jsonrpc":"1.0","id":1,"method":"m"}', b'{"id":1,"method":"m"}'],
+    [
+        b"not json",
+        b"[1,2]",
+        b'{"jsonrpc":"1.0","id":1,"method":"m"}',
+        b'{"id":1,"method":"m"}',
+        b'{"jsonrpc":"2.0","method":"m","ts":true}',
+        b'{"jsonrpc":"2.0","method":7}',
+        b'{"jsonrpc":"2.0","id":1,"method":["m"]}',
+        b'{"jsonrpc":"2.0","method":{"m":1},"kind":"event"}',
+        b'{"jsonrpc":"2.0","id":1,"result":null,"method":true}',
+    ],
 )
 def test_decode_rejects_malformed(raw):
     with pytest.raises(ProtocolError):
@@ -352,4 +362,32 @@ def test_store_persistence_round_trip(tmp_path):
 
 def test_load_store_requires_entities_dir(tmp_path):
     with pytest.raises(LoadError):
+        load_store(str(tmp_path))
+
+
+_ENTITY = b'{"id":"report-0001","kind":"report","body":"r","provenance":{},"round":0,"seq":1}\n'
+
+
+@pytest.mark.parametrize(
+    "entity, relations, match",
+    [
+        (b'{"id":"report-0001","body":"caf\xe9"}\n', b"", "cannot read"),
+        (b"[1, 2]\n", b"", "must be a JSON object with id, kind, body"),
+        (b'{"id":"report-0001","kind":"report"}\n', b"", "must be a JSON object with id, kind, body"),
+        (b"{\n", b"", "is not valid JSON"),
+        (_ENTITY.replace(b'"round":0', b'"round":"x"'), b"", "seq and round must be integers"),
+        (_ENTITY.replace(b'"seq":1', b'"seq":"1"'), b"", "seq and round must be integers"),
+        (_ENTITY, b'{"source":"report-0001"\n', r"relations\.jsonl:1 is not valid JSON"),
+        (_ENTITY, b'\n"report-0001"\n', r"relations\.jsonl:2 must be a JSON object"),
+        (_ENTITY, b'{"source":"report-0001","target":"report-0001","label":"x"}\n\xff\n',
+         "cannot read"),
+    ],
+    ids=["latin-1-entity", "list-entity", "entity-missing-kind", "truncated-entity",
+         "string-round", "string-seq", "truncated-relation", "string-relation", "non-utf8-relations"],
+)
+def test_load_store_bad_files_are_load_errors(tmp_path, entity, relations, match):
+    (tmp_path / "entities").mkdir()
+    (tmp_path / "entities" / "report-0001.json").write_bytes(entity)
+    (tmp_path / "relations.jsonl").write_bytes(relations)
+    with pytest.raises(LoadError, match=match):
         load_store(str(tmp_path))
