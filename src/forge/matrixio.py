@@ -18,7 +18,7 @@ from scipy import io as spio
 from scipy import sparse
 
 from .errors import LoadError, ValidationError
-from .metrics import ExpressionMatrix
+from .metrics import ExpressionMatrix, Matrix
 from .protocol import canonical_json, parse_json, read_text
 
 
@@ -58,15 +58,16 @@ def write_id_list(path: str, ids: Sequence[str]) -> None:
             fh.write(str(i) + "\n")
 
 
-def read_matrix(path: str) -> np.ndarray:
-    """Dense float64 array from a .mtx (MatrixMarket) or .tsv file."""
+def read_matrix(path: str) -> Matrix:
+    """float64 values of a .mtx (MatrixMarket) or .tsv file: CSR for a
+    coordinate .mtx, a dense array for an array .mtx or a .tsv."""
     if not os.path.exists(path):
         raise LoadError(f"matrix file not found: {path}")
     try:
         if path.endswith(".mtx"):
             mat = spio.mmread(path)
             if sparse.issparse(mat):
-                mat = mat.toarray()
+                return sparse.csr_array(mat, dtype=np.float64)
             return np.asarray(mat, dtype=np.float64)
         arr = np.loadtxt(path, dtype=np.float64, ndmin=2)
         return arr
@@ -76,8 +77,9 @@ def read_matrix(path: str) -> np.ndarray:
         raise LoadError(f"cannot parse matrix {path}: {exc}") from exc
 
 
-def write_matrix_market(path: str, values: np.ndarray) -> None:
-    values = np.asarray(values, dtype=np.float64)
+def write_matrix_market(path: str, values: Matrix) -> None:
+    if not sparse.issparse(values):
+        values = np.asarray(values, dtype=np.float64)
     spio.mmwrite(path, sparse.coo_matrix(values))
 
 
@@ -161,5 +163,13 @@ def align_predictions(pred: ExpressionMatrix, truth: ExpressionMatrix) -> Expres
         raise ValidationError(f"predictions missing columns: {missing_cols[:5]}")
     ridx = [row_pos[r] for r in truth.row_ids]
     cidx = [col_pos[c] for c in truth.column_ids]
-    values = pred.values[np.ix_(ridx, cidx)]
+    values = pred.values
+    if not sparse.issparse(values):
+        values = values[np.ix_(ridx, cidx)]
+    else:  # a CSR gather copies every stored entry: skip an axis in order
+        if ridx != list(range(values.shape[0])):
+            values = values[ridx]
+        if cidx != list(range(values.shape[1])):
+            values = values[:, cidx]
+            values.sort_indices()  # fresh, distinct columns: now canonical
     return ExpressionMatrix(values, row_ids=truth.row_ids, column_ids=truth.column_ids)

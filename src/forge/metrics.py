@@ -18,6 +18,7 @@ Conventions
 
 from __future__ import annotations
 
+import functools
 import logging
 import math
 from dataclasses import dataclass, field
@@ -25,6 +26,7 @@ from fractions import Fraction
 from typing import Dict, Iterable, List, Optional, Sequence, Set, Tuple, Union
 
 import numpy as np
+from scipy import sparse
 
 from .errors import ValidationError
 
@@ -39,6 +41,10 @@ DEFAULT_RIDGE = 1e-6
 DEFAULT_NULL_COUNT = 500
 DEFAULT_ALPHA = 0.05
 
+# Roughly the most matrix entries a kernel densifies at once. At least
+# 128: numpy's pairwise summation splits only longer runs.
+_LEAF = 1 << 16
+
 METRIC_IDS = (
     "mse", "pcc", "r2",
     "mse_de", "pcc_de", "r2_de",
@@ -50,16 +56,36 @@ METRIC_IDS = (
 )
 
 
+Matrix = Union[np.ndarray, sparse.csr_array]
+
+
+def _as_matrix(values) -> Matrix:
+    """A float64 array, or canonical CSR (sorted indices, no duplicates) for
+    a ``scipy.sparse`` input; a non-canonical input is copied, not changed."""
+    if not sparse.issparse(values):
+        return np.asarray(values, dtype=np.float64)
+    values = sparse.csr_array(values, dtype=np.float64)
+    if not values.has_canonical_format:
+        values = values.copy()
+        values.sum_duplicates()
+    return values
+
+
+def _dense(values: Matrix) -> np.ndarray:
+    return values.toarray() if sparse.issparse(values) else values
+
+
 @dataclass
 class ExpressionMatrix:
-    """n x d expression values with row and column identifiers."""
+    """n x d expression values with row and column identifiers: a float64
+    array, or canonical CSR for sparse input that no metric densifies whole."""
 
-    values: np.ndarray
+    values: Matrix
     row_ids: Tuple[str, ...] = ()
     column_ids: Tuple[str, ...] = ()
 
     def __post_init__(self):
-        self.values = np.asarray(self.values, dtype=np.float64)
+        self.values = _as_matrix(self.values)
         if self.values.ndim != 2:
             raise ValidationError("expression matrix must be 2-dimensional")
         self.row_ids = tuple(self.row_ids)
@@ -68,7 +94,8 @@ class ExpressionMatrix:
             raise ValidationError("row_ids length does not match matrix rows")
         if self.column_ids and len(self.column_ids) != self.values.shape[1]:
             raise ValidationError("column_ids length does not match matrix columns")
-        if not np.all(np.isfinite(self.values)):
+        stored = self.values.data if sparse.issparse(self.values) else self.values
+        if not np.all(np.isfinite(stored)):
             raise ValidationError("expression matrix entries must be finite")
 
     @property
@@ -128,13 +155,13 @@ class MetricReport:
         return {k: self._values[k] for k in METRIC_IDS if k in self._values}
 
 
-MatrixLike = Union[ExpressionMatrix, np.ndarray, Sequence[Sequence[float]]]
+MatrixLike = Union[ExpressionMatrix, Matrix, Sequence[Sequence[float]]]
 
 
-def _values_of(m: MatrixLike) -> np.ndarray:
+def _values_of(m: MatrixLike) -> Matrix:
     if isinstance(m, ExpressionMatrix):
         return m.values
-    arr = np.asarray(m, dtype=np.float64)
+    arr = _as_matrix(m)
     if arr.ndim == 1:
         arr = arr.reshape(1, -1)
     if arr.ndim != 2:
@@ -142,7 +169,7 @@ def _values_of(m: MatrixLike) -> np.ndarray:
     return arr
 
 
-def _check_pair(truth: MatrixLike, pred: MatrixLike) -> Tuple[np.ndarray, np.ndarray]:
+def _check_pair(truth: MatrixLike, pred: MatrixLike) -> Tuple[Matrix, Matrix]:
     y = _values_of(truth)
     yhat = _values_of(pred)
     if y.shape != yhat.shape:
@@ -172,44 +199,68 @@ def pointwise_metrics(
     Zero variance makes pcc (and, for truth, r2) undefined.
     """
     y, yhat = _check_pair(truth, pred)
-    if y.size == 0:
+    n, d = y.shape
+    if n * d == 0:
         raise ValidationError("cannot score an empty matrix")
-    # At most two full-size buffers are alive: ``buf`` and the centred
-    # truth ``yc``. A sum's rounding depends on the memory order of what it
-    # reduces, so every product lands in a buffer laid out as numpy lays out
-    # the plain expression, and each sum equals ``np.sum(a * b)`` exactly.
-    buf = y - yhat
-    np.multiply(buf, buf, out=buf)
-    sse = float(np.sum(buf))
-    mse = sse / y.size
-
-    yc = y - y.mean(axis=0, keepdims=True)
-    buf = _laid_out_as(buf, yc)
-    np.multiply(yc, yc, out=buf)
-    sst = float(np.sum(buf))
+    ym = np.broadcast_to(_column_means(y), y.shape)
+    pm = np.broadcast_to(_column_means(yhat), y.shape)
+    # Each sum equals ``np.sum`` of its plain whole-array product, which
+    # reduces in the product's memory order: Fortran when every operand is
+    # Fortran-ordered, C otherwise (CSR counts as C). A Fortran walk runs
+    # over the transposes, whose C order is the original's Fortran order.
+    fy, fp = _fortran(y), _fortran(yhat)
+    pair = (y.T, ym.T, yhat.T, pm.T) if fy and fp else (y, ym, yhat, pm)
+    sums = _pairwise_sum(functools.partial(_leaf_sums, pair), n * d)
+    if fy != fp:  # the Fortran-ordered operand's own sum walks in its order
+        i, a, am = (1, y, ym) if fy else (2, yhat, pm)
+        sums[i] = _pairwise_sum(functools.partial(_leaf_sums, (a.T, am.T) * 2), n * d)[i]
+    sse, sst, spp, cross = (float(v) for v in sums)
+    mse = sse / (n * d)
     if sst == 0.0:
         return mse, None, None
-    pmean = yhat.mean(axis=0, keepdims=True)
-    buf = _laid_out_as(buf, yhat)
-    np.subtract(yhat, pmean, out=buf)
-    np.multiply(buf, buf, out=buf)
-    spp = float(np.sum(buf))
-    pcc: Optional[float] = None
-    if spp > 0.0:
-        np.subtract(yhat, pmean, out=buf)
-        # yc * pc is Fortran-ordered only when both operands are, so
-        # C-ordered yc can take the product, and otherwise buf can.
-        cross = np.multiply(yc, buf, out=yc if yc.flags.c_contiguous else buf)
-        pcc = float(np.sum(cross) / math.sqrt(sst * spp))
-    r2 = 1.0 - sse / sst
-    return mse, pcc, r2
+    pcc = cross / math.sqrt(sst * spp) if spp > 0.0 else None
+    return mse, pcc, 1.0 - sse / sst
 
 
-def _laid_out_as(buf: np.ndarray, like: np.ndarray) -> np.ndarray:
-    """``buf``, or a new array if an elementwise result of ``like`` would be
-    laid out differently. An unwritten new array costs no memory yet."""
-    fresh = np.empty_like(like)
-    return buf if buf.strides == fresh.strides else fresh
+def _fortran(a: Matrix) -> bool:
+    """Whether numpy lays out an elementwise result of ``a`` column-major.
+    The probe array is never written, so it costs no memory."""
+    return isinstance(a, np.ndarray) and not np.empty_like(a).flags.c_contiguous
+
+
+def _column_means(values: Matrix) -> np.ndarray:
+    """Per-column means. A CSR column sum adds each column's stored entries
+    in row order, as numpy sums a C-ordered column; ``csr.mean`` differs."""
+    if sparse.issparse(values):
+        return values.sum(axis=0) / values.shape[0]
+    return values.mean(axis=0)
+
+
+def _pairwise_sum(leaf_sums, size: int, lo: int = 0) -> np.ndarray:
+    """``leaf_sums`` over flat entries ``[lo, lo + size)``, split as numpy's
+    pairwise summation splits a contiguous array: each leaf is a subtree of
+    numpy's recursion, so each total equals ``np.sum`` of the whole array."""
+    if size <= _LEAF:
+        return leaf_sums(lo, lo + size)
+    half = size // 2
+    half -= half % 8
+    return _pairwise_sum(leaf_sums, half, lo) + _pairwise_sum(leaf_sums, size - half, lo + half)
+
+
+def _leaf_sums(operands: tuple, lo: int, hi: int) -> np.ndarray:
+    """Sums of (a - b)**2, ac * ac, bc * bc and ac * bc over the C-order flat
+    entries ``[lo, hi)``, with ``operands = (a, am, b, bm)`` and ac = a - am,
+    bc = b - bm. Only the rows those entries cover are densified."""
+    a, am, b, bm = operands
+    d = a.shape[1]
+    first, last = lo // d, -(-hi // d)
+    span = slice(lo - first * d, hi - first * d)
+    a_rows = _dense(a[first:last])
+    ac = (a_rows - am[first:last]).ravel()[span]
+    b_rows = _dense(b[first:last])
+    bc = (b_rows - bm[first:last]).ravel()[span]
+    diff = (a_rows - b_rows).ravel()[span]
+    return np.array([np.sum(diff * diff), np.sum(ac * ac), np.sum(bc * bc), np.sum(ac * bc)])
 
 
 def log_fold_change(
@@ -251,7 +302,7 @@ def select_de_genes(
     d = p.shape[1]
     if not (0 < k <= d):
         raise ValidationError(f"k must be in [1, {d}], got {k}")
-    lfc = log_fold_change(p.mean(axis=0), c.mean(axis=0), pseudo)
+    lfc = log_fold_change(_column_means(p), _column_means(c), pseudo)
     magnitude = np.abs(lfc)
     # Sort by descending |LFC|; numpy's stable sort keeps ascending index
     # order inside tied blocks.
@@ -276,7 +327,11 @@ def restrict(m: MatrixLike, genes: Sequence[int]) -> ExpressionMatrix:
         row_ids = m.row_ids
         if m.column_ids:
             col_ids = tuple(m.column_ids[g] for g in idx)
-    return ExpressionMatrix(values[:, idx], row_ids=row_ids, column_ids=col_ids)
+    # Fortran order, as numpy's dense column gather gives: sums follow layout.
+    block = values[:, idx]
+    if sparse.issparse(block):
+        block = block.toarray(order="F")
+    return ExpressionMatrix(block, row_ids=row_ids, column_ids=col_ids)
 
 
 def metric_report(
@@ -449,9 +504,7 @@ def knn_accuracy(
     if not (1 <= k <= n_r):
         raise ValidationError(f"k must be in [1, {n_r}]")
 
-    # n_q x n_r squared distances; exact arithmetic per pair.
-    diff = query.vectors[:, None, :] - reference.vectors[None, :, :]
-    dist = np.sqrt(np.sum(diff * diff, axis=2))
+    dist = _distances(query.vectors, reference.vectors)
 
     hits1 = 0
     hits5 = 0
@@ -471,6 +524,18 @@ def knn_accuracy(
             hits5 += 1
     n_q = query.vectors.shape[0]
     return hits1 / n_q, hits5 / n_q
+
+
+def _distances(q: np.ndarray, r: np.ndarray) -> np.ndarray:
+    """n_q x n_r Euclidean distances, a block of query rows at a time. Each
+    pair sums its own h squared differences, so every value equals the one
+    the whole n_q x n_r x h difference tensor gives."""
+    dist = np.empty((q.shape[0], r.shape[0]))
+    step = max(1, _LEAF // max(1, r.size))
+    for start in range(0, q.shape[0], step):
+        diff = q[start:start + step, None, :] - r[None, :, :]
+        dist[start:start + step] = np.sqrt(np.sum(diff * diff, axis=2))
+    return dist
 
 
 def _average_ranks(x: np.ndarray) -> np.ndarray:
@@ -524,7 +589,7 @@ def spearman_decodability(
     """
     if ridge < 0:
         raise ValidationError("ridge must be non-negative")
-    y = _values_of(truth)
+    y = _dense(_values_of(truth))
     z = embeddings.vectors
     if z.shape[0] != y.shape[0]:
         raise ValidationError("embedding rows must align with expression rows")
@@ -561,7 +626,7 @@ def structural_integrity(
     centered matrices, and D_max is twice the same functional applied to
     the actual activity alone. Returns None when D_max is zero.
     """
-    p, a = _check_pair(pred, act)
+    p, a = (_dense(v) for v in _check_pair(pred, act))
     batch_ids = [str(x) for x in batch_ids]
     control_mask = np.asarray(list(control_mask), dtype=bool)
     if len(batch_ids) != a.shape[0] or control_mask.shape[0] != a.shape[0]:

@@ -86,7 +86,8 @@ class Envelope:
                 raise ProtocolError(f"{self.kind} requires a method")
         if self.method is not None and not isinstance(self.method, str):
             raise ProtocolError("method must be a string")
-        if self.id is not None and not isinstance(self.id, (int, str)):
+        # The exact type: a bool is an int, and True would match request id 1.
+        if self.id is not None and type(self.id) not in (int, str):
             raise ProtocolError("id must be an integer or string")
         if self.timestamp is not None:
             if type(self.timestamp) is not int or self.timestamp < 1:

@@ -24,6 +24,7 @@ from string import Template
 from typing import Any, Dict, Iterable, List, Optional, Sequence, Tuple
 
 import numpy as np
+from scipy import sparse
 
 from .errors import (
     AssemblyError,
@@ -191,10 +192,12 @@ def profile_dataset(bundle: DatasetBundle) -> DatasetProfile:
     for lab in bundle.perturbations:
         inventory[lab] = inventory.get(lab, 0) + 1
     values = bundle.matrix.values
-    sparsity = float(np.count_nonzero(values == 0.0) / values.size) if values.size else 0.0
+    n, d = values.shape
+    stored = values.data if sparse.issparse(values) else values
+    sparsity = float((n * d - np.count_nonzero(stored)) / (n * d)) if n * d else 0.0
     return DatasetProfile(
-        n_cells=values.shape[0],
-        n_features=values.shape[1],
+        n_cells=n,
+        n_features=d,
         perturbation_inventory=inventory,
         control_count=inventory.get(CONTROL_LABEL, 0),
         sparsity=sparsity,

@@ -194,11 +194,12 @@ def golden_fixture(
     n_experts: int = 2,
     design_rounds: int = 4,
     extra: Optional[List[str]] = None,
+    artifact: str = IDENTITY_ARTIFACT_REPLY,
 ) -> Path:
     """Fixture file for a full run: analyze + design + one generation."""
     completions = list(ANALYSIS_REPLIES)
     completions += discussion_replies(n_experts, design_rounds)
-    completions += [IDENTITY_ARTIFACT_REPLY]
+    completions += [artifact]
     if extra:
         completions += extra
     path.write_text(json.dumps({"completions": completions}))

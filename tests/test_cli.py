@@ -8,6 +8,7 @@ import sys
 import tempfile
 from pathlib import Path
 
+import numpy as np
 import pytest
 from click.testing import CliRunner
 
@@ -37,6 +38,30 @@ CRASH_REPLY = (
     "FILE: main.py\n```\nraise IndexError('index 28 is out of bounds "
     "for axis 0 with size 10')\n```\nENTRYPOINT: python main.py\n"
 )
+
+# Copies the bundle's matrix file, .mtx or .tsv, as the predictions but
+# lists the columns in reverse, so the scores are not trivially perfect.
+REVERSED_COLUMNS_REPLY = """FILE: main.py
+```
+import os
+import shutil
+
+ext = ".mtx" if os.path.exists("matrix.mtx") else ".tsv"
+shutil.copyfile("matrix" + ext, "predictions" + ext)
+
+def ids(path, col):
+    with open(path) as fh:
+        lines = [ln.rstrip("\\n").split("\\t") for ln in fh if ln.strip()]
+    k = lines[0].index(col)
+    return [row[k] for row in lines[1:]]
+
+with open("predictions_rows.tsv", "w") as fh:
+    fh.write("\\n".join(ids("obs.tsv", "cell_id")) + "\\n")
+with open("predictions_cols.tsv", "w") as fh:
+    fh.write("\\n".join(reversed(ids("var.tsv", "feature_id"))) + "\\n")
+```
+ENTRYPOINT: python main.py
+"""
 
 QUIET_REPLY = "FILE: main.py\n```\nprint('no predictions')\n```\nENTRYPOINT: python main.py\n"
 
@@ -126,6 +151,37 @@ def test_run_full_pipeline(runner, workdir):
     assert summary["passed"] is True
     assert summary["retrieval_stop"] == "no-documents"
     assert "out_dir" not in summary  # persisted summary stays location-free
+
+
+def test_mtx_run_scores_like_tsv_run(runner, tmp_path):
+    # .mtx matrices stay CSR from load to score and .tsv ones dense; both
+    # must give the same metrics.json bytes.
+    rng = np.random.default_rng(41)
+    matrix = rng.gamma(2.0, 1.5, size=(40, 30)) * (rng.random((40, 30)) < 0.3)
+    cells = [(f"c{i}", "control" if i < 10 else f"KO_{'AB'[i % 2]}") for i in range(40)]
+    genes = [f"g{j}" for j in range(30)]
+    scored = {}
+    for ext in (".tsv", ".mtx"):
+        base = tmp_path / ext[1:]
+        bundle = write_bundle(base / "bundle", matrix, cells, genes)
+        if ext == ".mtx":
+            (bundle / "matrix.tsv").unlink()
+            forge.matrixio.write_matrix_market(str(bundle / "matrix.mtx"), matrix)
+        (base / "task.txt").write_text(TASK_TEXT)
+        fixture = golden_fixture(base / "fixture.json", artifact=REVERSED_COLUMNS_REPLY)
+        cfg = write_config(base / "config.json", **profile(fixture))
+        result = run_cli(
+            runner,
+            ["run", "--task", base / "task.txt", "--bundle", bundle,
+             "--out", base / "out", "--config", cfg],
+        )
+        assert result.exit_code == 0, everything(result)
+        assert (base / "out" / "predictions" / f"predictions{ext}").exists()
+        scored[ext] = (base / "out" / "metrics.json").read_bytes()
+    assert scored[".mtx"] == scored[".tsv"]
+    values = json.loads(scored[".mtx"])["metrics"]
+    assert sorted(values) == ["mse", "mse_de", "pcc", "pcc_de", "r2", "r2_de"]
+    assert values["mse"] > 0.0 and values["mse_de"] > 0.0
 
 
 def test_run_directories_are_byte_identical(runner, workdir):

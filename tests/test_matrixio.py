@@ -1,14 +1,28 @@
-"""File and wire readers: bad bytes end in LoadError or ProtocolError."""
+"""File and wire readers: bad bytes end in LoadError or ProtocolError, and
+.mtx matrices stay sparse in memory."""
 
 import json
 import os
+import subprocess
+import sys
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy import io as spio
+from scipy import sparse
 
+import forge
 from forge.errors import LoadError, ProtocolError
-from forge.matrixio import read_id_list, read_json, read_table
+from forge.matrixio import (
+    read_id_list,
+    read_json,
+    read_predictions,
+    read_table,
+    write_predictions,
+)
+from forge.metrics import ExpressionMatrix
 from forge.protocol import EVENT, NOTIFICATION, REQUEST, RESPONSE, decode_message
 from forge.providers import ScriptedEmbedder, load_fixture
 from forge.retrieval import load_corpus
@@ -128,3 +142,74 @@ def test_decode_message_fuzz(raw):
     assert env.kind in (REQUEST, RESPONSE, NOTIFICATION, EVENT)
     assert env.method is None or isinstance(env.method, str)
     assert env.timestamp is None or type(env.timestamp) is int
+
+
+def test_csr_predictions_round_trip(tmp_path):
+    rng = np.random.default_rng(43)
+    dense = rng.gamma(2.0, 1.5, size=(30, 12)) * (rng.random((30, 12)) < 0.3)
+    written = ExpressionMatrix(
+        sparse.csr_array(dense),
+        row_ids=tuple(f"c{i}" for i in range(30)),
+        column_ids=tuple(f"g{j}" for j in range(12)),
+    )
+    write_predictions(str(tmp_path), written)
+    read = read_predictions(str(tmp_path / "predictions.mtx"))
+    assert sparse.issparse(read.values) and read.values.has_canonical_format
+    assert np.array_equal(read.values.toarray(), dense)
+    assert (read.row_ids, read.column_ids) == (written.row_ids, written.column_ids)
+
+
+# Loads a bundle and scores it against itself, then prints how far its
+# peak RSS rose over the peak it had after the imports. scipy's .mtx reader
+# holds a text buffer per thread, several MiB each, so it reads with one
+# thread: the bound is on what forge keeps, not on the host's core count.
+_MEMORY_PROBE = """
+import resource, sys
+import scipy.io._fast_matrix_market
+from forge.execution import validate_predictions
+from forge.task_analysis import load_bundle
+
+scipy.io._fast_matrix_market.PARALLELISM = 1
+
+def peak():
+    return resource.getrusage(resource.RUSAGE_SELF).ru_maxrss * 1024
+
+before = peak()
+bundle = load_bundle(sys.argv[1])
+validate_predictions(bundle.matrix, bundle.matrix, control_rows=bundle.control_rows)
+print(peak() - before)
+"""
+
+# Runs the probe from a small interpreter: a child's ru_maxrss starts from
+# the peak of the process that launched it, and pytest's can be large.
+_LAUNCHER = "import subprocess, sys; sys.exit(subprocess.call(sys.argv[1:]))"
+
+
+def test_mtx_bundle_stays_sparse_in_memory(tmp_path):
+    n, d = 20000, 500
+    rng = np.random.default_rng(47)
+    nnz = n * d // 10
+    flat = rng.choice(n * d, size=nnz, replace=False)
+    values = sparse.coo_matrix((rng.gamma(2.0, 1.5, size=nnz), divmod(flat, d)), shape=(n, d))
+    bundle = tmp_path / "bundle"
+    bundle.mkdir()
+    spio.mmwrite(str(bundle / "matrix.mtx"), values)
+    labels = ["control" if i % 10 == 0 else f"KO_{i % 7}" for i in range(n)]
+    (bundle / "obs.tsv").write_text(
+        "cell_id\tperturbation\n" + "".join(f"c{i}\t{lab}\n" for i, lab in enumerate(labels))
+    )
+    (bundle / "var.tsv").write_text("feature_id\n" + "".join(f"g{j}\n" for j in range(d)))
+    (bundle / "manifest.json").write_text(
+        json.dumps({"modality": "RNA", "organism": "human", "name": "sparse-guard"})
+    )
+    probe = tmp_path / "probe.py"
+    probe.write_text(_MEMORY_PROBE)
+    src = os.path.dirname(os.path.dirname(os.path.abspath(forge.__file__)))
+    env = dict(os.environ, PYTHONPATH=src, OPENBLAS_NUM_THREADS="1", OMP_NUM_THREADS="1")
+    proc = subprocess.run(
+        [sys.executable, "-c", _LAUNCHER, sys.executable, str(probe), str(bundle)],
+        capture_output=True, text=True, timeout=300, env=env,
+    )
+    assert proc.returncode == 0, proc.stderr
+    dense_bytes = n * d * 8
+    assert int(proc.stdout.split()[-1]) < dense_bytes // 2

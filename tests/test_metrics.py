@@ -6,12 +6,16 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy import sparse
 from scipy.stats import rankdata
 
+from forge import metrics
 from forge.errors import ValidationError
 from forge.metrics import (
     METRIC_IDS,
     _average_ranks,
+    _column_means,
+    _distances,
     EmbeddingSet,
     ExpressionMatrix,
     MetricReport,
@@ -182,6 +186,8 @@ def plain_pointwise(y, yhat):
 
 
 def _laid_out(values, layout):
+    if layout == "csr":
+        return sparse.csr_array(values)
     if layout == "C":
         return np.ascontiguousarray(values)
     if layout == "F":
@@ -193,26 +199,59 @@ def _laid_out(values, layout):
     return view
 
 
+def _as_plain(values):
+    """What plain_pointwise sees of an input: CSR acts as its C-order array."""
+    return values.toarray() if sparse.issparse(values) else values
+
+
 @pytest.mark.parametrize(
     "layout_y, layout_p",
-    [("C", "C"), ("F", "F"), ("C", "F"), ("F", "C"), ("view", "C"), ("C", "view")],
+    [("C", "C"), ("F", "F"), ("C", "F"), ("F", "C"), ("view", "C"), ("C", "view"),
+     ("csr", "csr"), ("csr", "C"), ("csr", "F")],
 )
-def test_pointwise_metrics_bit_exact(layout_y, layout_p):
+def test_pointwise_metrics_bit_exact(layout_y, layout_p, monkeypatch):
+    # Leaves of at most 1000 entries: each sum walks many leaves, in C or
+    # Fortran order, and leaf edges fall inside rows and columns.
+    monkeypatch.setattr(metrics, "_LEAF", 1000)
     rng = np.random.default_rng(23)
     n, d = 150, 90  # many pairwise-summation blocks, in C or Fortran order
     for _ in range(12):  # a reordered sum rounds differently on about half
-        y = rng.gamma(2.0, 1.5, size=(n, d))
-        yhat = y + rng.normal(scale=0.7, size=(n, d))
+        y = rng.gamma(2.0, 1.5, size=(n, d)) * (rng.random((n, d)) < 0.4)
+        yhat = y + rng.normal(scale=0.7, size=(n, d)) * (rng.random((n, d)) < 0.5)
         truth, pred = _laid_out(y, layout_y), _laid_out(yhat, layout_p)
         got = pointwise_metrics(truth, pred)
         assert got[1] is not None and got[2] is not None
-        assert got == plain_pointwise(truth, pred)
+        assert got == plain_pointwise(_as_plain(truth), _as_plain(pred))
     for truth, pred in [
         (np.full((n, d), 3.25), yhat),  # constant truth: sst == 0
         (y, np.full((n, d), 1.5)),  # constant predictions: spp == 0
     ]:
         truth, pred = _laid_out(truth, layout_y), _laid_out(pred, layout_p)
-        assert pointwise_metrics(truth, pred) == plain_pointwise(truth, pred)
+        assert pointwise_metrics(truth, pred) == plain_pointwise(_as_plain(truth), _as_plain(pred))
+
+
+@pytest.mark.parametrize("layout_y, layout_p", [("csr", "csr"), ("F", "F"), ("csr", "F")])
+def test_pointwise_metrics_bit_exact_past_one_leaf(layout_y, layout_p):
+    # Odd sides: half the entries is not a multiple of 8, so a split that
+    # did not round as numpy's does would show at the top of the walk.
+    n, d = 1101, 1003
+    assert n * d > 2**20 > metrics._LEAF
+    rng = np.random.default_rng(29)
+    for _ in range(4):  # one draw can round alike under a reordered sum
+        y = rng.gamma(2.0, 1.5, size=(n, d)) * (rng.random((n, d)) < 0.1)
+        yhat = y + rng.normal(scale=0.7, size=y.shape)
+        truth, pred = _laid_out(y, layout_y), _laid_out(yhat, layout_p)
+        assert pointwise_metrics(truth, pred) == plain_pointwise(_as_plain(truth), _as_plain(pred))
+
+
+def test_csr_column_means_equal_dense_means():
+    rng = np.random.default_rng(31)
+    for n, d in [(1, 5), (7, 1), (150, 90), (2000, 300)]:
+        dense = rng.gamma(2.0, 1.5, size=(n, d)) * (rng.random((n, d)) < 0.3)
+        csr = sparse.csr_array(dense)
+        assert np.array_equal(_column_means(csr), dense.mean(axis=0))
+        rows = np.flatnonzero(rng.random(n) < 0.6) if n > 1 else np.array([0])
+        assert np.array_equal(_column_means(csr[rows]), dense[rows].mean(axis=0))
 
 
 def test_auc_match_oracle_exactly():
@@ -282,6 +321,31 @@ def test_knn_accuracy_matches_oracle():
         assert got == oracle_knn(query, q_labs, ref, labs, k)
 
 
+def _whole_tensor_distances(query, ref):
+    diff = query[:, None, :] - ref[None, :, :]
+    return np.sqrt(np.sum(diff * diff, axis=2))
+
+
+def test_distances_equal_the_whole_tensor(monkeypatch):
+    rng = np.random.default_rng(37)
+    # 150 > 128 terms per pair, so a reordered sum would round differently;
+    # the query rows go in several blocks, the last one partial.
+    query, ref = rng.normal(size=(50, 150)), rng.normal(size=(30, 150))
+    assert 1 < metrics._LEAF // ref.size < 50
+    assert np.array_equal(_distances(query, ref), _whole_tensor_distances(query, ref))
+    # Blocks of 4 query rows (1000 // (30 * 8)) on an integer grid: many ties.
+    monkeypatch.setattr(metrics, "_LEAF", 1000)
+    query = rng.integers(0, 3, size=(50, 8)).astype(float)
+    ref = rng.integers(0, 3, size=(30, 8)).astype(float)
+    whole = _whole_tensor_distances(query, ref)
+    assert np.array_equal(_distances(query, ref), whole)
+    assert len(set(whole.ravel().tolist())) < whole.size // 10
+    labs = [f"p{int(v)}" for v in rng.integers(0, 4, size=30)]
+    q_labs = [f"p{int(v)}" for v in rng.integers(0, 4, size=50)]
+    got = knn_accuracy(EmbeddingSet(query, tuple(q_labs)), EmbeddingSet(ref, tuple(labs)), k=5)
+    assert got == oracle_knn(query, q_labs, ref, labs, 5)
+
+
 def test_structural_integrity_matches_oracle():
     rng = np.random.default_rng(16)
     for _ in range(40):
@@ -299,6 +363,8 @@ def test_structural_integrity_matches_oracle():
         got = structural_integrity(pred, act, batch_ids, control_mask)
         want = oracle_structural_integrity(pred, act, batch_ids, control_mask)
         assert got == pytest.approx(want, abs=1e-9)
+        as_csr = ExpressionMatrix(sparse.csr_array(pred)), sparse.csr_array(act)
+        assert structural_integrity(*as_csr, batch_ids, control_mask) == got
 
 
 # ---------------------------------------------------------------------------
@@ -364,6 +430,12 @@ def test_restrict_carries_identifiers():
     assert sliced.values.tolist() == [[3.0, 1.0]]
     assert sliced.column_ids == ("g3", "g1")
     assert sliced.row_ids == ("c1",)
+    # A CSR matrix restricts to the dense Fortran-ordered block numpy's
+    # column gather gives, so the metrics sum it in the same order.
+    two_rows = np.array([[1.0, 2.0, 3.0], [4.0, 5.0, 6.0]])
+    from_csr = restrict(sparse.csr_array(two_rows), [2, 0]).values
+    assert not from_csr.flags.c_contiguous and from_csr.flags.f_contiguous
+    assert from_csr.tolist() == two_rows[:, [2, 0]].tolist()
     with pytest.raises(ValidationError):
         restrict(m, [])
     with pytest.raises(ValidationError):
@@ -564,6 +636,7 @@ def test_spearman_decodability_linear_map_recovers_ranks():
     emb = EmbeddingSet(z, tuple(f"p{i}" for i in range(12)))
     rho = spearman_decodability(emb, y, ridge=1e-9)
     assert rho == pytest.approx(1.0, abs=1e-6)
+    assert spearman_decodability(emb, ExpressionMatrix(sparse.csr_array(y)), ridge=1e-9) == rho
     with pytest.raises(ValidationError):
         spearman_decodability(emb, y[:6], ridge=1e-9)
     with pytest.raises(ValidationError):

@@ -113,6 +113,8 @@ def test_invalid_envelopes_rejected(env):
         b'{"jsonrpc":"2.0","id":1,"method":["m"]}',
         b'{"jsonrpc":"2.0","method":{"m":1},"kind":"event"}',
         b'{"jsonrpc":"2.0","id":1,"result":null,"method":true}',
+        b'{"jsonrpc":"2.0","id":true,"method":"m"}',
+        b'{"jsonrpc":"2.0","id":false,"result":null}',
     ],
 )
 def test_decode_rejects_malformed(raw):
