@@ -655,17 +655,15 @@ def validate_predictions(
     bad = [r for r in control_rows if not 0 <= r < n]
     if bad:
         raise ValidationError(f"control row {bad[0]} out of range [0, {n})")
-    is_perturbed = np.ones(n, dtype=bool)
-    is_perturbed[list(control_rows)] = False
-    perturbed_rows = np.flatnonzero(is_perturbed)
-    control = np.flatnonzero(~is_perturbed)
+    is_control = np.zeros(n, dtype=bool)
+    is_control[list(control_rows)] = True
     de_genes = None
-    if control.size and perturbed_rows.size:
+    if is_control.any() and not is_control.all():
         de_genes = select_de_genes(
-            truth.values[perturbed_rows],
-            truth.values[control],
+            truth.values,
             k=min(int(de_k), truth.shape[1]),
             pseudo=float(pseudo),
+            control=is_control,
         )
     metrics = metric_report(truth, predictions, de_genes=de_genes)
     thresholds = dict(thresholds or {})

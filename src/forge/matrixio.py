@@ -67,7 +67,7 @@ def read_matrix(path: str) -> Matrix:
         if path.endswith(".mtx"):
             mat = spio.mmread(path)
             if sparse.issparse(mat):
-                return sparse.csr_array(mat, dtype=np.float64)
+                return _canonical_csr(mat)
             return np.asarray(mat, dtype=np.float64)
         arr = np.loadtxt(path, dtype=np.float64, ndmin=2)
         return arr
@@ -75,6 +75,24 @@ def read_matrix(path: str) -> Matrix:
         raise
     except Exception as exc:
         raise LoadError(f"cannot parse matrix {path}: {exc}") from exc
+
+
+def _canonical_csr(coo) -> sparse.csr_array:
+    """float64 canonical CSR of ``mmread``'s COO, built without copying it
+    when the rows come in order, as ``mmwrite`` writes a CSR: the CSR takes
+    the COO's column and value arrays, and ``sum_duplicates`` sorts and sums
+    each row as ``tocsr`` does. Other files, such as a symmetric one (whose
+    mirrored entries come last), go through ``tocsr``."""
+    row, col = coo.row, coo.col
+    if np.any(row[1:] < row[:-1]):
+        return sparse.csr_array(coo, dtype=np.float64)
+    # indptr in col's dtype: a wider one makes scipy copy col to match it.
+    # searchsorted likewise casts row to its keys' dtype.
+    index = col.dtype if coo.nnz <= np.iinfo(col.dtype).max else np.int64
+    indptr = np.searchsorted(row, np.arange(coo.shape[0] + 1, dtype=row.dtype))
+    csr = sparse.csr_array((coo.data, col, indptr.astype(index)), shape=coo.shape)
+    csr.sum_duplicates()
+    return csr.astype(np.float64, copy=False)
 
 
 def write_matrix_market(path: str, values: Matrix) -> None:
@@ -149,12 +167,27 @@ def write_predictions(directory: str, matrix: ExpressionMatrix) -> None:
     write_id_list(os.path.join(directory, PREDICTIONS_COLS), matrix.column_ids)
 
 
+def _positions(ids: Sequence[str], source: str) -> Dict[str, int]:
+    """Each id's index; a repeated id is a ValidationError naming it."""
+    pos: Dict[str, int] = {}
+    for i, x in enumerate(ids):
+        if pos.setdefault(x, i) != i:
+            raise ValidationError(f"{source} repeats id {x!r}")
+    return pos
+
+
 def align_predictions(pred: ExpressionMatrix, truth: ExpressionMatrix) -> ExpressionMatrix:
-    """Reorder a prediction matrix onto the truth's row/column order."""
+    """Reorder a prediction matrix onto the truth's row/column order.
+
+    This consumes ``pred``: a CSR whose columns are a permutation of the
+    truth's is reordered in place, so pass a matrix nothing else uses, such
+    as a fresh :func:`read_predictions`. Rows out of order, or columns the
+    truth lacks, are gathered into a new matrix instead.
+    """
     if not truth.row_ids or not truth.column_ids:
         raise ValidationError("truth matrix needs row and column ids for alignment")
-    row_pos = {rid: i for i, rid in enumerate(pred.row_ids)}
-    col_pos = {cid: j for j, cid in enumerate(pred.column_ids)}
+    row_pos = _positions(pred.row_ids, PREDICTIONS_ROWS)
+    col_pos = _positions(pred.column_ids, PREDICTIONS_COLS)
     missing_rows = [r for r in truth.row_ids if r not in row_pos]
     if missing_rows:
         raise ValidationError(f"predictions missing rows: {missing_rows[:5]}")
@@ -169,7 +202,13 @@ def align_predictions(pred: ExpressionMatrix, truth: ExpressionMatrix) -> Expres
     else:  # a CSR gather copies every stored entry: skip an axis in order
         if ridx != list(range(values.shape[0])):
             values = values[ridx]
-        if cidx != list(range(values.shape[1])):
+        if len(cidx) < values.shape[1]:  # drop the columns the truth lacks
             values = values[:, cidx]
             values.sort_indices()  # fresh, distinct columns: now canonical
+        elif cidx != list(range(values.shape[1])):  # a permutation: relabel
+            new_index = np.empty(len(cidx), dtype=values.indices.dtype)
+            new_index[cidx] = np.arange(len(cidx))
+            values.indices = new_index[values.indices]
+            values.has_sorted_indices = False
+            values.sort_indices()
     return ExpressionMatrix(values, row_ids=truth.row_ids, column_ids=truth.column_ids)

@@ -280,29 +280,53 @@ def log_fold_change(
     return np.log2(num / den)
 
 
+def _masked_column_means(values: Matrix, mask: np.ndarray) -> np.ndarray:
+    """Column means over the rows ``mask`` marks, bit-equal to
+    ``_column_means(values[mask])``. A CSR's rows are not copied: ``w @ csr``
+    with 0/1 weights adds each column's entries in row order, as the CSR
+    column sum does, and the unmarked rows add exact zeros."""
+    if not sparse.issparse(values):
+        return _column_means(values[mask])
+    return (mask.astype(np.float64) @ values) / np.count_nonzero(mask)
+
+
 def select_de_genes(
     pert: MatrixLike,
-    ctrl: MatrixLike,
+    ctrl: Optional[MatrixLike] = None,
     k: int = DEFAULT_DE_K,
     pseudo: float = DEFAULT_DE_PSEUDO,
+    *,
+    control: Optional[np.ndarray] = None,
 ) -> List[int]:
-    """Top-k genes by |log fold change| of mean expression, ties by index."""
+    """Top-k genes by |log fold change| of mean expression, ties by index.
+
+    The groups are the rows of ``pert`` and of ``ctrl``; or, given
+    ``control``, a boolean mask over the rows of ``pert``, the unmarked and
+    the marked rows of ``pert``, whose means copy no rows of a CSR.
+    """
     p = _values_of(pert)
-    c = _values_of(ctrl)
-    if p.shape[1] != c.shape[1]:
-        raise ValidationError("perturbed and control matrices must share columns")
-    if (
-        isinstance(pert, ExpressionMatrix)
-        and isinstance(ctrl, ExpressionMatrix)
-        and pert.column_ids
-        and ctrl.column_ids
-        and pert.column_ids != ctrl.column_ids
-    ):
-        raise ValidationError("column ids differ between perturbed and control")
+    if control is None:
+        c = _values_of(ctrl)
+        if p.shape[1] != c.shape[1]:
+            raise ValidationError("perturbed and control matrices must share columns")
+        if (
+            isinstance(pert, ExpressionMatrix)
+            and isinstance(ctrl, ExpressionMatrix)
+            and pert.column_ids
+            and ctrl.column_ids
+            and pert.column_ids != ctrl.column_ids
+        ):
+            raise ValidationError("column ids differ between perturbed and control")
+        means = _column_means(p), _column_means(c)
+    else:
+        control = np.asarray(control, dtype=bool)
+        if control.shape != (p.shape[0],) or control.all() or not control.any():
+            raise ValidationError("control mask must mark some but not all rows")
+        means = _masked_column_means(p, ~control), _masked_column_means(p, control)
     d = p.shape[1]
     if not (0 < k <= d):
         raise ValidationError(f"k must be in [1, {d}], got {k}")
-    lfc = log_fold_change(_column_means(p), _column_means(c), pseudo)
+    lfc = log_fold_change(*means, pseudo)
     magnitude = np.abs(lfc)
     # Sort by descending |LFC|; numpy's stable sort keeps ascending index
     # order inside tied blocks.

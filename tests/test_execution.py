@@ -9,6 +9,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy import sparse
 
 from forge.consensus import PLAN_SECTIONS, ResearchPlan
 from forge.errors import (
@@ -552,17 +553,45 @@ def test_align_predictions_reorders_by_id():
     cases = [
         (("a", "b", "c", "d"), ("z", "x", "y")),  # rows already in order
         (("c", "a", "d", "b"), ("x", "y", "z")),
+        (("d", "c", "b", "a"), ("y", "z", "x")),  # both axes permuted
         (("a", "b", "c", "d", "e"), ("y", "z", "w", "x")),  # extra row and column
     ]
     for row_ids, col_ids in cases:
-        pred = ExpressionMatrix(
-            rng.normal(size=(len(row_ids), len(col_ids))), row_ids=row_ids, column_ids=col_ids
-        )
-        aligned = align_predictions(pred, truth)
-        for i, r in enumerate(truth.row_ids):
-            for j, c in enumerate(truth.column_ids):
-                assert aligned.values[i, j] == pred.values[row_ids.index(r), col_ids.index(c)]
-        assert (aligned.row_ids, aligned.column_ids) == (truth.row_ids, truth.column_ids)
+        for csr in (False, True):
+            # About half zeros, so a CSR row holds some of the columns.
+            dense = rng.normal(size=(len(row_ids), len(col_ids)))
+            dense *= rng.random(dense.shape) < 0.5
+            pred = ExpressionMatrix(
+                sparse.csr_array(dense) if csr else dense, row_ids=row_ids, column_ids=col_ids
+            )
+            aligned = align_predictions(pred, truth)  # may reorder pred in place
+            got = aligned.values.toarray() if csr else aligned.values
+            for i, r in enumerate(truth.row_ids):
+                for j, c in enumerate(truth.column_ids):
+                    assert got[i, j] == dense[row_ids.index(r), col_ids.index(c)]
+            assert (aligned.row_ids, aligned.column_ids) == (truth.row_ids, truth.column_ids)
+            if csr:
+                # Judged afresh, not from a flag align_predictions may have set.
+                v = aligned.values
+                fresh = sparse.csr_array((v.data, v.indices, v.indptr), shape=v.shape)
+                assert fresh.has_canonical_format
+
+
+@pytest.mark.parametrize(
+    "row_ids, col_ids, message",
+    [
+        (("a", "b", "a"), ("x", "y"), "predictions_rows.tsv repeats id 'a'"),
+        (("a", "b"), ("y", "x", "y", "x"), "predictions_cols.tsv repeats id 'y'"),
+    ],
+)
+def test_align_predictions_rejects_repeated_ids(row_ids, col_ids, message):
+    truth = ExpressionMatrix(np.ones((2, 2)), row_ids=("a", "b"), column_ids=("x", "y"))
+    pred = ExpressionMatrix(
+        np.arange(len(row_ids) * len(col_ids), dtype=float).reshape(len(row_ids), len(col_ids)),
+        row_ids=row_ids, column_ids=col_ids,
+    )
+    with pytest.raises(ValidationError, match=message):
+        align_predictions(pred, truth)
 
 
 def test_validate_predictions_missing_ids():

@@ -15,6 +15,7 @@ from forge.metrics import (
     METRIC_IDS,
     _average_ranks,
     _column_means,
+    _masked_column_means,
     _distances,
     EmbeddingSet,
     ExpressionMatrix,
@@ -252,6 +253,10 @@ def test_csr_column_means_equal_dense_means():
         assert np.array_equal(_column_means(csr), dense.mean(axis=0))
         rows = np.flatnonzero(rng.random(n) < 0.6) if n > 1 else np.array([0])
         assert np.array_equal(_column_means(csr[rows]), dense[rows].mean(axis=0))
+        mask = np.zeros(n, dtype=bool)
+        mask[rows] = True
+        for values in (csr, dense):
+            assert np.array_equal(_masked_column_means(values, mask), dense[rows].mean(axis=0))
 
 
 def test_auc_match_oracle_exactly():
@@ -301,7 +306,14 @@ def test_select_de_genes_matches_oracle():
         pert = rng.uniform(0.1, 5.0, size=(n, d))
         ctrl = rng.uniform(0.1, 5.0, size=(n, d))
         k = int(rng.integers(1, d + 1))
-        assert select_de_genes(pert, ctrl, k=k) == oracle_select_de(pert, ctrl, k)
+        want = oracle_select_de(pert, ctrl, k)
+        assert select_de_genes(pert, ctrl, k=k) == want
+        # One matrix with the control rows marked, in shuffled order.
+        order = rng.permutation(2 * n)
+        stacked = np.vstack([pert, ctrl])[order]
+        control = order >= n
+        assert select_de_genes(stacked, k=k, control=control) == want
+        assert select_de_genes(sparse.csr_array(stacked), k=k, control=control) == want
 
 
 def test_knn_accuracy_matches_oracle():
@@ -420,6 +432,10 @@ def test_log_fold_change_and_de_selection():
         select_de_genes(pert, ctrl, k=0)
     with pytest.raises(ValidationError):
         select_de_genes(pert, ctrl, k=4)
+    both = np.vstack([pert, ctrl])
+    for control in ([True, True], [False, False], [True]):
+        with pytest.raises(ValidationError, match="control mask"):
+            select_de_genes(both, k=1, control=control)
 
 
 def test_restrict_carries_identifiers():
