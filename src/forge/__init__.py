@@ -62,18 +62,14 @@ from .metrics import (
     MetricReport,
     deg_recall,
     knn_accuracy,
-    linear_probe,
     log_fold_change,
     metric_report,
-    perturbation_consistency,
     pointwise_metrics,
     pr_auc,
     restrict,
     rmse,
     roc_auc,
     select_de_genes,
-    spearman_decodability,
-    spearman_rho,
     structural_integrity,
 )
 from .retrieval import (

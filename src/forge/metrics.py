@@ -1,9 +1,9 @@
 """Numeric kernels for the evaluation suite.
 
 Expression-space accuracy (MSE, PCC, R2, and their DE-gene-restricted
-variants), latent-space probes (linear probe, perturbation consistency,
-kNN label accuracy, Spearman decodability, structural integrity), and
-classification scalars (ROC-AUC, PR-AUC, DEG recall, masked RMSE).
+variants), latent-space probes (kNN label accuracy, structural
+integrity), and classification scalars (ROC-AUC, PR-AUC, DEG recall,
+masked RMSE).
 
 Conventions
 -----------
@@ -19,27 +19,18 @@ Conventions
 from __future__ import annotations
 
 import functools
-import logging
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
-from typing import Dict, Iterable, List, Optional, Sequence, Set, Tuple, Union
+from typing import Dict, Iterable, List, Optional, Sequence, Tuple, Union
 
 import numpy as np
 from scipy import sparse
 
 from .errors import ValidationError
 
-log = logging.getLogger(__name__)
-
 DEFAULT_DE_K = 20
 DEFAULT_DE_PSEUDO = 1e-6
-DEFAULT_PROBE_LR = 0.1
-DEFAULT_PROBE_ITERS = 500
-DEFAULT_PROBE_L2 = 1e-4
-DEFAULT_RIDGE = 1e-6
-DEFAULT_NULL_COUNT = 500
-DEFAULT_ALPHA = 0.05
 
 # Roughly the most matrix entries a kernel densifies at once. At least
 # 128: numpy's pairwise summation splits only longer runs.
@@ -48,10 +39,8 @@ _LEAF = 1 << 16
 METRIC_IDS = (
     "mse", "pcc", "r2",
     "mse_de", "pcc_de", "r2_de",
-    "top1_lin", "top5_lin",
-    "pert_cons",
     "top1_knn", "top5_knn",
-    "spear_corr", "struct_int",
+    "struct_int",
     "deg_recall", "roc_auc", "pr_auc", "rmse",
 )
 
@@ -210,10 +199,10 @@ def pointwise_metrics(
     # over the transposes, whose C order is the original's Fortran order.
     fy, fp = _fortran(y), _fortran(yhat)
     pair = (y.T, ym.T, yhat.T, pm.T) if fy and fp else (y, ym, yhat, pm)
-    sums = _pairwise_sum(functools.partial(_leaf_sums, pair), n * d)
+    sums = _walk(pair)
     if fy != fp:  # the Fortran-ordered operand's own sum walks in its order
         i, a, am = (1, y, ym) if fy else (2, yhat, pm)
-        sums[i] = _pairwise_sum(functools.partial(_leaf_sums, (a.T, am.T) * 2), n * d)[i]
+        sums[i] = _walk((a.T, am.T) * 2)[i]
     sse, sst, spp, cross = (float(v) for v in sums)
     mse = sse / (n * d)
     if sst == 0.0:
@@ -230,10 +219,12 @@ def _fortran(a: Matrix) -> bool:
 
 def _column_means(values: Matrix) -> np.ndarray:
     """Per-column means. A CSR column sum adds each column's stored entries
-    in row order, as numpy sums a C-ordered column; ``csr.mean`` differs."""
-    if sparse.issparse(values):
+    in row order, as numpy sums a column of a C-ordered matrix; ``csr.mean``
+    differs. A lone column is contiguous and numpy sums it pairwise, so a
+    one-column CSR is densified (n values) and summed as numpy does."""
+    if sparse.issparse(values) and values.shape[1] > 1:
         return values.sum(axis=0) / values.shape[0]
-    return values.mean(axis=0)
+    return _dense(values).mean(axis=0)
 
 
 def _pairwise_sum(leaf_sums, size: int, lo: int = 0) -> np.ndarray:
@@ -247,20 +238,47 @@ def _pairwise_sum(leaf_sums, size: int, lo: int = 0) -> np.ndarray:
     return _pairwise_sum(leaf_sums, half, lo) + _pairwise_sum(leaf_sums, size - half, lo + half)
 
 
-def _leaf_sums(operands: tuple, lo: int, hi: int) -> np.ndarray:
+def _walk(operands: tuple) -> np.ndarray:
+    """The four ``_leaf_sums`` totals over all of ``operands``, in three
+    scratch blocks of the most rows one leaf covers, allocated once."""
+    n, d = operands[0].shape
+    buffers = np.empty((3, min(n, -(-_LEAF // d) + 1), d))
+    return _pairwise_sum(functools.partial(_leaf_sums, operands, buffers), n * d)
+
+
+def _leaf_sums(operands: tuple, buffers: np.ndarray, lo: int, hi: int) -> np.ndarray:
     """Sums of (a - b)**2, ac * ac, bc * bc and ac * bc over the C-order flat
     entries ``[lo, hi)``, with ``operands = (a, am, b, bm)`` and ac = a - am,
-    bc = b - bm. Only the rows those entries cover are densified."""
+    bc = b - bm. The rows those entries cover are worked in ``buffers``: each
+    value, and each contiguous run summed, is the one whole-array temporaries
+    would hold, so every sum is bit-equal to theirs."""
     a, am, b, bm = operands
     d = a.shape[1]
     first, last = lo // d, -(-hi // d)
     span = slice(lo - first * d, hi - first * d)
-    a_rows = _dense(a[first:last])
-    ac = (a_rows - am[first:last]).ravel()[span]
-    b_rows = _dense(b[first:last])
-    bc = (b_rows - bm[first:last]).ravel()[span]
-    diff = (a_rows - b_rows).ravel()[span]
-    return np.array([np.sum(diff * diff), np.sum(ac * ac), np.sum(bc * bc), np.sum(ac * bc)])
+    ac, bc, diff = buffers[:, :last - first]
+    a_rows, b_rows = _rows(a, first, ac), _rows(b, first, bc)
+    np.subtract(a_rows, b_rows, out=diff)
+    np.subtract(a_rows, am[first:last], out=ac)
+    np.subtract(b_rows, bm[first:last], out=bc)
+    ac, bc, diff = (x.ravel()[span] for x in (ac, bc, diff))
+    sse = np.multiply(diff, diff, out=diff).sum()
+    cross = np.multiply(ac, bc, out=diff).sum()
+    return np.array([sse, np.multiply(ac, ac, out=ac).sum(), np.multiply(bc, bc, out=bc).sum(), cross])
+
+
+def _rows(m: Matrix, first: int, out: np.ndarray) -> np.ndarray:
+    """As many rows of ``m`` from ``first`` on as ``out`` holds: a view of an
+    array, or a canonical CSR's stored entries scattered into ``out`` over
+    zeros."""
+    last = first + len(out)
+    if not sparse.issparse(m):
+        return m[first:last]
+    ptr = m.indptr[first:last + 1]
+    starts = np.repeat(np.arange(0, out.size, m.shape[1]), np.diff(ptr))
+    out.fill(0.0)
+    out.ravel()[starts + m.indices[ptr[0]:ptr[-1]]] = m.data[ptr[0]:ptr[-1]]
+    return out
 
 
 def log_fold_change(
@@ -284,8 +302,9 @@ def _masked_column_means(values: Matrix, mask: np.ndarray) -> np.ndarray:
     """Column means over the rows ``mask`` marks, bit-equal to
     ``_column_means(values[mask])``. A CSR's rows are not copied: ``w @ csr``
     with 0/1 weights adds each column's entries in row order, as the CSR
-    column sum does, and the unmarked rows add exact zeros."""
-    if not sparse.issparse(values):
+    column sum does, and the unmarked rows add exact zeros. A one-column
+    CSR, whose mean is taken pairwise, copies its marked rows."""
+    if not sparse.issparse(values) or values.shape[1] == 1:
         return _column_means(values[mask])
     return (mask.astype(np.float64) @ values) / np.count_nonzero(mask)
 
@@ -381,132 +400,6 @@ def metric_report(
 # Latent-space probes
 # ----------------------------------------------------------------------
 
-def linear_probe(
-    embeddings: EmbeddingSet,
-    train_idx: Sequence[int],
-    test_idx: Sequence[int],
-    lr: float = DEFAULT_PROBE_LR,
-    iters: int = DEFAULT_PROBE_ITERS,
-    l2: float = DEFAULT_PROBE_L2,
-) -> Tuple[float, float]:
-    """Top-1/Top-5 accuracy of a softmax probe trained on the embeddings.
-
-    Multinomial logistic regression fit by full-batch gradient descent
-    with zero-initialized weights, so the result is deterministic. Top-5
-    uses min(5, C) classes when fewer than five labels exist.
-    """
-    train_idx = np.asarray(list(train_idx), dtype=int)
-    test_idx = np.asarray(list(test_idx), dtype=int)
-    if test_idx.size == 0:
-        raise ValidationError("test split must be non-empty")
-    z = embeddings.vectors
-    labels = embeddings.labels
-    classes = sorted(set(labels[i] for i in train_idx))
-    if len(classes) < 2:
-        raise ValidationError("linear probe needs at least 2 training classes")
-    class_index = {c: j for j, c in enumerate(classes)}
-    for i in test_idx:
-        if labels[i] not in class_index:
-            raise ValidationError(f"test label {labels[i]!r} unseen in training")
-
-    x = z[train_idx]
-    y = np.array([class_index[labels[i]] for i in train_idx], dtype=int)
-    n, h = x.shape
-    c = len(classes)
-    onehot = np.zeros((n, c))
-    onehot[np.arange(n), y] = 1.0
-
-    w = np.zeros((h, c))
-    b = np.zeros(c)
-    for _ in range(iters):
-        logits = x @ w + b
-        logits -= logits.max(axis=1, keepdims=True)
-        expl = np.exp(logits)
-        probs = expl / expl.sum(axis=1, keepdims=True)
-        grad = probs - onehot
-        w -= lr * (x.T @ grad / n + l2 * w)
-        b -= lr * grad.mean(axis=0)
-
-    xt = z[test_idx]
-    yt = np.array([class_index[labels[i]] for i in test_idx], dtype=int)
-    logits = xt @ w + b
-    top1 = float(np.mean(np.argmax(logits, axis=1) == yt))
-    k = min(5, c)
-    # Stable argsort on negated logits: ties resolve to the lower class index.
-    ranked = np.argsort(-logits, axis=1, kind="stable")[:, :k]
-    top5 = float(np.mean([yt[i] in ranked[i] for i in range(len(yt))]))
-    return top1, top5
-
-
-def group_cosine_score(vectors: np.ndarray) -> float:
-    """Mean pairwise cosine over a group, self-pairs included, /n^2."""
-    v = np.asarray(vectors, dtype=np.float64)
-    norms = np.linalg.norm(v, axis=1)
-    if np.any(norms == 0):
-        raise ValidationError("zero vector in consistency group")
-    u = v / norms[:, None]
-    sims = u @ u.T
-    return float(sims.sum() / (v.shape[0] ** 2))
-
-
-def perturbation_consistency(
-    embeddings: EmbeddingSet,
-    null_scores: Optional[Sequence[float]] = None,
-    null_count: int = DEFAULT_NULL_COUNT,
-    seed: int = 0,
-    alpha: float = DEFAULT_ALPHA,
-) -> Tuple[Optional[float], Dict[str, float]]:
-    """Consistency rate C and per-perturbation empirical p-values.
-
-    S_p is the self-inclusive mean pairwise cosine of group p. The p-value
-    counts null scores <= S_p (floored at 1), divided by the null size.
-    When no explicit null is given, a seeded label-permutation null is
-    built: labels are shuffled null_count times and every shuffled group's
-    S-value joins the null pool. Singleton groups are skipped with a
-    warning and excluded from C's denominator.
-    """
-    groups: Dict[str, List[int]] = {}
-    for i, lab in enumerate(embeddings.labels):
-        groups.setdefault(lab, []).append(i)
-
-    usable = {}
-    for lab in sorted(groups):
-        if len(groups[lab]) < 2:
-            log.warning("consistency: skipping singleton group %r", lab)
-            continue
-        usable[lab] = groups[lab]
-    if not usable:
-        return None, {}
-
-    if null_scores is None:
-        if null_count < 1:
-            raise ValidationError("null_count must be at least 1")
-        rng = np.random.default_rng(seed)
-        n = embeddings.vectors.shape[0]
-        pool: List[float] = []
-        sizes = [len(idx) for lab, idx in sorted(usable.items())]
-        for _ in range(null_count):
-            perm = rng.permutation(n)
-            start = 0
-            for size in sizes:
-                pool.append(group_cosine_score(embeddings.vectors[perm[start:start + size]]))
-                start += size
-        null = np.asarray(pool, dtype=np.float64)
-    else:
-        null = np.asarray(list(null_scores), dtype=np.float64)
-        if null.size == 0:
-            raise ValidationError("null score list must be non-empty")
-
-    k = null.size
-    pis: Dict[str, float] = {}
-    for lab, idx in sorted(usable.items()):
-        s_p = group_cosine_score(embeddings.vectors[idx])
-        count = int(np.sum(null <= s_p))
-        pis[lab] = max(count, 1) / k
-    c_rate = sum(1 for v in pis.values() if v < alpha) / len(pis)
-    return c_rate, pis
-
-
 def knn_accuracy(
     query: EmbeddingSet, reference: EmbeddingSet, k: Optional[int] = None
 ) -> Tuple[float, float]:
@@ -578,63 +471,6 @@ def _average_ranks(x: np.ndarray) -> np.ndarray:
     counts = np.diff(np.r_[starts, x.size])
     ranks[order] = np.repeat(starts + (counts + 1) / 2.0, counts)
     return ranks
-
-
-def spearman_rho(a: Sequence[float], b: Sequence[float]) -> Optional[float]:
-    """Spearman correlation of two vectors: Pearson on average ranks.
-
-    Returns None when either side has zero rank variance.
-    """
-    x = np.asarray(a, dtype=np.float64)
-    y = np.asarray(b, dtype=np.float64)
-    if x.shape != y.shape or x.ndim != 1:
-        raise ValidationError("spearman inputs must be equal-length vectors")
-    if x.size < 2:
-        raise ValidationError("spearman needs at least 2 entries")
-    rx = _average_ranks(x)
-    ry = _average_ranks(y)
-    rxc = rx - rx.mean()
-    ryc = ry - ry.mean()
-    denom = math.sqrt(float(np.sum(rxc * rxc)) * float(np.sum(ryc * ryc)))
-    if denom == 0.0:
-        return None
-    return float(np.sum(rxc * ryc) / denom)
-
-
-def spearman_decodability(
-    embeddings: EmbeddingSet, truth: MatrixLike, ridge: float = DEFAULT_RIDGE
-) -> Optional[float]:
-    """Mean per-sample Spearman between ridge-decoded and true expression.
-
-    A linear decoder (with intercept) is fit from the embeddings to the
-    expression matrix in closed form; each sample's decoded profile is
-    rank-correlated with its true profile and the defined values are
-    averaged. Samples with constant profiles are excluded with a warning.
-    """
-    if ridge < 0:
-        raise ValidationError("ridge must be non-negative")
-    y = _dense(_values_of(truth))
-    z = embeddings.vectors
-    if z.shape[0] != y.shape[0]:
-        raise ValidationError("embedding rows must align with expression rows")
-    if y.shape[1] < 2:
-        raise ValidationError("decodability needs at least 2 genes")
-    # Augment with an intercept column; a single ridge solve covers it.
-    x = np.hstack([z, np.ones((z.shape[0], 1))])
-    gram = x.T @ x + ridge * np.eye(x.shape[1])
-    w = np.linalg.solve(gram, x.T @ y)
-    decoded = x @ w
-
-    rhos = []
-    for i in range(y.shape[0]):
-        rho = spearman_rho(decoded[i], y[i])
-        if rho is None:
-            log.warning("decodability: sample %d has constant ranks, skipped", i)
-            continue
-        rhos.append(rho)
-    if not rhos:
-        return None
-    return float(np.mean(rhos))
 
 
 def structural_integrity(

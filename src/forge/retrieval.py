@@ -142,6 +142,7 @@ class Corpus:
             doc_count=len(self._docs),
             doc_freq=_document_frequencies(self._docs.values()),
         )
+        self._docs = dict(sorted(self._docs.items()))  # ``documents()`` order
 
     def __len__(self) -> int:
         return len(self._docs)
@@ -153,7 +154,8 @@ class Corpus:
         return self._docs[doc_id]
 
     def documents(self) -> List[Document]:
-        return [self._docs[i] for i in sorted(self._docs)]
+        """The documents in id order, as a new list."""
+        return list(self._docs.values())
 
 
 def _document_frequencies(docs: Iterable[Document]) -> Dict[str, int]:

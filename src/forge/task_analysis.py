@@ -15,6 +15,7 @@ the stage fails with the raw reply attached.
 
 from __future__ import annotations
 
+import functools
 import json
 import os
 import re
@@ -273,8 +274,10 @@ def parse_json_reply(text: str) -> Any:
     return json.loads(candidate)
 
 
+@functools.cache
 def load_template(name: str) -> Template:
-    """The prompt template ``forge/data/prompts/<name>.txt``."""
+    """The prompt template ``forge/data/prompts/<name>.txt``, read once per
+    process (a ``Template`` is never changed by ``substitute``)."""
     text = resources.files("forge.data.prompts").joinpath(f"{name}.txt").read_text("utf-8")
     return Template(text)
 

@@ -545,6 +545,10 @@ def test_loop_exhaustion_exits_3_with_rollback(runner, workdir):
         ("retrieval", "l_max", True, "retrieval.l_max must be an integer"),
         pytest.param("discussion", "tau", 10**400, "discussion.tau is out of range",
                      id="discussion-tau-beyond-float"),
+        # an id no metric reports, not one that fails every verdict
+        pytest.param("evaluation", "thresholds", {"top1_lin": 0.5},
+                     "'evaluation': unknown metric 'top1_lin' in thresholds",
+                     id="evaluation-thresholds-retired-metric"),
     ],
 )
 def test_bad_config_key_exits_1(runner, workdir, section, key, value, named):

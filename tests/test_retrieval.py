@@ -93,6 +93,8 @@ def test_corpus_rejects_duplicates_and_drops_dangling_citations():
     corpus = Corpus(docs)
     assert corpus.get("a").citations == ("b",)
     assert [d.id for d in corpus.documents()] == ["a", "b"]
+    corpus.documents().clear()  # each call hands out its own list
+    assert [d.id for d in corpus.documents()] == ["a", "b"]
     assert corpus.stats.doc_count == 2
     with pytest.raises(ValidationError):
         Corpus([docs[1], Document(id="b", text="again", embedding=[1.0, 1.0])])

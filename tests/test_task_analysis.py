@@ -1,6 +1,7 @@
 """Bundle loading, profiling, holdout splits, and the analysis agents."""
 
 import json
+from importlib import resources
 
 import numpy as np
 import pytest
@@ -20,6 +21,7 @@ from forge.task_analysis import (
     AnalysisReport,
     assemble_report,
     load_bundle,
+    load_template,
     parse_json_reply,
     profile_dataset,
     run_analysis_stage,
@@ -244,6 +246,13 @@ def test_refiner_checks_task_definition_shape():
 def test_unknown_role_rejected():
     with pytest.raises(ValidationError):
         run_analysis_stage("poet", dict(ANALYST_CONTEXT), ScriptedChatProvider([]))
+
+
+def test_load_template_reads_each_file_once():
+    first = load_template("proposal")
+    assert load_template("proposal") is first
+    packaged = resources.files("forge.data.prompts").joinpath("proposal.txt")
+    assert first.template == packaged.read_text("utf-8")
 
 
 # ---------------------------------------------------------------------------
