@@ -8,7 +8,6 @@ from pathlib import Path
 from forge.protocol import (
     Envelope,
     EventStream,
-    KnowledgeEntity,
     MemoryStore,
     encode_message,
     load_store,
@@ -38,20 +37,13 @@ with tempfile.TemporaryDirectory() as tmp:
 
     # the knowledge store: typed entities with provenance and links
     store = MemoryStore()
-    plan_id = store.put_entity(KnowledgeEntity(
-        id=store.new_id("proposal"),
-        kind="proposal",
-        body={"text": "mean-shift baseline, then a linear decoder"},
-        provenance={"agent": "statistics-expert", "confidence": 0.83},
-        round=1,
-    ))
-    score_id = store.put_entity(KnowledgeEntity(
-        id=store.new_id("result"),
-        kind="result",
-        body={"metric": "critic-score", "value": 0.9},
-        provenance={"agent": "critic"},
-        round=1,
-    ))
+    plan_id = store.record(
+        "proposal", {"text": "mean-shift baseline, then a linear decoder"},
+        "statistics-expert", "discussion", round=1, confidence=0.83,
+    )
+    score_id = store.record(
+        "result", {"metric": "critic-score", "value": 0.9}, "critic", "discussion", round=1
+    )
     store.link_entities(score_id, plan_id, "scores")
 
     save_store(store, tmp)

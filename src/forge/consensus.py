@@ -32,15 +32,18 @@ import numpy as np
 
 from .errors import (
     DiscussionError,
+    LoadError,
     ProviderError,
     ValidationError,
 )
-from .protocol import KnowledgeEntity, MemoryStore, canonical_json
+from .protocol import MemoryStore, canonical_json, parse_json, read_text
 from .providers import (
     ChatProvider,
     ChatTurn,
     Embedder,
     GenerationParams,
+    ReplyError,
+    ask,
     extract_score,
 )
 from .task_analysis import AnalysisReport, load_template, parse_json_reply
@@ -75,8 +78,9 @@ class ExpertRole:
 
     def __post_init__(self):
         for attr in ("id", "name", "description", "template"):
-            if not getattr(self, attr):
-                raise ValidationError(f"expert role field {attr!r} must be non-empty")
+            value = getattr(self, attr)
+            if not value or not isinstance(value, str):
+                raise ValidationError(f"expert role field {attr!r} must be a non-empty string")
 
 
 def load_registry(path: Optional[str] = None) -> List[ExpertRole]:
@@ -84,21 +88,19 @@ def load_registry(path: Optional[str] = None) -> List[ExpertRole]:
 
     Without a path the roles shipped with the package are used.
     """
+    root = resources.files("forge.data.roles") if path is None else Path(path)
+    entries = sorted(
+        (e for e in root.iterdir() if e.name.endswith(".json")) if root.is_dir() else (),
+        key=lambda e: e.name,
+    )
+    if not entries:
+        raise ValidationError(f"no role files found under {path}")
     roles: List[ExpertRole] = []
-    if path is None:
-        root = resources.files("forge.data.roles")
-        entries = sorted(
-            (e for e in root.iterdir() if e.name.endswith(".json")),
-            key=lambda e: e.name,
-        )
-        docs = [json.loads(e.read_text("utf-8")) for e in entries]
-    else:
-        files = sorted(Path(path).glob("*.json"))
-        if not files:
-            raise ValidationError(f"no role files found under {path}")
-        docs = [json.loads(f.read_text("utf-8")) for f in files]
     seen = set()
-    for doc in docs:
+    for entry in entries:
+        doc = parse_json(read_text(str(entry)), str(entry))
+        if not isinstance(doc, dict):
+            raise LoadError(f"{entry} must hold a JSON object")
         role = ExpertRole(
             id=doc.get("id", ""),
             name=doc.get("name", ""),
@@ -337,24 +339,27 @@ class ResearchPlan:
         )
 
 
+def _parse_score(reply: str) -> float:
+    score = extract_score(reply)
+    if score is None:
+        raise ReplyError("no SCORE line")
+    return score
+
+
 def request_score(
     provider: ChatProvider,
     prompt: str,
     params: GenerationParams,
 ) -> Tuple[float, int]:
-    """Ask for a score; re-prompt once on a malformed reply, then use 0.5."""
-    turns = [ChatTurn("user", prompt)]
-    reply, _ = provider.complete(turns, params)
-    score = extract_score(reply)
-    if score is not None:
-        return score, 1
-    retry = load_template("score-retry").substitute()
-    turns = turns + [ChatTurn("assistant", reply), ChatTurn("user", retry)]
-    reply2, _ = provider.complete(turns, params)
-    score = extract_score(reply2)
-    if score is not None:
-        return score, 2
-    return 0.5, 2
+    """Ask for a score; re-prompt once on a malformed reply, then use 0.5.
+
+    Returns the score and the number of exchanges it took."""
+    try:
+        answer = ask(provider, prompt, params, _parse_score,
+                     lambda reason: load_template("score-retry").substitute())
+    except ReplyError:
+        return 0.5, 2
+    return answer.value, answer.calls
 
 
 def _proposal_digest(
@@ -444,7 +449,6 @@ def run_discussion(
     panel = list(experts)
     if not panel or panel[-1].id != CRITIC_ID:
         raise ValidationError("expert panel must end with the critic")
-    critic = panel[-1]
     members = panel[:-1]
     if not members:
         raise ValidationError("expert panel needs at least one non-critic member")
@@ -457,102 +461,67 @@ def run_discussion(
     summary = report.summary_text()
     trace = DiscussionTrace(experts=member_ids + [CRITIC_ID])
     latest = {m: 0.0 for m in member_ids}  # each member's current confidence
-
-    def _put(kind: str, body: Dict[str, Any], agent: str, round_no: int,
-             confidence: Optional[float] = None) -> str:
-        provenance: Dict[str, Any] = {"agent": agent, "reasoning": "discussion"}
-        if confidence is not None:
-            provenance["confidence"] = confidence
-        entity = KnowledgeEntity(
-            id=store.new_id(kind),
-            kind=kind,
-            body=body,
-            provenance=provenance,
-            round=round_no,
-        )
-        return store.put_entity(entity)
-
     proposals: Dict[str, str] = {}
     proposal_entities: Dict[str, str] = {}
-    by_id = {m.id: m for m in members}
+    by_id = {m.id: m for m in panel}
 
-    try:
+    def propose(template: str, round_no: int, digest: str = "") -> None:
+        """Each member drafts (or refines) its proposal, in panel order."""
         for member in members:
-            prompt = load_template("proposal").substitute(
-                persona=member.template, summary=summary
+            prompt = load_template(template).substitute(
+                persona=member.template, summary=summary, digest=digest,
+                own=proposals.get(member.id, ""),
             )
             reply, _ = provider.complete([ChatTurn("user", prompt)], gen_params)
             proposals[member.id] = reply
-            proposal_entities[member.id] = _put(
-                "proposal", {"expert": member.id, "text": reply}, member.id, 0
+            proposal_entities[member.id] = store.record(
+                "proposal", {"expert": member.id, "text": reply}, member.id,
+                "discussion", round_no,
             )
 
+    def rate(metric: str, pairs: Sequence[Tuple[str, str]],
+             round_no: int) -> Dict[str, Dict[str, float]]:
+        """Score each (scorer, proposer) pair with the ``metric`` template and
+        record it under that metric; returns scores by scorer, then proposer."""
+        scores: Dict[str, Dict[str, float]] = {}
+        for scorer, proposer in pairs:
+            prompt = load_template(metric).substitute(
+                persona=by_id[scorer].template, summary=summary,
+                proposal=proposals[proposer],
+            )
+            score, _ = request_score(provider, prompt, gen_params)
+            scores.setdefault(scorer, {})[proposer] = score
+            store.record(
+                "result",
+                {"metric": metric, "scorer": scorer, "proposer": proposer, "value": score},
+                scorer, "discussion", round_no,
+            )
+        return scores
+
+    try:
+        propose("proposal", 0)
         final_reason = ""
         for round_no in range(1, params.t_max + 1):
-            critic_scores: Dict[str, float] = {}
-            for member in members:  # submission order
-                prompt = load_template("critic-score").substitute(
-                    persona=critic.template,
-                    summary=summary,
-                    proposal=proposals[member.id],
-                )
-                score, _ = request_score(provider, prompt, gen_params)
-                critic_scores[member.id] = score
-                _put(
-                    "result",
-                    {
-                        "metric": "critic-score",
-                        "scorer": CRITIC_ID,
-                        "proposer": member.id,
-                        "value": score,
-                    },
-                    CRITIC_ID,
-                    round_no,
-                )
-
-            peer_scores: Dict[str, Dict[str, float]] = {m: {} for m in member_ids}
-            pairs = sorted(
-                (s, p) for s in member_ids for p in member_ids if s != p
+            critic_scores = rate(  # submission order
+                "critic-score", [(CRITIC_ID, m) for m in member_ids], round_no
+            )[CRITIC_ID]
+            peers = rate(
+                "peer-score",
+                sorted((s, p) for s in member_ids for p in member_ids if s != p),
+                round_no,
             )
-            for scorer_id, proposer_id in pairs:
-                prompt = load_template("peer-score").substitute(
-                    persona=by_id[scorer_id].template,
-                    summary=summary,
-                    proposal=proposals[proposer_id],
-                )
-                score, _ = request_score(provider, prompt, gen_params)
-                peer_scores[scorer_id][proposer_id] = score
-                _put(
-                    "result",
-                    {
-                        "metric": "peer-score",
-                        "scorer": scorer_id,
-                        "proposer": proposer_id,
-                        "value": score,
-                    },
-                    scorer_id,
-                    round_no,
-                )
+            peer_scores = {m: peers.get(m, {}) for m in member_ids}
 
             previous = [latest[m] for m in member_ids]
             confidences: Dict[str, float] = {}
             for member_id in member_ids:
-                incoming = [
-                    peer_scores[s][member_id] for s in member_ids if s != member_id
-                ]
-                value = update_confidence(
-                    latest[member_id],
-                    critic_scores[member_id],
-                    incoming,
-                    params.lambdas,
-                )
+                incoming = [peer_scores[s][member_id] for s in member_ids if s != member_id]
+                value = update_confidence(latest[member_id], critic_scores[member_id],
+                                          incoming, params.lambdas)
                 confidences[member_id] = value
-                _put(
-                    "result",
-                    {"metric": "confidence", "expert": member_id, "value": value},
-                    member_id,
-                    round_no,
-                    confidence=value,
+                store.record(
+                    "result", {"metric": "confidence", "expert": member_id, "value": value},
+                    member_id, "discussion", round_no, confidence=value,
                 )
 
             latest = confidences
@@ -578,23 +547,9 @@ def run_discussion(
                 final_reason = "round-cap"
                 break
 
-            weights = integration_weights(current)
-            weight_map = {m: w for m, w in zip(member_ids, weights)}
-            digest = _proposal_digest(
-                _weight_order(member_ids, weight_map, proposals)
-            )
-            for member in members:
-                prompt = load_template("refine-proposal").substitute(
-                    persona=member.template,
-                    summary=summary,
-                    digest=digest,
-                    own=proposals[member.id],
-                )
-                reply, _ = provider.complete([ChatTurn("user", prompt)], gen_params)
-                proposals[member.id] = reply
-                proposal_entities[member.id] = _put(
-                    "proposal", {"expert": member.id, "text": reply}, member.id, round_no
-                )
+            weight_map = dict(zip(member_ids, integration_weights(current)))
+            digest = _proposal_digest(_weight_order(member_ids, weight_map, proposals))
+            propose("refine-proposal", round_no, digest)
     except ProviderError as exc:
         raise DiscussionError(
             f"provider failed during round {trace.rounds_used + 1}: {exc}",
@@ -603,5 +558,5 @@ def run_discussion(
 
     trace.reason = final_reason
     plan = finalize_plan(member_ids, latest, proposals, trace.rounds_used)
-    _put("plan", plan.to_json(), "discussion", trace.rounds_used)
+    store.record("plan", plan.to_json(), "discussion", "discussion", trace.rounds_used)
     return plan, trace

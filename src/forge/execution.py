@@ -48,8 +48,8 @@ from .metrics import (
     metric_report,
     select_de_genes,
 )
-from .protocol import KnowledgeEntity, MemoryStore, canonical_json
-from .providers import ChatProvider, ChatTurn, GenerationParams
+from .protocol import MemoryStore, canonical_json
+from .providers import ChatProvider, GenerationParams, ReplyError, ask
 from .task_analysis import load_template
 
 EXIT_COMPLETED = "completed"
@@ -117,7 +117,7 @@ _PATTERN_TABLE: Tuple[Tuple[str, Tuple[str, ...]], ...] = (
 # ----------------------------------------------------------------------
 
 
-class _ArtifactParseError(ValueError):
+class _ArtifactParseError(ReplyError):
     """The reply held no usable FILE blocks (internal; triggers a retry)."""
 
 
@@ -287,30 +287,15 @@ def _request_artifact(
     One corrective retry is granted when the reply carries no usable
     envelope; a second failure raises a generation error.
     """
-    turns = [ChatTurn("user", prompt)]
-    reply, _ = provider.complete(turns, gen_params)
     try:
-        artifact = parse_artifact(reply, revision)
-    except _ArtifactParseError as first:
-        retry = load_template("format-retry").substitute(reason=str(first))
-        turns = turns + [ChatTurn("assistant", reply), ChatTurn("user", retry)]
-        reply, _ = provider.complete(turns, gen_params)
-        try:
-            artifact = parse_artifact(reply, revision)
-        except _ArtifactParseError as second:
-            raise GenerationError(
-                f"no parseable artifact after retry: {second}"
-            ) from second
+        artifact = ask(
+            provider, prompt, gen_params, lambda reply: parse_artifact(reply, revision),
+            lambda reason: load_template("format-retry").substitute(reason=reason),
+        ).value
+    except ReplyError as exc:
+        raise GenerationError(f"no parseable artifact after retry: {exc}") from exc
     if store is not None:
-        store.put_entity(
-            KnowledgeEntity(
-                id=store.new_id("artifact"),
-                kind="artifact",
-                body=artifact.to_json(),
-                provenance={"agent": "code-generator", "reasoning": reasoning},
-                round=revision,
-            )
-        )
+        store.record("artifact", artifact.to_json(), "code-generator", reasoning, revision)
     return artifact
 
 
@@ -671,13 +656,9 @@ def validate_predictions(
     report = ValidationReport(metrics=metrics, thresholds=thresholds, verdict=verdict)
     if store is not None:
         failing = sorted(name for name, ok in verdict.items() if not ok)
-        report.critique_ref = store.put_entity(
-            KnowledgeEntity(
-                id=store.new_id("result"),
-                kind="result",
-                body={"metrics": metrics.to_json(), "failing": failing},
-                provenance={"agent": "evaluator", "reasoning": "final scoring"},
-            )
+        report.critique_ref = store.record(
+            "result", {"metrics": metrics.to_json(), "failing": failing},
+            "evaluator", "final scoring",
         )
     return report
 
@@ -804,18 +785,8 @@ def refinement_loop(
             trace.refinements = round_no
             trace.succeeded = True
             if store is not None:
-                store.put_entity(
-                    KnowledgeEntity(
-                        id=store.new_id("result"),
-                        kind="result",
-                        body=trace.to_json(),
-                        provenance={
-                            "agent": "refinement-loop",
-                            "reasoning": "successful execution",
-                        },
-                        round=round_no,
-                    )
-                )
+                store.record("result", trace.to_json(), "refinement-loop",
+                             "successful execution", round_no)
             return artifact, result, trace
         if round_no == r_max:
             break

@@ -47,7 +47,6 @@ from .metrics import ExpressionMatrix
 from .protocol import (
     Envelope,
     EventStream,
-    KnowledgeEntity,
     MemoryStore,
     save_store,
 )
@@ -424,14 +423,7 @@ def stage_analyze(
     ctx.mark("stage.start", {"stage": "analyze"})
     ctx.chat.label = "analyze"
     profile = profile_dataset(bundle)
-    ctx.store.put_entity(
-        KnowledgeEntity(
-            id=ctx.store.new_id("dataset"),
-            kind="dataset",
-            body=profile.to_json(),
-            provenance={"agent": "data-parser", "reasoning": "bundle profile"},
-        )
-    )
+    ctx.store.record("dataset", profile.to_json(), "data-parser", "bundle profile")
 
     retrieval = RetrievalResult(
         documents=[], trace=RetrievalTrace(stop_reason="no-documents", stop_layer=0)
@@ -446,18 +438,10 @@ def stage_analyze(
         except EmptyQueryError:
             pass  # no key terms: nothing retrieved
     documents = [{"id": d.id, "text": d.text} for d in retrieval.documents]
-    doc_entity_ids = []
-    for doc in documents:
-        doc_entity_ids.append(
-            ctx.store.put_entity(
-                KnowledgeEntity(
-                    id=ctx.store.new_id("document"),
-                    kind="document",
-                    body={"id": doc["id"], "text": doc["text"]},
-                    provenance={"agent": "retrieval", "reasoning": "retrieved context"},
-                )
-            )
-        )
+    doc_entity_ids = [
+        ctx.store.record("document", doc, "retrieval", "retrieved context")
+        for doc in documents
+    ]
 
     sections: Dict[str, Any] = {}
     merged: Dict[str, Any] = {}

@@ -184,22 +184,9 @@ class EventStream:
         Returns the assigned sequence number.
         """
         env.validate()
-        if env.kind == REQUEST:
-            if env.id in self._request_ids:
-                raise CorrelationError(f"request id {env.id!r} already used")
-        elif env.kind == RESPONSE:
-            if env.id not in self._pending:
-                raise CorrelationError(
-                    f"response id {env.id!r} does not match a pending request"
-                )
         stamped = copy.deepcopy(env)
         stamped.timestamp = len(self._events) + 1
-        self._events.append(stamped)
-        if stamped.kind == REQUEST:
-            self._request_ids.add(stamped.id)
-            self._pending[stamped.id] = stamped.timestamp
-        elif stamped.kind == RESPONSE:
-            del self._pending[stamped.id]
+        self._admit(stamped)
         if self.path is not None:
             with open(self.path, "ab") as fh:
                 fh.write(encode_message(stamped) + b"\n")
@@ -208,6 +195,22 @@ class EventStream:
     def pending_requests(self) -> Tuple[int | str, ...]:
         """Ids of requests that have not yet been answered, oldest first."""
         return tuple(sorted(self._pending, key=self._pending.__getitem__))
+
+    def _admit(self, env: Envelope, where: str = "") -> None:
+        """Keep a stamped envelope: a request id is used once, and a response
+        answers a pending request. ``where`` prefixes the error."""
+        if env.kind == REQUEST:
+            if env.id in self._request_ids:
+                raise CorrelationError(f"{where}request id {env.id!r} already used")
+            self._request_ids.add(env.id)
+            self._pending[env.id] = env.timestamp
+        elif env.kind == RESPONSE:
+            if env.id not in self._pending:
+                raise CorrelationError(
+                    f"{where}response id {env.id!r} does not match a pending request"
+                )
+            del self._pending[env.id]
+        self._events.append(env)
 
     def _replay_file(self, path: str) -> None:
         with open(path, "rb") as fh:
@@ -221,16 +224,7 @@ class EventStream:
                         f"line {n}: expected ts {len(self._events) + 1}, "
                         f"got {env.timestamp}"
                     )
-                if env.kind == REQUEST:
-                    if env.id in self._request_ids:
-                        raise CorrelationError(f"line {n}: duplicate request id {env.id!r}")
-                    self._request_ids.add(env.id)
-                    self._pending[env.id] = env.timestamp
-                elif env.kind == RESPONSE:
-                    if env.id not in self._pending:
-                        raise CorrelationError(f"line {n}: orphan response id {env.id!r}")
-                    del self._pending[env.id]
-                self._events.append(env)
+                self._admit(env, f"line {n}: ")
 
 
 def read_events(
@@ -322,6 +316,15 @@ class MemoryStore:
             raise ValidationError(f"unknown entity kind: {kind!r}")
         self._counters[kind] = self._counters.get(kind, 0) + 1
         return f"{kind}-{self._counters[kind]:04d}"
+
+    def record(self, kind: str, body: Any, agent: str, reasoning: str, round: int = 0,
+               **provenance: Any) -> str:
+        """Store ``body`` as a new ``kind`` entity under the next counter id,
+        stamped with ``agent``, ``reasoning`` and any further provenance keys."""
+        return self.put_entity(KnowledgeEntity(
+            id=self.new_id(kind), kind=kind, body=body, round=round,
+            provenance={"agent": agent, "reasoning": reasoning, **provenance},
+        ))
 
     def put_entity(self, entity: KnowledgeEntity) -> str:
         entity.validate()

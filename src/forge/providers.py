@@ -29,9 +29,9 @@ import json
 import math
 import threading
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from importlib import resources
-from typing import Callable, Dict, Iterable, List, Optional, Sequence, Tuple
+from typing import Any, Callable, Dict, List, NamedTuple, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -205,6 +205,52 @@ class ChatProvider:
 
     def complete(self, turns: Sequence[ChatTurn], params: GenerationParams) -> Tuple[str, Usage]:
         raise NotImplementedError
+
+
+class ReplyError(ValueError):
+    """A reply the asker cannot use; the message says why. :func:`ask`
+    attaches the rejected text as ``reply`` when it gives up."""
+
+    def __init__(self, reason: str, reply: str = ""):
+        super().__init__(reason)
+        self.reply = reply
+
+
+class Answer(NamedTuple):
+    """What :func:`ask` got: the parsed value, the reply it came from, the
+    usage of every exchange and how many exchanges it took."""
+
+    value: Any
+    reply: str
+    usage: Usage
+    calls: int
+
+
+def ask(
+    provider: ChatProvider,
+    prompt: str,
+    params: GenerationParams,
+    parse: Callable[[str], Any],
+    retry: Callable[[str], str],
+) -> Answer:
+    """One exchange whose reply must pass ``parse``, with one corrective turn.
+
+    When ``parse`` raises :class:`ReplyError`, the rejected reply and the
+    user turn ``retry(reason)`` extend the conversation once; a second
+    rejection is raised again with that reply attached.
+    """
+    turns = [ChatTurn("user", prompt)]
+    reply, usage = provider.complete(turns, params)
+    try:
+        return Answer(parse(reply), reply, usage, 1)
+    except ReplyError as first:
+        turns = turns + [ChatTurn("assistant", reply), ChatTurn("user", retry(str(first)))]
+    reply, more = provider.complete(turns, params)
+    try:
+        return Answer(parse(reply), reply, usage + more, 2)
+    except ReplyError as second:
+        second.reply = reply
+        raise
 
 
 class ScriptedChatProvider(ChatProvider):

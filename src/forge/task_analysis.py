@@ -36,8 +36,8 @@ from .errors import (
 )
 from .matrixio import find_matrix_file, read_json, read_matrix, read_table
 from .metrics import ExpressionMatrix
-from .protocol import KnowledgeEntity, MemoryStore, canonical_json
-from .providers import ChatProvider, ChatTurn, GenerationParams, Usage
+from .protocol import MemoryStore, canonical_json
+from .providers import ChatProvider, GenerationParams, ReplyError, Usage, ask
 
 CONTROL_LABEL = "control"
 MODALITIES = ("RNA", "ATAC", "protein")
@@ -266,12 +266,16 @@ _FENCE_RE = re.compile(r"```(?:json)?\s*\n(.*?)\n```", re.DOTALL)
 
 
 def parse_json_reply(text: str) -> Any:
-    """JSON from a model reply, tolerating one markdown code fence."""
+    """JSON from a model reply, tolerating one markdown code fence; nesting
+    too deep to decode is a :class:`json.JSONDecodeError` like any bad JSON."""
     candidate = text.strip()
     fenced = _FENCE_RE.search(candidate)
     if fenced:
         candidate = fenced.group(1).strip()
-    return json.loads(candidate)
+    try:
+        return json.loads(candidate)
+    except RecursionError:
+        raise json.JSONDecodeError("nesting too deep", candidate, 0) from None
 
 
 @functools.cache
@@ -294,25 +298,30 @@ def _format_documents(documents: Sequence[Dict[str, str]], limit: int = 600) -> 
     return "\n\n".join(parts)
 
 
-def _section_invalid(role: str, parsed: Any) -> Optional[str]:
-    """Reason the parsed reply fails the role's schema, or None if fine."""
+def _parse_section(role: str, reply: str) -> Dict[str, Any]:
+    """The reply's JSON section; :class:`ReplyError` says how it fails the
+    role's schema."""
+    try:
+        parsed = parse_json_reply(reply)
+    except json.JSONDecodeError as exc:
+        raise ReplyError(f"invalid JSON ({exc.msg})") from None
     if not isinstance(parsed, dict):
-        return "reply is not a JSON object"
+        raise ReplyError("reply is not a JSON object")
     required = ROLE_SCHEMAS[role]
     missing = [k for k in required if k not in parsed]
     if missing:
-        return f"missing keys: {', '.join(missing)}"
+        raise ReplyError(f"missing keys: {', '.join(missing)}")
     empty = [k for k in required if parsed[k] in ("", None, [], {})]
     if empty:
-        return f"empty values for: {', '.join(empty)}"
+        raise ReplyError(f"empty values for: {', '.join(empty)}")
     if role == "refiner":
         td = parsed["task_definition"]
         if not isinstance(td, dict):
-            return "task_definition must be an object"
+            raise ReplyError("task_definition must be an object")
         bad = [k for k in TASK_DEFINITION_KEYS if not td.get(k)]
         if bad:
-            return f"task_definition missing: {', '.join(bad)}"
-    return None
+            raise ReplyError(f"task_definition missing: {', '.join(bad)}")
+    return parsed
 
 
 @dataclass
@@ -359,48 +368,23 @@ def run_analysis_stage(
         sections=canonical_json(sections) if sections else "(none)",
     )
 
-    turns = [ChatTurn("user", prompt)]
-    reply, usage = provider.complete(turns, params)
-    calls = 1
     try:
-        parsed = parse_json_reply(reply)
-        reason = _section_invalid(role, parsed)
-    except json.JSONDecodeError as exc:
-        parsed, reason = None, f"invalid JSON ({exc.msg})"
-
-    if reason is not None:
-        retry_prompt = load_template("schema-retry").substitute(
-            reason=reason, keys=", ".join(ROLE_SCHEMAS[role])
+        answer = ask(
+            provider, prompt, params, functools.partial(_parse_section, role),
+            lambda reason: load_template("schema-retry").substitute(
+                reason=reason, keys=", ".join(ROLE_SCHEMAS[role])),
         )
-        turns = turns + [ChatTurn("assistant", reply), ChatTurn("user", retry_prompt)]
-        reply2, usage2 = provider.complete(turns, params)
-        usage = usage + usage2
-        calls = 2
-        try:
-            parsed = parse_json_reply(reply2)
-            reason = _section_invalid(role, parsed)
-        except json.JSONDecodeError as exc:
-            parsed, reason = None, f"invalid JSON ({exc.msg})"
-        if reason is not None:
-            raise StageError(role, f"reply failed schema after retry: {reason}",
-                             raw_reply=reply2)
-        reply = reply2
-
-    result = StageResult(
-        role=role, content=parsed, provider_calls=calls, raw_reply=reply, usage=usage
-    )
+    except ReplyError as exc:
+        raise StageError(role, f"reply failed schema after retry: {exc}",
+                         raw_reply=exc.reply) from None
+    result = StageResult(role=role, content=answer.value, provider_calls=answer.calls,
+                         raw_reply=answer.reply, usage=answer.usage)
     if store is not None:
-        entity = KnowledgeEntity(
-            id=store.new_id("report"),
-            kind="report",
-            body={"role": role, "section": parsed},
-            provenance={
-                "agent": role,
-                "reasoning": "task-analysis stage output",
-                "citations": [d.get("id", "?") for d in (context.get("documents") or [])],
-            },
+        result.entity_id = store.record(
+            "report", {"role": role, "section": answer.value}, role,
+            "task-analysis stage output",
+            citations=[d.get("id", "?") for d in (context.get("documents") or [])],
         )
-        result.entity_id = store.put_entity(entity)
     return result
 
 
@@ -454,12 +438,5 @@ def assemble_report(
         provenance=dict(provenance or {}),
     )
     if store is not None:
-        store.put_entity(
-            KnowledgeEntity(
-                id=store.new_id("report"),
-                kind="report",
-                body=report.to_json(),
-                provenance={"agent": "task-analysis", "reasoning": "assembled report"},
-            )
-        )
+        store.record("report", report.to_json(), "task-analysis", "assembled report")
     return report

@@ -487,6 +487,19 @@ def test_fixture_underflow_exits_2(runner, workdir):
     assert "error:" in everything(result)
 
 
+def test_deeply_nested_analysis_reply_exits_2(runner, workdir):
+    fx = workdir / "nested.json"
+    fx.write_text(json.dumps({"completions": ["[" * 100000] * 2}))
+    cfg = write_config(workdir / "config.json", **profile(fx))
+    result = run_cli(
+        runner,
+        ["analyze", "--task", workdir / "task.txt", "--bundle",
+         workdir / "bundle", "--out", workdir / "out", "--config", cfg],
+    )
+    assert result.exit_code == 2, everything(result)
+    assert "reply failed schema after retry: invalid JSON (nesting too deep)" in everything(result)
+
+
 def test_loop_exhaustion_exits_3_with_rollback(runner, workdir):
     crashes = [CRASH_REPLY, CRASH_REPLY]
     plan_doc = {

@@ -26,7 +26,7 @@ from forge.consensus import (
     select_experts,
     update_confidence,
 )
-from forge.errors import DiscussionError, ValidationError
+from forge.errors import DiscussionError, LoadError, ValidationError
 from forge.providers import Embedder, GenerationParams, ScriptedChatProvider
 
 GEN = GenerationParams()
@@ -83,6 +83,10 @@ def test_expert_role_requires_fields():
         ExpertRole(id="", name="n", description="d", template="t")
     with pytest.raises(ValidationError):
         ExpertRole(id="x", name="n", description="", template="t")
+    with pytest.raises(ValidationError, match="'id' must be a non-empty string"):
+        ExpertRole(id=5, name="n", description="d", template="t")
+    with pytest.raises(ValidationError, match="'template' must be a non-empty string"):
+        ExpertRole(id="x", name="n", description="d", template=["t"])
 
 
 def test_packaged_registry():
@@ -112,6 +116,24 @@ def test_registry_from_directory(tmp_path):
     empty.mkdir()
     with pytest.raises(ValidationError, match="no role files"):
         load_registry(str(empty))
+
+
+@pytest.mark.parametrize(
+    "content, match",
+    [
+        (b'{"id": "broken"', "not valid JSON"),
+        (b'[{"id": "listed"}]', "must hold a JSON object"),
+        (b'{"id": "caf\xe9"}', "cannot read"),
+    ],
+    ids=["bad-json", "json-list", "non-utf8"],
+)
+def test_registry_rejects_bad_role_file(tmp_path, content, match):
+    (tmp_path / "alpha.json").write_text(
+        json.dumps({"id": "alpha", "name": "a", "description": "d", "template": "t"})
+    )
+    (tmp_path / "beta.json").write_bytes(content)
+    with pytest.raises(LoadError, match=match):
+        load_registry(str(tmp_path))
 
 
 # ---------------------------------------------------------------------------
@@ -278,6 +300,12 @@ def test_finalize_plan_falls_back_to_digest():
         assert "free-form prose a" in plan.sections[section]
         assert "free-form prose b" in plan.sections[section]
         assert "(0.5000)" in plan.sections[section]
+
+
+def test_finalize_plan_skips_deeply_nested_proposal():
+    nested = "[" * 100000
+    plan = finalize_plan(["a", "b"], {"a": 0.5, "b": 0.5}, {"a": PLAN_JSON, "b": nested}, 1)
+    assert plan.sections["architecture"] == "(0.5000) [a] identity"
 
 
 def test_finalize_plan_partial_contributions():

@@ -240,6 +240,17 @@ def test_replay_rejects_orphan_response(tmp_path):
         EventStream(str(path))
 
 
+def test_replay_rejects_repeated_request_id(tmp_path):
+    path = tmp_path / "events.jsonl"
+    lines = [
+        encode_message(Envelope(kind=REQUEST, method="m", id=3, timestamp=ts))
+        for ts in (1, 2)
+    ]
+    path.write_bytes(b"\n".join(lines) + b"\n")
+    with pytest.raises(CorrelationError, match="line 2: "):
+        EventStream(str(path))
+
+
 def test_read_events_filters():
     stream = EventStream()
     stream.append(Envelope(kind=NOTIFICATION, method="a", payload={}, sender="x"))
@@ -283,6 +294,22 @@ def test_store_counter_ids():
     assert store.new_id("proposal") == "proposal-0001"
     assert store.new_id("proposal") == "proposal-0002"
     assert store.new_id("result") == "result-0001"
+
+
+def test_store_record_stamps_ids_provenance_and_round():
+    store = MemoryStore()
+    first = store.record("report", {"a": 1}, "refiner", "drafted")
+    scored = store.record("result", 0.7, "critic", "scored", 3, confidence=0.7,
+                          citations=["doc-1"])
+    second = store.record("report", "b", "refiner", "redrafted")
+    assert (first, scored, second) == ("report-0001", "result-0001", "report-0002")
+    entity = store.get_entity(scored)
+    assert (entity.kind, entity.body, entity.round) == ("result", 0.7, 3)
+    assert entity.provenance == {
+        "agent": "critic", "reasoning": "scored", "confidence": 0.7, "citations": ["doc-1"],
+    }
+    assert store.get_entity(first).round == 0
+    assert store.get_entity(first).provenance == {"agent": "refiner", "reasoning": "drafted"}
 
 
 def test_store_rejects_duplicate_and_isolates_copies():

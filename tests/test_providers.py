@@ -7,15 +7,18 @@ import pytest
 
 from forge.errors import FixtureUnderflowError, LoadError, ProviderError, ValidationError
 from forge.providers import (
+    ChatProvider,
     ChatTurn,
     GenerationParams,
     HttpChatProvider,
     HttpEmbedder,
     PricingTable,
+    ReplyError,
     ScriptedChatProvider,
     ScriptedEmbedder,
     Usage,
     UsageLedger,
+    ask,
     cost_of,
     extract_score,
     load_fixture,
@@ -166,6 +169,64 @@ def test_turn_sequence_checks():
         provider.complete(
             [ChatTurn("user", "q"), ChatTurn("assistant", "a")], PARAMS
         )
+
+
+# ---------------------------------------------------------------------------
+# ask: one exchange with one corrective turn
+
+
+class ListRecorder(ChatProvider):
+    """Keeps the very turn lists it is handed, so a later mutation shows."""
+
+    def __init__(self, replies):
+        self.inner = ScriptedChatProvider(replies)
+        self.turn_lists = []
+
+    def complete(self, turns, params):
+        self.turn_lists.append(turns)
+        return self.inner.complete(turns, params)
+
+
+def _digits(reply):
+    if not reply.isdigit():
+        raise ReplyError(f"{reply!r} is not a number")
+    return int(reply)
+
+
+def _retry(reason):
+    return f"fix it: {reason}"
+
+
+def test_ask_accepts_first_reply_in_one_call():
+    provider = ScriptedChatProvider(["42"])
+    answer = ask(provider, "a number?", PARAMS, _digits, _retry)
+    assert (answer.value, answer.reply, answer.calls) == (42, "42", 1)
+    assert answer.usage == synthesize_usage(provider.calls[0], "42")
+    assert provider.consumed == 1
+
+
+def test_ask_retries_once_with_the_reason():
+    provider = ListRecorder(["many", "7"])
+    answer = ask(provider, "a number?", PARAMS, _digits, _retry)
+    assert (answer.value, answer.reply, answer.calls) == (7, "7", 2)
+    first, second = provider.turn_lists
+    assert [t.text for t in first] == ["a number?"]  # the first list is not extended
+    assert [(t.role, t.text) for t in second] == [
+        ("user", "a number?"),
+        ("assistant", "many"),
+        ("user", "fix it: 'many' is not a number"),
+    ]
+    assert answer.usage == (
+        synthesize_usage(first, "many") + synthesize_usage(second, "7")
+    )
+
+
+def test_ask_raises_the_second_rejection_with_its_reply():
+    provider = ScriptedChatProvider(["many", "more"])
+    with pytest.raises(ReplyError, match="'more' is not a number") as excinfo:
+        ask(provider, "a number?", PARAMS, _digits, _retry)
+    assert excinfo.value.reply == "more"
+    assert provider.consumed == 2
 
 
 # ---------------------------------------------------------------------------

@@ -16,7 +16,7 @@ from forge.errors import (
 )
 from forge.matrixio import canonical_json
 from forge.protocol import MemoryStore
-from forge.providers import ScriptedChatProvider
+from forge.providers import ScriptedChatProvider, synthesize_usage
 from forge.task_analysis import (
     AnalysisReport,
     assemble_report,
@@ -185,6 +185,24 @@ def test_stage_retries_once_then_succeeds():
     retry_turns = provider.calls[1]
     assert [t.role for t in retry_turns] == ["user", "assistant", "user"]
     assert "invalid JSON" in retry_turns[2].text
+    assert result.usage == (
+        synthesize_usage(provider.calls[0], "this is not json")
+        + synthesize_usage(retry_turns, ANALYSIS_REPLIES[0])
+    )
+
+
+def test_deeply_nested_reply_is_invalid_json():
+    nested = "[" * 100000
+    with pytest.raises(json.JSONDecodeError):
+        parse_json_reply(nested)
+    provider = ScriptedChatProvider([nested, ANALYSIS_REPLIES[0]])
+    result = run_analysis_stage("dataset-analyst", dict(ANALYST_CONTEXT), provider)
+    assert result.provider_calls == 2
+    assert "invalid JSON (nesting too deep)" in provider.calls[1][2].text
+    provider = ScriptedChatProvider([nested, nested])
+    with pytest.raises(StageError, match="nesting too deep") as excinfo:
+        run_analysis_stage("dataset-analyst", dict(ANALYST_CONTEXT), provider)
+    assert excinfo.value.raw_reply == nested
 
 
 def test_stage_retry_names_missing_keys():

@@ -1,0 +1,161 @@
+"""Check that two forge checkouts write the same run directories.
+
+    python3 tools/digest_runs.py PARENT_CHECKOUT CHANGE_CHECKOUT
+
+Each checkout runs a fixed set of scripted scenarios in one fresh
+interpreter that imports forge from ``<checkout>/src``. Both write their
+inputs and run directories under the same fixed directory, emptied before
+each checkout, so the paths a run records (the fixture's, in
+``config.json``) read the same on both sides. The scenarios' inputs come
+from this file's own checkout: the builders of ``tests/conftest.py`` and
+the seed-1 inputs of ``perfbench/gen.py``. The scenarios:
+
+- ``golden`` and ``golden-corpus``: the scripted golden run, without and
+  with a small corpus;
+- ``retries``: one analysis, one score and one artifact reply rejected,
+  each accepted on its corrective re-prompt;
+- ``patched``: revision 0 crashes and the patch succeeds;
+- ``exhausted``: every revision crashes and the loop rolls back;
+- ``schema-failure``: the first analysis agent fails its retry too;
+- ``pipeline-20k`` and ``deliberation``: the benchmark workloads, seed 1.
+
+For every scenario it prints the outcome (``ok`` or the error's class)
+and the ``perfbench/checks.tree_digest`` of the run directory on each
+side, and exits 1 when any pair differs.
+"""
+
+from __future__ import annotations
+
+import argparse
+import json
+import os
+import shutil
+import subprocess
+import sys
+import tempfile
+from pathlib import Path
+
+REPO = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+ROOT = os.path.join(tempfile.gettempdir(), "forge-digest-runs")
+SEED = 1
+
+CRASH_REPLY = (
+    "FILE: main.py\n```\nraise IndexError('index 28 is out of bounds "
+    "for axis 0 with size 10')\n```\nENTRYPOINT: python main.py\n"
+)
+TASK_TEXT = "Predict KO_A expression from control expression profiles.\n"
+CORPUS = {
+    "doc-a": "Predict knockout expression from control profiles with a mean shift.",
+    "doc-b": "Control expression profiles of knockout cells in perturbation screens.",
+    "doc-c": "Baselines for expression prediction carry the control mean forward.",
+}
+
+
+def _scripted(name: str, completions, corpus: bool = False, r_max: int = 2):
+    """Inputs of one conftest-built scenario: (task, bundle, config, corpus)."""
+    from conftest import write_bundle, write_config, write_corpus
+
+    base = Path(ROOT, "inputs", name)
+    base.mkdir(parents=True)
+    (base / "task.txt").write_text(TASK_TEXT, encoding="utf-8")
+    fixture = base / "fixture.json"
+    fixture.write_text(json.dumps({"completions": list(completions)}), encoding="utf-8")
+    config = write_config(
+        base / "config.json",
+        provider={"type": "scripted", "fixture": str(fixture)},
+        discussion={"n_experts": 2},
+        execution={"r_max": r_max, "wall_seconds": 30.0},
+        # hash-derived embeddings score near 0: a floor under -1 admits them
+        retrieval={"relevance_eps": -1.0} if corpus else {},
+    )
+    return (str(base / "task.txt"), str(write_bundle(base / "bundle")), str(config),
+            str(write_corpus(base / "corpus", CORPUS)) if corpus else None)
+
+
+def scenarios():
+    """(name, inputs) for every scenario, building the inputs as it goes."""
+    from conftest import ANALYSIS_REPLIES, IDENTITY_ARTIFACT_REPLY, discussion_replies
+
+    analysis = list(ANALYSIS_REPLIES)
+    design = discussion_replies(2, 4)
+    golden = analysis + design + [IDENTITY_ARTIFACT_REPLY]
+    yield "golden", _scripted("golden", golden)
+    yield "golden-corpus", _scripted("golden-corpus", golden, corpus=True)
+    retried = (["this is not json"] + analysis + design[:2] + ["no score here"]
+               + design[2:] + ["no envelope at all", IDENTITY_ARTIFACT_REPLY])
+    yield "retries", _scripted("retries", retried)
+    patched = analysis + design + [CRASH_REPLY, IDENTITY_ARTIFACT_REPLY]
+    yield "patched", _scripted("patched", patched)
+    yield "exhausted", _scripted("exhausted", analysis + design + [CRASH_REPLY] * 2, r_max=1)
+    yield "schema-failure", _scripted("schema-failure", ["nope", "still nope"])
+
+    import gen
+    from workloads import WORKLOADS
+
+    for name in ("pipeline-20k", "deliberation"):
+        inputs = gen.build(WORKLOADS[name], SEED, os.path.join(ROOT, "inputs", name))
+        yield name, (inputs["task"], inputs["bundle"], inputs["config"], inputs["corpus"])
+
+
+def worker(checkout: str) -> None:
+    """Run every scenario against ``checkout``'s forge; print the digests as JSON."""
+    src = os.path.join(os.path.abspath(checkout), "src")
+    sys.path[:0] = [src, os.path.join(REPO, "tests"), os.path.join(REPO, "perfbench")]
+    import forge.pipeline
+    from checks import tree_digest
+    from forge.errors import ForgeError
+
+    if not os.path.abspath(forge.__file__).startswith(src + os.sep):
+        sys.exit(f"forge imported from {forge.__file__}, not {src}")
+    out = {}
+    for name, (task, bundle, config, corpus) in scenarios():
+        run_dir = os.path.join(ROOT, "runs", name)
+        try:
+            forge.pipeline.run_pipeline(
+                task, bundle, forge.pipeline.load_config(config), run_dir, corpus_path=corpus)
+            outcome = "ok"
+        except ForgeError as exc:
+            outcome = type(exc).__name__
+        files = sum(len(f) for _, _, f in os.walk(run_dir))
+        out[name] = {"outcome": outcome, "digest": tree_digest(run_dir)[:16], "files": files}
+    print(json.dumps(out))
+
+
+def digests(checkout: str) -> dict:
+    shutil.rmtree(ROOT, ignore_errors=True)
+    os.makedirs(ROOT)
+    try:
+        done = subprocess.run(
+            [sys.executable, os.path.abspath(__file__), "--worker", checkout],
+            capture_output=True, text=True,
+        )
+    finally:
+        shutil.rmtree(ROOT, ignore_errors=True)
+    if done.returncode != 0:
+        sys.exit(f"scenarios failed in {checkout}:\n{done.stderr}")
+    return json.loads(done.stdout.splitlines()[-1])
+
+
+def main() -> int:
+    parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
+    parser.add_argument("parent", nargs="?")
+    parser.add_argument("change", nargs="?")
+    parser.add_argument("--worker", metavar="CHECKOUT", help=argparse.SUPPRESS)
+    args = parser.parse_args()
+    if args.worker:
+        worker(args.worker)
+        return 0
+    if not (args.parent and args.change):
+        parser.error("give a parent and a change checkout")
+    sides = {side: digests(getattr(args, side)) for side in ("parent", "change")}
+    mismatches = 0
+    for name, parent in sides["parent"].items():
+        change = sides["change"].get(name)
+        same = parent == change
+        mismatches += not same
+        print(f"{name:15s} {'same' if same else 'DIFFERENT':9s} parent {parent}  change {change}")
+    return 1 if mismatches else 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())
