@@ -8,6 +8,7 @@ lands in a machine-readable file inside the output directory.
 
 from __future__ import annotations
 
+import functools
 import os
 import sys
 from typing import Any, Callable, Dict, Optional
@@ -45,37 +46,6 @@ def _die(code: int, exc: Exception) -> None:
     sys.exit(code)
 
 
-def _guarded(action: Callable[[], None]) -> None:
-    try:
-        action()
-    except click.ClickException:
-        raise
-    except ValidationError as exc:
-        _die(1, exc)
-    except ProviderError as exc:
-        _die(2, exc)
-    except SandboxError as exc:
-        _die(3, exc)
-
-
-def _config_options(f):
-    f = click.option(
-        "--config",
-        "config_path",
-        type=click.Path(dir_okay=False),
-        default=None,
-        help="JSON config file merged over the defaults.",
-    )(f)
-    f = click.option("--seed", type=int, default=None, help="Run seed override.")(f)
-    f = click.option(
-        "--fixture",
-        type=click.Path(dir_okay=False),
-        default=None,
-        help="Scripted-provider fixture file (overrides the config).",
-    )(f)
-    return f
-
-
 def _resolve_config(
     config_path: Optional[str], seed: Optional[int], fixture: Optional[str]
 ) -> RunConfig:
@@ -89,10 +59,49 @@ def _resolve_config(
     return load_config(config_path, overrides)
 
 
-def _require(path: str, producer: str) -> str:
+_FILE, _DIR = click.Path(dir_okay=False), click.Path(file_okay=False)
+_TASK = click.option("--task", "task_path", required=True, type=_FILE)
+_BUNDLE = click.option("--bundle", "bundle_path", required=True, type=_DIR)
+_CORPUS = click.option("--corpus", "corpus_path", default=None, type=_DIR)
+_OUT = click.option("--out", "out_dir", required=True, type=_DIR)
+# Every command takes these after its own options, in this --help order.
+_CONFIG_OPTIONS = (
+    click.option("--fixture", type=_FILE, default=None,
+                 help="Scripted-provider fixture file (overrides the config)."),
+    click.option("--seed", type=int, default=None, help="Run seed override."),
+    click.option("--config", "config_path", type=_FILE, default=None,
+                 help="JSON config file merged over the defaults."),
+)
+
+
+def _command(group: click.Group, name: str, *options: Callable) -> Callable:
+    """Register ``fn`` as command ``name`` of ``group`` with ``options`` and
+    the config options. ``fn`` gets the resolved config first, then its own
+    options; forge errors exit 1 (validation), 2 (provider) or 3 (sandbox).
+    """
+
+    def register(fn: Callable[..., None]) -> click.Command:
+        @functools.wraps(fn)
+        def run(config_path, seed, fixture, **kwargs) -> None:
+            try:
+                fn(_resolve_config(config_path, seed, fixture), **kwargs)
+            except ValidationError as exc:
+                _die(1, exc)
+            except ProviderError as exc:
+                _die(2, exc)
+            except SandboxError as exc:
+                _die(3, exc)
+
+        for option in reversed(options + _CONFIG_OPTIONS):
+            run = option(run)
+        return group.command(name)(run)
+
+    return register
+
+
+def _require(path: str, producer: str) -> None:
     if not os.path.exists(path):
         raise DependencyError(f"{path} not found — run `forge {producer}` first")
-    return path
 
 
 def _echo_metrics(metrics: Dict[str, Any]) -> None:
@@ -107,124 +116,75 @@ def main() -> None:
     single-cell perturbation prediction tasks."""
 
 
-@main.command("run")
-@click.option("--task", "task_path", required=True, type=click.Path(dir_okay=False))
-@click.option("--bundle", "bundle_path", required=True, type=click.Path(file_okay=False))
-@click.option("--corpus", "corpus_path", default=None, type=click.Path(file_okay=False))
-@click.option("--out", "out_dir", required=True, type=click.Path(file_okay=False))
-@_config_options
-def cmd_run(task_path, bundle_path, corpus_path, out_dir, config_path, seed, fixture):
+@_command(main, "run", _TASK, _BUNDLE, _CORPUS, _OUT)
+def cmd_run(config, task_path, bundle_path, corpus_path, out_dir):
     """Full pipeline: analyze, design, execute, evaluate."""
-
-    def action() -> None:
-        config = _resolve_config(config_path, seed, fixture)
-        summary = run_pipeline(task_path, bundle_path, config, out_dir, corpus_path)
-        click.echo(f"run complete: {summary['out_dir']}")
-        click.echo(
-            f"  rounds_used={summary['rounds_used']}"
-            f" refinements={summary['refinements']}"
-            f" retrieval_stop={summary['retrieval_stop']}"
-        )
-        _echo_metrics(summary["metrics"])
-
-    _guarded(action)
+    summary = run_pipeline(task_path, bundle_path, config, out_dir, corpus_path)
+    click.echo(f"run complete: {summary['out_dir']}")
+    click.echo(f"  rounds_used={summary['rounds_used']} refinements={summary['refinements']}"
+               f" retrieval_stop={summary['retrieval_stop']}")
+    _echo_metrics(summary["metrics"])
 
 
-@main.command("analyze")
-@click.option("--task", "task_path", required=True, type=click.Path(dir_okay=False))
-@click.option("--bundle", "bundle_path", required=True, type=click.Path(file_okay=False))
-@click.option("--corpus", "corpus_path", default=None, type=click.Path(file_okay=False))
-@click.option("--out", "out_dir", required=True, type=click.Path(file_okay=False))
-@_config_options
-def cmd_analyze(task_path, bundle_path, corpus_path, out_dir, config_path, seed, fixture):
+@_command(main, "analyze", _TASK, _BUNDLE, _CORPUS, _OUT)
+def cmd_analyze(config, task_path, bundle_path, corpus_path, out_dir):
     """Task-analysis stage: profile, retrieve, and write report.json."""
-
-    def action() -> None:
-        config = _resolve_config(config_path, seed, fixture)
-        task_text = read_task(task_path)
-        bundle = load_bundle(bundle_path)
-        with open_run(config, out_dir) as ctx:
-            corpus = (
-                load_corpus(corpus_path, ctx.embedder)
-                if corpus_path is not None
-                else None
-            )
-            _, retrieval = stage_analyze(task_text, bundle, ctx, corpus)
-        click.echo(f"report written: {os.path.join(out_dir, 'report.json')}")
-        click.echo(
-            f"  retrieved={len(retrieval.documents)}"
-            f" stop={retrieval.trace.stop_reason}"
-        )
-
-    _guarded(action)
+    task_text = read_task(task_path)
+    bundle = load_bundle(bundle_path)
+    with open_run(config, out_dir) as ctx:
+        corpus = load_corpus(corpus_path, ctx.embedder) if corpus_path is not None else None
+        _, retrieval = stage_analyze(task_text, bundle, ctx, corpus)
+    click.echo(f"report written: {os.path.join(out_dir, 'report.json')}")
+    click.echo(f"  retrieved={len(retrieval.documents)} stop={retrieval.trace.stop_reason}")
 
 
-@main.command("design")
-@click.option("--report", "report_path", required=True, type=click.Path(dir_okay=False))
-@click.option("--out", "out_dir", required=True, type=click.Path(file_okay=False))
-@_config_options
-def cmd_design(report_path, out_dir, config_path, seed, fixture):
-    """Design stage: expert discussion over a saved report.json."""
-
-    def action() -> None:
-        config = _resolve_config(config_path, seed, fixture)
-        _require(report_path, "analyze")
-        report = AnalysisReport.from_json(read_json(report_path))
-        with open_run(config, out_dir) as ctx:
-            plan, trace = stage_design(report, ctx)
-        click.echo(f"plan written: {os.path.join(out_dir, 'plan.json')}")
-        click.echo(
-            f"  rounds_used={plan.rounds_used}"
-            f" converged={trace.converged}"
-            f" reason={trace.reason}"
-        )
-
-    _guarded(action)
-
-
-@main.command("execute")
-@click.option("--plan", "plan_path", required=True, type=click.Path(dir_okay=False))
-@click.option("--bundle", "bundle_path", required=True, type=click.Path(file_okay=False))
-@click.option("--out", "out_dir", required=True, type=click.Path(file_okay=False))
-@_config_options
-def cmd_execute(plan_path, bundle_path, out_dir, config_path, seed, fixture):
-    """Execution stage: generate code, run it, refine until it works."""
-
-    def action() -> None:
-        config = _resolve_config(config_path, seed, fixture)
-        _require(plan_path, "design")
-        plan = ResearchPlan.from_json(read_json(plan_path))
-        bundle = load_bundle(bundle_path)
-        with open_run(config, out_dir) as ctx:
-            artifact, _, trace = stage_execute(plan, bundle, ctx)
-        click.echo(f"predictions written: {os.path.join(ctx.out_dir, 'predictions')}")
-        click.echo(f"  refinements={trace.refinements} revision={artifact.revision}")
-
-    _guarded(action)
-
-
-@main.command("evaluate")
-@click.option(
-    "--predictions", "predictions_path", required=True, type=click.Path()
+@_command(
+    main, "design",
+    click.option("--report", "report_path", required=True, type=_FILE),
+    _OUT,
 )
-@click.option("--bundle", "bundle_path", required=True, type=click.Path(file_okay=False))
-@click.option("--out", "out_dir", required=True, type=click.Path(file_okay=False))
-@_config_options
-def cmd_evaluate(predictions_path, bundle_path, out_dir, config_path, seed, fixture):
+def cmd_design(config, report_path, out_dir):
+    """Design stage: expert discussion over a saved report.json."""
+    _require(report_path, "analyze")
+    report = AnalysisReport.from_json(read_json(report_path))
+    with open_run(config, out_dir) as ctx:
+        plan, trace = stage_design(report, ctx)
+    click.echo(f"plan written: {os.path.join(out_dir, 'plan.json')}")
+    click.echo(f"  rounds_used={plan.rounds_used} converged={trace.converged}"
+               f" reason={trace.reason}")
+
+
+@_command(
+    main, "execute",
+    click.option("--plan", "plan_path", required=True, type=_FILE),
+    _BUNDLE, _OUT,
+)
+def cmd_execute(config, plan_path, bundle_path, out_dir):
+    """Execution stage: generate code, run it, refine until it works."""
+    _require(plan_path, "design")
+    plan = ResearchPlan.from_json(read_json(plan_path))
+    bundle = load_bundle(bundle_path)
+    with open_run(config, out_dir) as ctx:
+        artifact, _, trace = stage_execute(plan, bundle, ctx)
+    click.echo(f"predictions written: {os.path.join(ctx.out_dir, 'predictions')}")
+    click.echo(f"  refinements={trace.refinements} revision={artifact.revision}")
+
+
+@_command(
+    main, "evaluate",
+    click.option("--predictions", "predictions_path", required=True, type=click.Path()),
+    _BUNDLE, _OUT,
+)
+def cmd_evaluate(config, predictions_path, bundle_path, out_dir):
     """Evaluation stage: score a prediction file against the bundle."""
-
-    def action() -> None:
-        config = _resolve_config(config_path, seed, fixture)
-        _require(predictions_path, "execute")
-        bundle = load_bundle(bundle_path)
-        predictions = align_predictions(read_predictions(predictions_path), bundle.matrix)
-        with open_run(config, out_dir, require_fixture=False) as ctx:
-            validation = stage_evaluate(predictions, bundle, ctx)
-        click.echo(f"metrics written: {os.path.join(out_dir, 'metrics.json')}")
-        _echo_metrics(validation.metrics.to_json())
-        click.echo(f"  passed={validation.passed}")
-
-    _guarded(action)
+    _require(predictions_path, "execute")
+    bundle = load_bundle(bundle_path)
+    predictions = align_predictions(read_predictions(predictions_path), bundle.matrix)
+    with open_run(config, out_dir, require_fixture=False) as ctx:
+        validation = stage_evaluate(predictions, bundle, ctx)
+    click.echo(f"metrics written: {os.path.join(out_dir, 'metrics.json')}")
+    _echo_metrics(validation.metrics.to_json())
+    click.echo(f"  passed={validation.passed}")
 
 
 @main.group("corpus")
@@ -232,26 +192,19 @@ def corpus_group() -> None:
     """Corpus maintenance commands."""
 
 
-@corpus_group.command("index")
-@click.argument("corpus_dir", type=click.Path(file_okay=False))
-@_config_options
-def cmd_corpus_index(corpus_dir, config_path, seed, fixture):
+@_command(corpus_group, "index", click.argument("corpus_dir", type=_DIR))
+def cmd_corpus_index(config, corpus_dir):
     """Embed every document and write embeddings.tsv into the corpus."""
-
-    def action() -> None:
-        config = _resolve_config(config_path, seed, fixture)
-        if not os.path.isdir(corpus_dir):
-            raise LoadError(f"corpus directory not found: {corpus_dir}")
-        _, embedder = build_providers(config, require_fixture=False)
-        try:
-            corpus = load_corpus(corpus_dir, embedder)
-        except OSError as exc:
-            name = getattr(exc, "filename", None) or corpus_dir
-            raise LoadError(f"unreadable document {name}: {exc}") from exc
-        path = write_embeddings(corpus, corpus_dir)
-        click.echo(f"indexed {len(corpus)} documents -> {path}")
-
-    _guarded(action)
+    if not os.path.isdir(corpus_dir):
+        raise LoadError(f"corpus directory not found: {corpus_dir}")
+    _, embedder = build_providers(config, require_fixture=False)
+    try:
+        corpus = load_corpus(corpus_dir, embedder)
+    except OSError as exc:
+        name = getattr(exc, "filename", None) or corpus_dir
+        raise LoadError(f"unreadable document {name}: {exc}") from exc
+    path = write_embeddings(corpus, corpus_dir)
+    click.echo(f"indexed {len(corpus)} documents -> {path}")
 
 
 if __name__ == "__main__":

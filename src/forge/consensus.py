@@ -331,12 +331,16 @@ class ResearchPlan:
         }
 
     @classmethod
-    def from_json(cls, doc: Dict[str, Any]) -> "ResearchPlan":
-        return cls(
-            sections=dict(doc["sections"]),
-            weights_at_finalization=dict(doc["weights_at_finalization"]),
-            rounds_used=int(doc["rounds_used"]),
-        )
+    def from_json(cls, doc: Any) -> "ResearchPlan":
+        """A plan read back from ``plan.json``; a malformed one is a :class:`LoadError`."""
+        kinds = (("sections", dict), ("weights_at_finalization", dict), ("rounds_used", int))
+        if not isinstance(doc, dict) or any(not isinstance(doc.get(k), t) for k, t in kinds):
+            raise LoadError("plan must be a JSON object with sections and "
+                            "weights_at_finalization objects and an integer rounds_used")
+        weights = doc["weights_at_finalization"]
+        if any(isinstance(w, bool) or not isinstance(w, (int, float)) for w in weights.values()):
+            raise LoadError("plan weights must be numbers")
+        return cls(dict(doc["sections"]), dict(weights), doc["rounds_used"])
 
 
 def _parse_score(reply: str) -> float:

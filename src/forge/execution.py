@@ -158,6 +158,13 @@ class CodeArtifact:
             "revision": self.revision,
         }
 
+    def write_files(self, root: Union[str, Path]) -> None:
+        """Write each file under ``root``, making directories as needed."""
+        for rel, content in sorted(self.files.items()):
+            dest = Path(root, rel)
+            dest.parent.mkdir(parents=True, exist_ok=True)
+            dest.write_text(content, encoding="utf-8")
+
     @classmethod
     def from_json(cls, doc: Dict[str, Any]) -> "CodeArtifact":
         return cls(
@@ -416,11 +423,7 @@ def run_sandbox(
     limits = limits or SandboxLimits()
     root = Path(workdir)
     root.mkdir(parents=True, exist_ok=True)
-
-    for rel, content in artifact.files.items():
-        dest = root / rel
-        dest.parent.mkdir(parents=True, exist_ok=True)
-        dest.write_text(content, encoding="utf-8")
+    artifact.write_files(root)
     for rel, source in (inputs or {}).items():
         _check_relative(rel)
         dest = root / rel
@@ -596,7 +599,7 @@ class EvaluationParams:
 
 
 # Metrics where smaller is better; everything else passes by meeting a floor.
-_LOWER_IS_BETTER = frozenset({"mse", "mse_de", "rmse"})
+_LOWER_IS_BETTER = frozenset({"mse", "mse_de"})
 
 
 def apply_thresholds(

@@ -13,9 +13,12 @@ from __future__ import annotations
 import os
 import shutil
 import tempfile
+from contextlib import contextmanager
 from dataclasses import MISSING, asdict, dataclass, fields, is_dataclass
 from pathlib import Path
-from typing import Any, Dict, Optional, Tuple, Union, get_args, get_origin, get_type_hints
+from typing import (
+    Any, Dict, Iterator, Optional, Tuple, Union, get_args, get_origin, get_type_hints,
+)
 
 from .consensus import (
     DiscussionParams,
@@ -338,10 +341,26 @@ class RunContext:
     stream: EventStream
     ledger: UsageLedger
 
-    def mark(self, method: str, payload: Dict[str, Any]) -> None:
-        self.stream.append(
-            Envelope(kind="event", method=method, payload=payload, sender="pipeline")
-        )
+    @contextmanager
+    def stage(self, name: str) -> Iterator[None]:
+        """Frame one stage: its provider calls carry the label ``name``, and
+        it appends ``stage.start``, then ``stage.complete`` only if it returns."""
+
+        def mark(method: str) -> None:
+            self.stream.append(Envelope(
+                kind="event", method=method, payload={"stage": name}, sender="pipeline"))
+
+        self.chat.label = name
+        mark("stage.start")
+        yield
+        mark("stage.complete")
+
+    def write(self, rel: str, doc: Any) -> None:
+        """Write ``doc`` as JSON at ``rel`` in the run directory, making its
+        parent directories; the one writer of a run's JSON files."""
+        path = Path(self.out_dir, rel)
+        path.parent.mkdir(parents=True, exist_ok=True)
+        write_json(str(path), doc)
 
     def __enter__(self) -> "RunContext":
         return self
@@ -366,35 +385,24 @@ def open_run(
     stream = EventStream(str(path / "events.jsonl"))
     ledger = UsageLedger()
     chat_inner, embedder = build_providers(config, require_fixture=require_fixture)
-    chat = RecordingChatProvider(
-        chat_inner, stream, ledger, model=config.generation.model
-    )
-    write_json(str(path / "config.json"), config.to_json())
-    return RunContext(
-        config=config,
-        out_dir=str(path),
-        chat=chat,
-        embedder=embedder,
-        store=MemoryStore(),
-        stream=stream,
-        ledger=ledger,
-    )
+    chat = RecordingChatProvider(chat_inner, stream, ledger, model=config.generation.model)
+    ctx = RunContext(config=config, out_dir=str(path), chat=chat, embedder=embedder,
+                     store=MemoryStore(), stream=stream, ledger=ledger)
+    ctx.write("config.json", config.to_json())
+    return ctx
 
 
 def close_run(ctx: RunContext) -> None:
     """Persist the knowledge store and the usage summary."""
     save_store(ctx.store, ctx.out_dir)
     total = ctx.ledger.total()
-    write_json(
-        os.path.join(ctx.out_dir, "usage.json"),
-        {
-            "records": ctx.ledger.to_json(),
-            "total": {
-                "prompt_tokens": total.prompt_tokens,
-                "completion_tokens": total.completion_tokens,
-            },
+    ctx.write("usage.json", {
+        "records": ctx.ledger.to_json(),
+        "total": {
+            "prompt_tokens": total.prompt_tokens,
+            "completion_tokens": total.completion_tokens,
         },
-    )
+    })
 
 
 # ----------------------------------------------------------------------
@@ -420,61 +428,57 @@ def stage_analyze(
 
     Writes ``report.json`` and ``retrieval_trace.json`` into the run directory.
     """
-    ctx.mark("stage.start", {"stage": "analyze"})
-    ctx.chat.label = "analyze"
-    profile = profile_dataset(bundle)
-    ctx.store.record("dataset", profile.to_json(), "data-parser", "bundle profile")
+    with ctx.stage("analyze"):
+        profile = profile_dataset(bundle)
+        ctx.store.record("dataset", profile.to_json(), "data-parser", "bundle profile")
 
-    retrieval = RetrievalResult(
-        documents=[], trace=RetrievalTrace(stop_reason="no-documents", stop_layer=0)
-    )
-    if corpus is not None and len(corpus) > 0:
-        try:
-            q0 = construct_initial_query(
-                task_text, _bundle_meta_text(bundle, profile), ctx.embedder,
-                stats=corpus.stats,
-            )
-            retrieval = retrieve(q0, corpus, ctx.config.retrieval, ctx.embedder)
-        except EmptyQueryError:
-            pass  # no key terms: nothing retrieved
-    documents = [{"id": d.id, "text": d.text} for d in retrieval.documents]
-    doc_entity_ids = [
-        ctx.store.record("document", doc, "retrieval", "retrieved context")
-        for doc in documents
-    ]
-
-    sections: Dict[str, Any] = {}
-    merged: Dict[str, Any] = {}
-    provenance: Dict[str, Dict[str, Any]] = {}
-    for role in ("dataset-analyst", "problem-investigator", "baseline-assessor", "refiner"):
-        result = run_analysis_stage(
-            role,
-            {
-                "task": task_text,
-                "profile": profile,
-                "documents": documents,
-                "sections": sections,
-            },
-            ctx.chat,
-            params=ctx.config.generation,
-            store=ctx.store,
+        retrieval = RetrievalResult(
+            documents=[], trace=RetrievalTrace(stop_reason="no-documents", stop_layer=0)
         )
-        sections[role] = result.content
-        if role in ("dataset-analyst", "refiner"):
-            for key, value in result.content.items():
-                merged[key] = value
-                provenance[key] = {"role": role, "provider_calls": result.provider_calls}
+        if corpus is not None and len(corpus) > 0:
+            try:
+                q0 = construct_initial_query(
+                    task_text, _bundle_meta_text(bundle, profile), ctx.embedder,
+                    stats=corpus.stats,
+                )
+                retrieval = retrieve(q0, corpus, ctx.config.retrieval, ctx.embedder)
+            except EmptyQueryError:
+                pass  # no key terms: nothing retrieved
+        documents = [{"id": d.id, "text": d.text} for d in retrieval.documents]
+        doc_entity_ids = [
+            ctx.store.record("document", doc, "retrieval", "retrieved context")
+            for doc in documents
+        ]
 
-    report = assemble_report(merged, provenance=provenance, store=ctx.store)
-    report_entity = ctx.store.query_entities(kind="report")[-1]
-    for doc_id in doc_entity_ids:
-        ctx.store.link_entities(report_entity.id, doc_id, "cites")
-    write_json(os.path.join(ctx.out_dir, "report.json"), report.to_json())
-    write_json(
-        os.path.join(ctx.out_dir, "retrieval_trace.json"),
-        {"trace": retrieval.trace.to_json(), "documents": retrieval.document_ids},
-    )
-    ctx.mark("stage.complete", {"stage": "analyze"})
+        sections: Dict[str, Any] = {}
+        merged: Dict[str, Any] = {}
+        provenance: Dict[str, Dict[str, Any]] = {}
+        for role in ("dataset-analyst", "problem-investigator", "baseline-assessor", "refiner"):
+            result = run_analysis_stage(
+                role,
+                {
+                    "task": task_text,
+                    "profile": profile,
+                    "documents": documents,
+                    "sections": sections,
+                },
+                ctx.chat,
+                params=ctx.config.generation,
+                store=ctx.store,
+            )
+            sections[role] = result.content
+            if role in ("dataset-analyst", "refiner"):
+                for key, value in result.content.items():
+                    merged[key] = value
+                    provenance[key] = {"role": role, "provider_calls": result.provider_calls}
+
+        report = assemble_report(merged, provenance=provenance, store=ctx.store)
+        report_entity = ctx.store.query_entities(kind="report")[-1]
+        for doc_id in doc_entity_ids:
+            ctx.store.link_entities(report_entity.id, doc_id, "cites")
+        ctx.write("report.json", report.to_json())
+        ctx.write("retrieval_trace.json",
+                  {"trace": retrieval.trace.to_json(), "documents": retrieval.document_ids})
     return report, retrieval
 
 
@@ -490,22 +494,20 @@ def stage_design(
 
     Writes ``plan.json`` and ``discussion_trace.json`` into the run directory.
     """
-    ctx.mark("stage.start", {"stage": "design"})
-    ctx.chat.label = "design"
-    panel = select_experts(
-        load_registry(), report, ctx.config.discussion, ctx.config.seed, ctx.embedder
-    )
-    plan, trace = run_discussion(
-        report,
-        ctx.config.discussion,
-        ctx.chat,
-        experts=panel,
-        store=ctx.store,
-        gen_params=ctx.config.generation,
-    )
-    write_json(os.path.join(ctx.out_dir, "plan.json"), plan.to_json())
-    write_json(os.path.join(ctx.out_dir, "discussion_trace.json"), trace.to_json())
-    ctx.mark("stage.complete", {"stage": "design"})
+    with ctx.stage("design"):
+        panel = select_experts(
+            load_registry(), report, ctx.config.discussion, ctx.config.seed, ctx.embedder
+        )
+        plan, trace = run_discussion(
+            report,
+            ctx.config.discussion,
+            ctx.chat,
+            experts=panel,
+            store=ctx.store,
+            gen_params=ctx.config.generation,
+        )
+        ctx.write("plan.json", plan.to_json())
+        ctx.write("discussion_trace.json", trace.to_json())
     return plan, trace
 
 
@@ -554,9 +556,7 @@ def stage_execute(
     exhausts its budget the loop trace and the rollback artifact are written
     before the :class:`LoopError` propagates: they are the run's outcome.
     """
-    ctx.mark("stage.start", {"stage": "execute"})
-    ctx.chat.label = "execute"
-    with tempfile.TemporaryDirectory(prefix="forge-sandbox-") as sandbox_root:
+    with ctx.stage("execute"), tempfile.TemporaryDirectory(prefix="forge-sandbox-") as sandbox:
         try:
             artifact, result, trace = refinement_loop(
                 plan,
@@ -565,38 +565,31 @@ def stage_execute(
                 limits=ctx.config.execution,
                 inputs=_bundle_inputs(bundle.path),
                 validator=_prediction_validator(bundle.matrix),
-                workdir_root=sandbox_root,
+                workdir_root=sandbox,
                 store=ctx.store,
                 gen_params=ctx.config.generation,
             )
         except LoopError as exc:
             if isinstance(exc.trace, LoopTrace):
-                persist_loop_trace(exc.trace, ctx.out_dir)
+                persist_loop_trace(exc.trace, ctx)
             if exc.rollback is not None:
-                persist_artifact(exc.rollback, ctx.out_dir)
+                persist_artifact(exc.rollback, ctx)
             raise
-        persist_artifact(artifact, ctx.out_dir)
-        persist_loop_trace(trace, ctx.out_dir)
-        persist_predictions(result.workdir, ctx.out_dir)
-    ctx.mark("stage.complete", {"stage": "execute"})
+        persist_artifact(artifact, ctx)
+        persist_loop_trace(trace, ctx)
+        persist_predictions(result.workdir, ctx)
     return artifact, result, trace
 
 
-def persist_artifact(artifact: CodeArtifact, out_dir: str) -> str:
+def persist_artifact(artifact: CodeArtifact, ctx: RunContext) -> None:
     """Write the artifact's files plus a manifest under ``artifact/``."""
-    root = Path(out_dir) / "artifact"
-    root.mkdir(parents=True, exist_ok=True)
-    for rel, content in sorted(artifact.files.items()):
-        dest = root / rel
-        dest.parent.mkdir(parents=True, exist_ok=True)
-        dest.write_text(content, encoding="utf-8")
-    write_json(str(root / "manifest.json"), artifact.to_json())
-    return str(root)
+    artifact.write_files(os.path.join(ctx.out_dir, "artifact"))
+    ctx.write("artifact/manifest.json", artifact.to_json())
 
 
-def persist_predictions(workdir: str, out_dir: str) -> str:
+def persist_predictions(workdir: str, ctx: RunContext) -> str:
     """Move the run's prediction files from ``workdir`` into ``predictions/``."""
-    dest = Path(out_dir) / "predictions"
+    dest = Path(ctx.out_dir) / "predictions"
     dest.mkdir(parents=True, exist_ok=True)
     moved = []
     for name in sorted(os.listdir(workdir)):
@@ -608,11 +601,9 @@ def persist_predictions(workdir: str, out_dir: str) -> str:
     return str(dest)
 
 
-def persist_loop_trace(trace: LoopTrace, out_dir: str) -> None:
+def persist_loop_trace(trace: LoopTrace, ctx: RunContext) -> None:
     """Write the loop trace as ``sandbox_logs/loop.json``."""
-    logs = Path(out_dir) / "sandbox_logs"
-    logs.mkdir(parents=True, exist_ok=True)
-    write_json(str(logs / "loop.json"), trace.to_json())
+    ctx.write("sandbox_logs/loop.json", trace.to_json())
 
 
 # ----------------------------------------------------------------------
@@ -629,21 +620,18 @@ def stage_evaluate(
     config's ``de_k``, ``pseudo`` and thresholds; writes ``metrics.json`` into
     the run directory.
     """
-    ctx.mark("stage.start", {"stage": "evaluate"})
     params = ctx.config.evaluation
-    report = validate_predictions(
-        predictions,
-        bundle.matrix,
-        control_rows=bundle.control_rows,
-        de_k=params.de_k,
-        pseudo=params.pseudo,
-        thresholds=params.thresholds,
-        store=ctx.store,
-    )
-    doc = report.to_json()
-    doc["passed"] = report.passed
-    write_json(os.path.join(ctx.out_dir, "metrics.json"), doc)
-    ctx.mark("stage.complete", {"stage": "evaluate"})
+    with ctx.stage("evaluate"):
+        report = validate_predictions(
+            predictions,
+            bundle.matrix,
+            control_rows=bundle.control_rows,
+            de_k=params.de_k,
+            pseudo=params.pseudo,
+            thresholds=params.thresholds,
+            store=ctx.store,
+        )
+        ctx.write("metrics.json", {**report.to_json(), "passed": report.passed})
     return report
 
 
@@ -693,5 +681,5 @@ def run_pipeline(
         }
         # The persisted summary stays location-free so identical runs
         # produce identical bytes; the caller still gets the directory.
-        write_json(os.path.join(ctx.out_dir, "summary.json"), summary)
+        ctx.write("summary.json", summary)
         return {**summary, "out_dir": ctx.out_dir}

@@ -21,6 +21,7 @@ from __future__ import annotations
 
 import copy
 import json
+import math
 import os
 from dataclasses import dataclass, field
 from typing import Any, Callable, Dict, Iterable, List, Optional, Tuple
@@ -427,11 +428,19 @@ def read_text(path: str) -> str:
         raise LoadError(f"cannot read {path}: {exc}") from exc
 
 
+def _finite(text: str) -> float:
+    value = float(text)
+    if not math.isfinite(value):
+        raise ValueError(f"number {text} is out of range")
+    return value
+
+
 def parse_json(text: str, source: str) -> Any:
-    """``text`` parsed as JSON; malformed or too deeply nested text is a :class:`LoadError`."""
+    """``text`` parsed as JSON; malformed or too deeply nested text, and a
+    NaN or infinite number, which no forge file holds, are a :class:`LoadError`."""
     try:
-        return json.loads(text)
-    except (json.JSONDecodeError, RecursionError) as exc:
+        return json.loads(text, parse_float=_finite, parse_constant=_finite)
+    except (ValueError, RecursionError) as exc:  # JSONDecodeError is a ValueError
         raise LoadError(f"{source} is not valid JSON: {exc}") from exc
 
 

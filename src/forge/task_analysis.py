@@ -408,9 +408,15 @@ class AnalysisReport:
         return "\n".join(parts)
 
     @classmethod
-    def from_json(cls, doc: Dict[str, Any]) -> "AnalysisReport":
-        report = assemble_report(doc.get("sections") or {})
-        report.provenance = doc.get("provenance") or {}
+    def from_json(cls, doc: Any) -> "AnalysisReport":
+        """A report read back from ``report.json``; a malformed one is a :class:`LoadError`."""
+        if not isinstance(doc, dict):
+            raise LoadError("report must be a JSON object")
+        sections, provenance = doc.get("sections") or {}, doc.get("provenance") or {}
+        if not (isinstance(sections, dict) and isinstance(provenance, dict)):
+            raise LoadError("report sections and provenance must be JSON objects")
+        report = assemble_report(sections)
+        report.provenance = provenance
         return report
 
 

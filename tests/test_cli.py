@@ -105,6 +105,13 @@ def run_cli(runner, args):
     return runner.invoke(main, [str(a) for a in args])
 
 
+def stage_events(out):
+    """(method, stage) of every stage event in ``out``'s events.jsonl, in order."""
+    events = [json.loads(line) for line in (out / "events.jsonl").read_text().splitlines()]
+    return [(e["method"], e["params"]["stage"]) for e in events
+            if e.get("method", "").startswith("stage.")]
+
+
 def tree_digest(root):
     digests = {}
     for path in sorted(Path(root).rglob("*")):
@@ -151,6 +158,15 @@ def test_run_full_pipeline(runner, workdir):
     assert summary["passed"] is True
     assert summary["retrieval_stop"] == "no-documents"
     assert "out_dir" not in summary  # persisted summary stays location-free
+    # every stage is framed by one start/complete pair, in pipeline order
+    stages = ["analyze", "design", "execute", "evaluate"]
+    assert stage_events(out) == [
+        (method, stage) for stage in stages for method in ("stage.start", "stage.complete")
+    ]
+    # each provider call is billed to the stage that made it
+    labels = [r["label"] for r in json.loads((out / "usage.json").read_text())["records"]]
+    assert labels == sorted(labels, key=stages.index)
+    assert list(dict.fromkeys(labels)) == ["analyze", "design", "execute"]
 
 
 def test_mtx_run_scores_like_tsv_run(runner, tmp_path):
@@ -535,6 +551,11 @@ def test_loop_exhaustion_exits_3_with_rollback(runner, workdir):
         # the rollback artifact is persisted for inspection
         manifest = json.loads((out / "artifact" / "manifest.json").read_text())
         assert manifest["revision"] == 1
+        # an unmatched stage.start names the stage that failed
+        events = stage_events(out)
+        assert events[-1] == ("stage.start", "execute")
+        assert ("stage.complete", "execute") not in events
+        assert not [e for e in events if e[1] == "evaluate"]
 
 
 @pytest.mark.parametrize(
@@ -562,6 +583,10 @@ def test_loop_exhaustion_exits_3_with_rollback(runner, workdir):
         pytest.param("evaluation", "thresholds", {"top1_lin": 0.5},
                      "'evaluation': unknown metric 'top1_lin' in thresholds",
                      id="evaluation-thresholds-retired-metric"),
+        # a metric with a scorer that no stage runs would fail every verdict
+        pytest.param("evaluation", "thresholds", {"top1_knn": 0.5},
+                     "'evaluation': unknown metric 'top1_knn' in thresholds",
+                     id="evaluation-thresholds-uncomputed-metric"),
     ],
 )
 def test_bad_config_key_exits_1(runner, workdir, section, key, value, named):
@@ -588,6 +613,10 @@ def test_bad_config_key_exits_1(runner, workdir, section, key, value, named):
         ({"provider": {"embed_dim": "64"}}, "config key provider.embed_dim must be an integer"),
         ({"provider": {"type": "http", "fixture": "f"}}, "provider.fixture must be null"),
         ({"provider": {"type": "local"}}, "provider type must be scripted or http"),
+        ({"evaluation": {"thresholds": {"mse": float("nan")}}},
+         "is not valid JSON: number NaN is out of range"),
+        ({"generation": {"temperature": float("inf")}},
+         "is not valid JSON: number Infinity is out of range"),
     ],
 )
 def test_bad_top_level_config_value_exits_1(runner, workdir, doc, named):
@@ -601,6 +630,53 @@ def test_bad_top_level_config_value_exits_1(runner, workdir, doc, named):
     assert result.exit_code == 1
     assert isinstance(result.exception, SystemExit)  # not an escaped exception
     assert named in everything(result)
+
+
+@pytest.mark.parametrize(
+    "command, flag, doc, named",
+    [
+        pytest.param("design", "--report", [1, 2], "report must be a JSON object",
+                     id="report-list"),
+        pytest.param("design", "--report", {"sections": [1, 2]},
+                     "report sections and provenance must be JSON objects",
+                     id="report-sections-list"),
+        pytest.param("design", "--report", {"sections": {}, "provenance": 5},
+                     "report sections and provenance must be JSON objects",
+                     id="report-provenance-number"),
+        pytest.param("execute", "--plan", [1, 2], "plan must be a JSON object",
+                     id="plan-list"),
+        pytest.param("execute", "--plan", {"sections": {}}, "plan must be a JSON object",
+                     id="plan-missing-keys"),
+        pytest.param("execute", "--plan",
+                     {"sections": {}, "weights_at_finalization": 1, "rounds_used": 1},
+                     "plan must be a JSON object", id="plan-weights-number"),
+        pytest.param("execute", "--plan",
+                     {"sections": {}, "weights_at_finalization": {}, "rounds_used": "1"},
+                     "plan must be a JSON object", id="plan-rounds-string"),
+        pytest.param("execute", "--plan",
+                     {"sections": {}, "weights_at_finalization": {"a": "1"}, "rounds_used": 1},
+                     "plan weights must be numbers", id="plan-weight-string"),
+        # forge never writes a NaN or an infinity, so neither reads back
+        pytest.param("design", "--report", {"sections": {"task_definition": float("nan")}},
+                     "saved.json is not valid JSON: number NaN is out of range",
+                     id="report-nan"),
+        pytest.param("execute", "--plan", {"weights_at_finalization": {"a": float("inf")}},
+                     "saved.json is not valid JSON: number Infinity is out of range",
+                     id="plan-infinite-weight"),
+    ],
+)
+def test_malformed_saved_stage_output_exits_1(runner, workdir, command, flag, doc, named):
+    fixture = golden_fixture(workdir / "fixture.json")
+    cfg = write_config(workdir / "config.json", **profile(fixture))
+    saved = workdir / "saved.json"
+    saved.write_text(json.dumps(doc))
+    args = [command, flag, saved, "--out", workdir / "out", "--config", cfg]
+    if command == "execute":
+        args += ["--bundle", workdir / "bundle"]
+    result = run_cli(runner, args)
+    assert result.exit_code == 1, everything(result)
+    assert isinstance(result.exception, SystemExit)  # not an escaped exception
+    assert everything(result).startswith("error: ") and named in everything(result)
 
 
 def test_http_provider_config_loads():

@@ -17,16 +17,22 @@ the seed-1 inputs of ``perfbench/gen.py``. The scenarios:
 - ``patched``: revision 0 crashes and the patch succeeds;
 - ``exhausted``: every revision crashes and the loop rolls back;
 - ``schema-failure``: the first analysis agent fails its retry too;
-- ``pipeline-20k`` and ``deliberation``: the benchmark workloads, seed 1.
+- ``pipeline-20k`` and ``deliberation``: the benchmark workloads, seed 1;
+- ``stage-commands``: ``forge analyze``, ``design``, ``execute`` and
+  ``evaluate`` in turn, each a ``python -m forge.cli`` child with its own
+  fixture, each reading the one before's output.
 
-For every scenario it prints the outcome (``ok`` or the error's class)
-and the ``perfbench/checks.tree_digest`` of the run directory on each
-side, and exits 1 when any pair differs.
+For every scenario it prints the outcome (``ok`` or the error's class;
+for ``stage-commands`` the four exit codes and a digest of their joined
+stdout) and the ``perfbench/checks.tree_digest`` of the run directory on
+each side (for ``stage-commands``, of the four output directories), and
+exits 1 when any pair differs.
 """
 
 from __future__ import annotations
 
 import argparse
+import hashlib
 import json
 import os
 import shutil
@@ -97,6 +103,48 @@ def scenarios():
         yield name, (inputs["task"], inputs["bundle"], inputs["config"], inputs["corpus"])
 
 
+def stage_commands(src: str, runs: Path) -> str:
+    """Run the four stage commands against ``src`` into ``runs/<stage>``.
+
+    Each command gets its fixture as ``test_stage_commands_match_full_run``
+    builds them; evaluate needs none. Returns the outcome: the exit codes
+    and the sha256 of the commands' stdout, joined in order.
+    """
+    from conftest import (
+        ANALYSIS_REPLIES, IDENTITY_ARTIFACT_REPLY, discussion_replies, write_bundle, write_config,
+    )
+
+    base = Path(ROOT, "inputs", "stage-commands")
+    base.mkdir(parents=True)
+    (base / "task.txt").write_text(TASK_TEXT, encoding="utf-8")
+    bundle = str(write_bundle(base / "bundle"))
+    commands = {
+        "analyze": (ANALYSIS_REPLIES, ["--task", base / "task.txt", "--bundle", bundle]),
+        "design": (discussion_replies(2, 4), ["--report", runs / "analyze" / "report.json"]),
+        "execute": ([IDENTITY_ARTIFACT_REPLY],
+                    ["--plan", runs / "design" / "plan.json", "--bundle", bundle]),
+        "evaluate": (None, ["--predictions", runs / "execute" / "predictions", "--bundle", bundle]),
+    }
+    codes, stdout = [], hashlib.sha256()
+    for stage, (replies, args) in commands.items():
+        provider = {"type": "scripted"}
+        if replies is not None:
+            provider["fixture"] = str(base / f"fixture-{stage}.json")
+            Path(provider["fixture"]).write_text(
+                json.dumps({"completions": list(replies)}), encoding="utf-8")
+        config = write_config(base / f"config-{stage}.json", provider=provider,
+                              discussion={"n_experts": 2},
+                              execution={"r_max": 2, "wall_seconds": 30.0})
+        done = subprocess.run(
+            [sys.executable, "-m", "forge.cli", stage, *map(str, args),
+             "--out", str(runs / stage), "--config", str(config)],
+            capture_output=True, text=True, cwd=ROOT, env={**os.environ, "PYTHONPATH": src},
+        )
+        codes.append(str(done.returncode))
+        stdout.update(done.stdout.encode("utf-8"))
+    return f"exits {','.join(codes)} stdout {stdout.hexdigest()[:16]}"
+
+
 def worker(checkout: str) -> None:
     """Run every scenario against ``checkout``'s forge; print the digests as JSON."""
     src = os.path.join(os.path.abspath(checkout), "src")
@@ -107,6 +155,11 @@ def worker(checkout: str) -> None:
 
     if not os.path.abspath(forge.__file__).startswith(src + os.sep):
         sys.exit(f"forge imported from {forge.__file__}, not {src}")
+
+    def record(outcome: str, run_dir: str) -> dict:
+        files = sum(len(f) for _, _, f in os.walk(run_dir))
+        return {"outcome": outcome, "digest": tree_digest(run_dir)[:16], "files": files}
+
     out = {}
     for name, (task, bundle, config, corpus) in scenarios():
         run_dir = os.path.join(ROOT, "runs", name)
@@ -116,8 +169,9 @@ def worker(checkout: str) -> None:
             outcome = "ok"
         except ForgeError as exc:
             outcome = type(exc).__name__
-        files = sum(len(f) for _, _, f in os.walk(run_dir))
-        out[name] = {"outcome": outcome, "digest": tree_digest(run_dir)[:16], "files": files}
+        out[name] = record(outcome, run_dir)
+    run_dir = os.path.join(ROOT, "runs", "stage-commands")
+    out["stage-commands"] = record(stage_commands(src, Path(run_dir)), run_dir)
     print(json.dumps(out))
 
 
