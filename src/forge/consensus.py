@@ -366,16 +366,11 @@ def request_score(
     return answer.value, answer.calls
 
 
-def _proposal_digest(
-    order: Sequence[Tuple[str, float, str]], include_ids: bool = True
-) -> str:
+def _proposal_digest(order: Sequence[Tuple[str, float, str]]) -> str:
     """Render proposals in weight-descending order, weights to four places."""
     lines = []
     for expert_id, weight, text in order:
-        tag = f"({weight:.4f})"
-        if include_ids:
-            tag += f" [{expert_id}]"
-        lines.append(f"{tag} {text.strip()}")
+        lines.append(f"({weight:.4f}) [{expert_id}] {text.strip()}")
     return "\n".join(lines)
 
 
@@ -406,7 +401,7 @@ def finalize_plan(
     for expert_id in experts:
         try:
             doc = parse_json_reply(proposals[expert_id])
-        except (json.JSONDecodeError, ValueError):
+        except json.JSONDecodeError:
             continue
         if isinstance(doc, dict):
             parsed[expert_id] = doc

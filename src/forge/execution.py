@@ -401,7 +401,7 @@ def _scrub(text: str, workdir: str) -> str:
     return text
 
 
-InputSpec = Dict[str, Union[str, bytes]]
+InputSpec = Dict[str, str]
 
 
 def run_sandbox(
@@ -414,8 +414,8 @@ def run_sandbox(
     """Materialize the artifact in ``workdir``, run it, capture the outcome.
 
     The caller owns ``workdir``. ``inputs`` maps a relative destination
-    path to either an existing file to copy in or raw content bytes; any
-    other source is a :class:`LoadError`. The child sees only the allow-listed environment;
+    path to an existing file to copy in; any other source is a
+    :class:`LoadError`. The child sees only the allow-listed environment;
     its whole process group is killed at the wall limit.
     Absolute paths of the working directory are scrubbed from captured
     output so persisted traces stay location-independent.
@@ -428,9 +428,7 @@ def run_sandbox(
         _check_relative(rel)
         dest = root / rel
         dest.parent.mkdir(parents=True, exist_ok=True)
-        if isinstance(source, bytes):
-            dest.write_bytes(source)
-        elif os.path.isfile(source):
+        if os.path.isfile(source):
             shutil.copy(source, dest)
         else:
             raise LoadError(f"sandbox input {rel!r} is not a file: {source}")
@@ -508,45 +506,32 @@ def _evidence_line(stderr: str, pattern: str) -> str:
 
 
 def _escalate(record: FailureRecord, previous: Optional[FailureRecord]) -> FailureRecord:
-    """``record``, or an error-recovery-failure when it repeats ``previous``."""
+    """``record``, or an error-recovery-failure when it repeats ``previous``.
+
+    The same category and evidence twice in a row is the signature of a
+    loop stuck repeating the same broken fix.
+    """
     repeated = previous is not None and previous.evidence == record.evidence
     if repeated and previous.category == record.category:
         return FailureRecord("error-recovery-failure", record.evidence, record.round)
     return record
 
 
-def classify_failure(
-    result: ExecutionResult,
-    previous: Optional[FailureRecord] = None,
-    round_no: int = 0,
-) -> Optional[FailureRecord]:
-    """Map a failed run onto the taxonomy; success maps to None.
-
-    ``previous`` is the prior round's raw classification: landing on the
-    identical category and evidence again upgrades the record to
-    error-recovery-failure, the signature of a loop stuck repeating the
-    same broken fix.
-    """
+def classify_failure(result: ExecutionResult, round_no: int = 0) -> Optional[FailureRecord]:
+    """Map a failed run onto the taxonomy; success maps to None."""
     if result.succeeded:
         return None
     if result.exit_path == EXIT_TIMEOUT:
-        record = FailureRecord("other", "wall-clock limit exceeded", round_no)
-    else:
-        record = None
-        for category, patterns in _PATTERN_TABLE:
-            for pattern in patterns:
-                if pattern in result.stderr:
-                    record = FailureRecord(
-                        category, _evidence_line(result.stderr, pattern), round_no
-                    )
-                    break
-            if record is not None:
-                break
-        if record is None:
-            tail = [ln.strip() for ln in result.stderr.splitlines() if ln.strip()]
-            evidence = tail[-1] if tail else f"exit code {result.exit_code}"
-            record = FailureRecord("other", evidence, round_no)
-    return _escalate(record, previous)
+        return FailureRecord("other", "wall-clock limit exceeded", round_no)
+    for category, patterns in _PATTERN_TABLE:
+        for pattern in patterns:
+            if pattern in result.stderr:
+                return FailureRecord(
+                    category, _evidence_line(result.stderr, pattern), round_no
+                )
+    tail = [ln.strip() for ln in result.stderr.splitlines() if ln.strip()]
+    evidence = tail[-1] if tail else f"exit code {result.exit_code}"
+    return FailureRecord("other", evidence, round_no)
 
 
 # ----------------------------------------------------------------------
@@ -731,7 +716,6 @@ def refinement_loop(
     workdir_root: str,
     store: Optional[MemoryStore] = None,
     gen_params: Optional[GenerationParams] = None,
-    artifact: Optional[CodeArtifact] = None,
 ) -> Tuple[CodeArtifact, ExecutionResult, LoopTrace]:
     """Generate, run, and iteratively patch until success or the cap.
 
@@ -749,8 +733,7 @@ def refinement_loop(
         raise ValidationError("r_max must be non-negative")
     limits = limits or SandboxLimits()
     gen_params = gen_params or GenerationParams()
-    if artifact is None:
-        artifact = generate_code(plan, provider, gen_params, store=store)
+    artifact = generate_code(plan, provider, gen_params, store=store)
     trace = LoopTrace()
     previous_raw: Optional[FailureRecord] = None
 

@@ -11,7 +11,7 @@ from __future__ import annotations
 import contextlib
 import os
 from collections import Counter
-from typing import Any, Dict, List, Optional, Sequence, Tuple
+from typing import Any, Dict, List, Sequence, Tuple
 
 import numpy as np
 from scipy import io as spio

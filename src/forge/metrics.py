@@ -93,7 +93,6 @@ class EmbeddingSet:
 
     vectors: np.ndarray
     labels: Tuple[str, ...]
-    batches: Optional[Tuple[str, ...]] = None
 
     def __post_init__(self):
         self.vectors = np.asarray(self.vectors, dtype=np.float64)
@@ -106,10 +105,6 @@ class EmbeddingSet:
             raise ValidationError("labels length does not match embedding rows")
         if any(not x for x in self.labels):
             raise ValidationError("labels must be non-empty strings")
-        if self.batches is not None:
-            self.batches = tuple(str(x) for x in self.batches)
-            if len(self.batches) != self.vectors.shape[0]:
-                raise ValidationError("batches length does not match embedding rows")
 
 
 class MetricReport:

@@ -73,6 +73,7 @@ from .retrieval import (
     retrieve,
 )
 from .task_analysis import (
+    ANALYSIS_ROLES,
     AnalysisReport,
     DatasetBundle,
     DatasetProfile,
@@ -181,6 +182,8 @@ class RunConfig:
             _convert(f"provider.{key}", _PROVIDER_KEYS[kind][key], value)
         if kind == "scripted" and self.seed is None:
             raise ValidationError("scripted runs require a seed")
+        if self.seed is not None and self.seed < 0:
+            raise ValidationError(f"seed must be non-negative: got {self.seed}")
 
     def to_json(self) -> Dict[str, Any]:
         return asdict(self)
@@ -237,7 +240,7 @@ class RecordingChatProvider(ChatProvider):
         self,
         inner: ChatProvider,
         stream: EventStream,
-        ledger: Optional[UsageLedger] = None,
+        ledger: UsageLedger,
         model: str = "scripted",
     ):
         self.inner = inner
@@ -278,8 +281,7 @@ class RecordingChatProvider(ChatProvider):
                 receiver=self.label,
             )
         )
-        if self.ledger is not None:
-            self.ledger.record(self.label, self.model, usage)
+        self.ledger.record(self.label, self.model, usage)
         return reply, usage
 
 
@@ -453,7 +455,7 @@ def stage_analyze(
         sections: Dict[str, Any] = {}
         merged: Dict[str, Any] = {}
         provenance: Dict[str, Dict[str, Any]] = {}
-        for role in ("dataset-analyst", "problem-investigator", "baseline-assessor", "refiner"):
+        for role in ANALYSIS_ROLES:
             result = run_analysis_stage(
                 role,
                 {

@@ -24,7 +24,7 @@ import json
 import math
 import os
 from dataclasses import dataclass, field
-from typing import Any, Callable, Dict, Iterable, List, Optional, Tuple
+from typing import Any, Dict, List, Optional, Tuple
 
 from .errors import (
     ConflictError,
@@ -96,7 +96,9 @@ class Envelope:
 
 
 def encode_message(env: Envelope) -> bytes:
-    """Serialize an envelope to its canonical UTF-8 JSON byte string."""
+    """Serialize an envelope to its canonical UTF-8 JSON byte string; a NaN
+    or infinite number, which :func:`decode_message` rejects, is a
+    :class:`ProtocolError`."""
     env.validate()
     doc: Dict[str, Any] = {"jsonrpc": "2.0"}
     if env.id is not None:
@@ -115,14 +117,18 @@ def encode_message(env: Envelope) -> bytes:
         doc["receiver"] = env.receiver
     if env.timestamp is not None:
         doc["ts"] = env.timestamp
-    return json.dumps(doc, separators=(",", ":"), ensure_ascii=False).encode("utf-8")
+    try:
+        text = json.dumps(doc, separators=(",", ":"), ensure_ascii=False, allow_nan=False)
+    except ValueError as exc:
+        raise ProtocolError(f"envelope not encodable: {exc}") from exc
+    return text.encode("utf-8")
 
 
 def decode_message(raw: bytes | str) -> Envelope:
     """Parse wire bytes back into a validated :class:`Envelope`."""
     try:
-        doc = json.loads(raw.decode("utf-8") if isinstance(raw, bytes) else raw)
-    except (json.JSONDecodeError, UnicodeDecodeError, RecursionError) as exc:
+        doc = decode_json(raw.decode("utf-8") if isinstance(raw, bytes) else raw)
+    except (json.JSONDecodeError, UnicodeDecodeError) as exc:
         raise ProtocolError(f"malformed envelope: {exc}") from exc
     if not isinstance(doc, dict):
         raise ProtocolError("envelope must be a JSON object")
@@ -263,11 +269,6 @@ class KnowledgeEntity:
     provenance: Dict[str, Any] = field(default_factory=dict)
     round: int = 0
 
-    @property
-    def confidence(self) -> Optional[float]:
-        value = self.provenance.get("confidence")
-        return None if value is None else float(value)
-
     def validate(self) -> None:
         if not self.id or not isinstance(self.id, str):
             raise ValidationError("entity id must be a non-empty string")
@@ -355,28 +356,13 @@ class MemoryStore:
     def relations(self) -> Tuple[Relation, ...]:
         return tuple(self._relations)
 
-    def neighbors(self, entity_id: str) -> List[Tuple[str, str, str]]:
-        """(source, target, label) triples touching ``entity_id``."""
-        return [
-            (r.source, r.target, r.label)
-            for r in self._relations
-            if r.source == entity_id or r.target == entity_id
-        ]
-
-    def query_entities(
-        self,
-        kind: Optional[str] = None,
-        where: Optional[Callable[[KnowledgeEntity], bool]] = None,
-    ) -> List[KnowledgeEntity]:
-        """Entities in insertion order, filtered by kind and/or predicate."""
+    def query_entities(self, kind: Optional[str] = None) -> List[KnowledgeEntity]:
+        """Entities in insertion order, only those of ``kind`` when given."""
         out = []
         for eid in self._order:
             ent = self._entities[eid]
-            if kind is not None and ent.kind != kind:
-                continue
-            if where is not None and not where(ent):
-                continue
-            out.append(copy.deepcopy(ent))
+            if kind is None or ent.kind == kind:
+                out.append(copy.deepcopy(ent))
         return out
 
 
@@ -431,16 +417,25 @@ def read_text(path: str) -> str:
 def _finite(text: str) -> float:
     value = float(text)
     if not math.isfinite(value):
-        raise ValueError(f"number {text} is out of range")
+        raise json.JSONDecodeError(f"number {text} is out of range", text, 0)
     return value
 
 
-def parse_json(text: str, source: str) -> Any:
-    """``text`` parsed as JSON; malformed or too deeply nested text, and a
-    NaN or infinite number, which no forge file holds, are a :class:`LoadError`."""
+def decode_json(text: str) -> Any:
+    """``text`` parsed as JSON. Malformed or too deeply nested text, and a
+    NaN or infinite number, which no forge file or reply may hold, are a
+    :class:`json.JSONDecodeError`."""
     try:
         return json.loads(text, parse_float=_finite, parse_constant=_finite)
-    except (ValueError, RecursionError) as exc:  # JSONDecodeError is a ValueError
+    except RecursionError:
+        raise json.JSONDecodeError("nesting too deep", text, 0) from None
+
+
+def parse_json(text: str, source: str) -> Any:
+    """``text`` parsed by :func:`decode_json`; a decode error is a :class:`LoadError`."""
+    try:
+        return decode_json(text)
+    except json.JSONDecodeError as exc:
         raise LoadError(f"{source} is not valid JSON: {exc}") from exc
 
 

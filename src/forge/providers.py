@@ -25,7 +25,6 @@ back to the neutral 0.5".
 from __future__ import annotations
 
 import hashlib
-import json
 import math
 import threading
 import time
@@ -37,6 +36,7 @@ import numpy as np
 
 from .errors import FixtureUnderflowError, LoadError, ProviderError, ValidationError
 from .matrixio import read_json
+from .protocol import parse_json
 
 CHAT_ROLES = ("user", "assistant")
 
@@ -92,10 +92,6 @@ class Usage:
             self.completion_tokens + other.completion_tokens,
         )
 
-    @property
-    def total_tokens(self) -> int:
-        return self.prompt_tokens + self.completion_tokens
-
 
 def synthesize_usage(turns: Sequence[ChatTurn], reply: str) -> Usage:
     """Deterministic stand-in token counts: ceil(chars / 4) per side."""
@@ -130,9 +126,6 @@ class PricingTable:
             raise KeyError(f"no pricing for model {model!r}")
         return self._prices[model]
 
-    def models(self) -> Tuple[str, ...]:
-        return tuple(self._prices)
-
     @classmethod
     def from_json(cls, doc: Dict[str, Dict[str, float]]) -> "PricingTable":
         table = cls()
@@ -143,7 +136,7 @@ class PricingTable:
     @classmethod
     def default(cls) -> "PricingTable":
         text = resources.files("forge.data").joinpath("pricing.json").read_text("utf-8")
-        return cls.from_json(json.loads(text))
+        return cls.from_json(parse_json(text, "pricing.json"))
 
 
 def cost_of(usage: Usage, model: str, table: PricingTable) -> float:
@@ -266,9 +259,6 @@ class ScriptedChatProvider(ChatProvider):
         self._cursor = 0
         self._lock = threading.Lock()
         self.calls: List[Tuple[ChatTurn, ...]] = []
-
-    def __len__(self) -> int:
-        return len(self._replies)
 
     @property
     def consumed(self) -> int:

@@ -78,10 +78,9 @@ class CorpusStats:
         return math.log((1 + self.doc_count) / (1 + self.doc_freq.get(term, 0))) + 1.0
 
 
-def extract_key_terms(
-    text: str, stats: Optional[CorpusStats] = None, limit: int = MAX_KEY_TERMS
-) -> List[str]:
-    """Top terms of a text by frequency (times inverse corpus frequency).
+def extract_key_terms(text: str, stats: Optional[CorpusStats] = None) -> List[str]:
+    """Top ``MAX_KEY_TERMS`` terms of a text by frequency (times inverse
+    corpus frequency).
 
     Lowercased, stopword-filtered, ranked by score descending with ties
     broken lexicographically. Raises when nothing survives filtering.
@@ -98,7 +97,7 @@ def extract_key_terms(
             weight *= stats.icf(term)
         scored.append((term, weight))
     scored.sort(key=lambda tw: (-tw[1], tw[0]))
-    return [term for term, _ in scored[:limit]]
+    return [term for term, _ in scored[:MAX_KEY_TERMS]]
 
 
 @dataclass
@@ -109,7 +108,6 @@ class Document:
     text: str
     embedding: np.ndarray
     citations: Tuple[str, ...] = ()
-    source: str = "static-corpus"
 
     def __post_init__(self):
         self.embedding = np.asarray(self.embedding, dtype=np.float64)
@@ -118,8 +116,6 @@ class Document:
             raise ValidationError(f"document {self.id!r} has a degenerate embedding")
         self.embedding = self.embedding / norm
         self.citations = tuple(self.citations)
-        if self.source not in ("static-corpus", "live-connector"):
-            raise ValidationError(f"unknown document source: {self.source!r}")
 
 
 class Corpus:
@@ -278,17 +274,15 @@ def construct_initial_query(
     """Union of key terms from the task and the dataset description,
     embedded as one space-joined string. Layer starts at 0."""
     terms: List[str] = []
-    failures = 0
     for source in (task_text, dataset_meta):
         try:
             extracted = extract_key_terms(source, stats)
         except EmptyQueryError:
-            failures += 1
             continue
         for term in extracted:
             if term not in terms:
                 terms.append(term)
-    if failures == 2 or not terms:
+    if not terms:
         raise EmptyQueryError("neither task text nor dataset meta yields terms")
     vector = embedder.embed_one(" ".join(terms))
     return QueryState(vector=vector, terms=tuple(terms), layer=0)
@@ -342,16 +336,12 @@ def update_query(
     return QueryState(vector=vector, terms=tuple(terms), layer=query.layer + 1)
 
 
-def overlap(
-    a: QueryState,
-    b: QueryState,
-    embedder: Embedder,
-    threshold: float = TERM_MATCH_THRESHOLD,
-) -> float:
+def overlap(a: QueryState, b: QueryState, embedder: Embedder) -> float:
     """Fraction of the smaller term set matched one-to-one into the other.
 
-    Term s matches term t when cosine(embed(s), embed(t)) >= threshold;
-    pairs are claimed greedily in descending similarity.
+    Term s matches term t when cosine(embed(s), embed(t)) is at least
+    ``TERM_MATCH_THRESHOLD``; pairs are claimed greedily in descending
+    similarity.
     """
     if not a.terms or not b.terms:
         raise ValidationError("overlap requires non-empty term sets")
@@ -361,7 +351,7 @@ def overlap(
     for s in a.terms:
         for t in b.terms:
             sim = float(np.dot(vectors[s], vectors[t]))
-            if sim >= threshold:
+            if sim >= TERM_MATCH_THRESHOLD:
                 pairs.append((sim, s, t))
     # Descending similarity; term texts break exact ties deterministically.
     pairs.sort(key=lambda p: (-p[0], p[1], p[2]))
@@ -380,7 +370,7 @@ def overlap(
 def follow_citations(
     docs: Sequence[Document],
     corpus: Corpus,
-    query: Optional[QueryState] = None,
+    query: QueryState,
     exclude: Iterable[str] = (),
 ) -> List[Document]:
     """Deduplicated citation targets of ``docs``, already-seen ids skipped,
@@ -394,10 +384,7 @@ def follow_citations(
                 continue
             seen.add(cid)
             targets.append(corpus.get(cid))
-    if query is not None:
-        targets.sort(key=lambda d: (-score(query, d), d.id))
-    else:
-        targets.sort(key=lambda d: d.id)
+    targets.sort(key=lambda d: (-score(query, d), d.id))
     return targets
 
 

@@ -36,7 +36,7 @@ from .errors import (
 )
 from .matrixio import find_matrix_file, read_json, read_matrix, read_table
 from .metrics import ExpressionMatrix
-from .protocol import MemoryStore, canonical_json
+from .protocol import MemoryStore, canonical_json, decode_json
 from .providers import ChatProvider, GenerationParams, ReplyError, Usage, ask
 
 CONTROL_LABEL = "control"
@@ -266,16 +266,13 @@ _FENCE_RE = re.compile(r"```(?:json)?\s*\n(.*?)\n```", re.DOTALL)
 
 
 def parse_json_reply(text: str) -> Any:
-    """JSON from a model reply, tolerating one markdown code fence; nesting
-    too deep to decode is a :class:`json.JSONDecodeError` like any bad JSON."""
+    """JSON from a model reply, tolerating one markdown code fence, decoded
+    by :func:`protocol.decode_json`."""
     candidate = text.strip()
     fenced = _FENCE_RE.search(candidate)
     if fenced:
         candidate = fenced.group(1).strip()
-    try:
-        return json.loads(candidate)
-    except RecursionError:
-        raise json.JSONDecodeError("nesting too deep", candidate, 0) from None
+    return decode_json(candidate)
 
 
 @functools.cache

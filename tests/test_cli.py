@@ -516,6 +516,25 @@ def test_deeply_nested_analysis_reply_exits_2(runner, workdir):
     assert "reply failed schema after retry: invalid JSON (nesting too deep)" in everything(result)
 
 
+def test_nan_analysis_reply_is_retried_then_exits_2(runner, workdir):
+    # Schema-complete apart from the number, which no JSON file may hold.
+    doc = {**json.loads(ANALYSIS_REPLIES[0]), "introduction": 1.5}
+    nan_reply = json.dumps(doc).replace("1.5", "NaN")
+    fixture = golden_fixture(workdir / "fixture.json")
+    golden = json.loads(fixture.read_text())["completions"]
+    fixture.write_text(json.dumps({"completions": [nan_reply] + golden}))
+    cfg = write_config(workdir / "config.json", **profile(fixture))
+    args = ["run", "--task", workdir / "task.txt", "--bundle", workdir / "bundle",
+            "--config", cfg]
+    result = run_cli(runner, args + ["--out", workdir / "retried"])
+    assert result.exit_code == 0, everything(result)
+    fixture.write_text(json.dumps({"completions": [nan_reply] * 2}))
+    result = run_cli(runner, args + ["--out", workdir / "failed"])
+    assert result.exit_code == 2, everything(result)
+    assert isinstance(result.exception, SystemExit)
+    assert "invalid JSON (number NaN is out of range)" in everything(result)
+
+
 def test_loop_exhaustion_exits_3_with_rollback(runner, workdir):
     crashes = [CRASH_REPLY, CRASH_REPLY]
     plan_doc = {
@@ -617,6 +636,7 @@ def test_bad_config_key_exits_1(runner, workdir, section, key, value, named):
          "is not valid JSON: number NaN is out of range"),
         ({"generation": {"temperature": float("inf")}},
          "is not valid JSON: number Infinity is out of range"),
+        ({"seed": -1}, "seed must be non-negative: got -1"),
     ],
 )
 def test_bad_top_level_config_value_exits_1(runner, workdir, doc, named):

@@ -306,6 +306,11 @@ def test_finalize_plan_skips_deeply_nested_proposal():
     nested = "[" * 100000
     plan = finalize_plan(["a", "b"], {"a": 0.5, "b": 0.5}, {"a": PLAN_JSON, "b": nested}, 1)
     assert plan.sections["architecture"] == "(0.5000) [a] identity"
+    # a non-finite number makes a proposal unparseable in the same way
+    for number in ("NaN", "Infinity", "1e999"):
+        bad = json.dumps({"architecture": "wide", "extra": 1.5}).replace("1.5", number)
+        plan = finalize_plan(["a", "b"], {"a": 0.5, "b": 0.5}, {"a": PLAN_JSON, "b": bad}, 1)
+        assert plan.sections["architecture"] == "(0.5000) [a] identity"
 
 
 def test_finalize_plan_partial_contributions():
@@ -470,7 +475,7 @@ def test_discussion_stores_round_stamped_entities():
     peer_rows = [e for e in results if e.body["metric"] == "peer-score"]
     conf_rows = [e for e in results if e.body["metric"] == "confidence"]
     assert (len(critic_rows), len(peer_rows), len(conf_rows)) == (8, 8, 8)
-    assert all(e.confidence is not None for e in conf_rows)
+    assert all(0.0 <= e.provenance["confidence"] <= 1.0 for e in conf_rows)
     assert len(store.query_entities(kind="plan")) == 1
 
 

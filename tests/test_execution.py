@@ -27,6 +27,7 @@ from forge.execution import (
     LoopTrace,
     SandboxLimits,
     _ArtifactParseError,
+    _escalate,
     apply_thresholds,
     classify_failure,
     generate_code,
@@ -249,19 +250,21 @@ def test_sandbox_happy_path(tmp_path):
     assert result.wall_time > 0.0
 
 
-def test_sandbox_inputs_copied_and_inlined(tmp_path):
+def test_sandbox_inputs_copied(tmp_path):
     src = tmp_path / "data.tsv"
     src.write_text("1\t2\n")
+    note = tmp_path / "note.txt"
+    note.write_text("staged-note")
     artifact = art(
         "print(open('data/input.tsv').read() + open('note.txt').read())"
     )
     result = run_sandbox(
         artifact,
-        inputs={"data/input.tsv": str(src), "note.txt": b"inline-bytes"},
+        inputs={"data/input.tsv": str(src), "note.txt": str(note)},
         workdir=str(tmp_path / "run"),
     )
     assert result.succeeded
-    assert "1\t2" in result.stdout and "inline-bytes" in result.stdout
+    assert "1\t2" in result.stdout and "staged-note" in result.stdout
     # pre-seeded inputs are not "produced"
     assert result.produced_files == []
 
@@ -432,12 +435,13 @@ def test_classify_empty_stderr_uses_exit_code():
 def test_classify_repeat_upgrades_to_recovery_failure():
     first = classify_failure(failed("KeyError: 'x'"), round_no=0)
     assert first.category == "data-access-failure"
-    second = classify_failure(failed("KeyError: 'x'"), previous=first, round_no=1)
+    again = classify_failure(failed("KeyError: 'x'"), round_no=1)
+    second = _escalate(again, first)
     assert second.category == "error-recovery-failure"
     assert second.evidence == first.evidence
     # a different evidence line is a fresh failure, not a stuck loop
-    third = classify_failure(failed("KeyError: 'y'"), previous=first, round_no=1)
-    assert third.category == "data-access-failure"
+    other = classify_failure(failed("KeyError: 'y'"), round_no=1)
+    assert _escalate(other, first) is other
 
 
 def test_failure_record_rejects_unknown_category():
@@ -808,17 +812,6 @@ def test_loop_r_max_zero_single_run(tmp_path):
     assert len(excinfo.value.trace.revisions) == 1
     with pytest.raises(ValidationError):
         refinement_loop(make_plan(), provider, r_max=-1, workdir_root=str(tmp_path))
-
-
-def test_loop_accepts_prebuilt_artifact(tmp_path):
-    provider = ScriptedChatProvider([])  # never consulted
-    artifact = parse_artifact(GOOD_REPLY)
-    final, result, trace = refinement_loop(
-        make_plan(), provider, r_max=0,
-        artifact=artifact, workdir_root=str(tmp_path),
-    )
-    assert trace.succeeded
-    assert provider.consumed == 0
 
 
 def test_loop_stores_patch_and_result_entities(tmp_path):

@@ -647,8 +647,6 @@ def test_embedding_set_validation():
         EmbeddingSet(np.ones((2, 2)), ("a", ""))
     with pytest.raises(ValidationError):
         EmbeddingSet(np.array([[np.inf, 0.0]]), ("a",))
-    with pytest.raises(ValidationError):
-        EmbeddingSet(np.ones((2, 2)), ("a", "b"), batches=("x",))
 
 
 def test_expression_matrix_validation():

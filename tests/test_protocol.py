@@ -94,6 +94,7 @@ def test_decode_classifies_by_shape():
         Envelope(kind="bogus", method="m"),
         Envelope(kind=REQUEST, method="m", id=1, timestamp=0),
         Envelope(kind=REQUEST, method="m", id=1.5),  # type: ignore[arg-type]
+        Envelope(kind=EVENT, method="m", payload={"v": float("nan")}),  # not replayable
     ],
 )
 def test_invalid_envelopes_rejected(env):
@@ -115,6 +116,8 @@ def test_invalid_envelopes_rejected(env):
         b'{"jsonrpc":"2.0","id":1,"result":null,"method":true}',
         b'{"jsonrpc":"2.0","id":true,"method":"m"}',
         b'{"jsonrpc":"2.0","id":false,"result":null}',
+        b'{"jsonrpc":"2.0","id":1,"method":"m","params":{"v":NaN}}',
+        b'{"jsonrpc":"2.0","id":1,"method":"m","params":{"v":1e999}}',
     ],
 )
 def test_decode_rejects_malformed(raw):
@@ -283,12 +286,6 @@ def test_entity_validation():
         KnowledgeEntity(id="e1", kind="report", body="x", round=-1).validate()
 
 
-def test_entity_confidence_property():
-    ent = KnowledgeEntity(id="e", kind="result", body=1, provenance={"confidence": 0.25})
-    assert ent.confidence == 0.25
-    assert KnowledgeEntity(id="e", kind="result", body=1).confidence is None
-
-
 def test_store_counter_ids():
     store = MemoryStore()
     assert store.new_id("proposal") == "proposal-0001"
@@ -334,14 +331,15 @@ def test_store_relations_and_queries():
     store.put_entity(KnowledgeEntity(id="report-1", kind="report", body="r"))
     store.link_entities("report-1", "document-0", "cites")
     store.link_entities("report-1", "document-2", "cites")
-    assert store.neighbors("document-0") == [("report-1", "document-0", "cites")]
+    assert [(r.source, r.target, r.label) for r in store.relations] == [
+        ("report-1", "document-0", "cites"),
+        ("report-1", "document-2", "cites"),
+    ]
     assert [e.id for e in store.query_entities(kind="document")] == [
         "document-0",
         "document-1",
         "document-2",
     ]
-    picked = store.query_entities(where=lambda e: e.body == "r")
-    assert [e.id for e in picked] == ["report-1"]
     with pytest.raises(Exception):
         store.link_entities("report-1", "missing", "cites")
     with pytest.raises(Exception):

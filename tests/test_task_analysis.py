@@ -165,7 +165,7 @@ def test_stage_parses_valid_reply_and_stores_entity():
     assert result.role == "dataset-analyst"
     assert result.provider_calls == 1
     assert result.content["introduction"].startswith("A four-cell pilot")
-    assert result.usage.total_tokens > 0
+    assert result.usage.prompt_tokens > 0 and result.usage.completion_tokens > 0
     entity = store.get_entity(result.entity_id)
     assert entity.kind == "report"
     assert entity.body["role"] == "dataset-analyst"
@@ -203,6 +203,19 @@ def test_deeply_nested_reply_is_invalid_json():
     with pytest.raises(StageError, match="nesting too deep") as excinfo:
         run_analysis_stage("dataset-analyst", dict(ANALYST_CONTEXT), provider)
     assert excinfo.value.raw_reply == nested
+    # a non-finite number is bad JSON too, and gets the same one retry
+    for number in ("NaN", "Infinity", "1e999"):
+        doc = {**json.loads(ANALYSIS_REPLIES[0]), "introduction": 1.5}
+        reply = json.dumps(doc).replace("1.5", number)
+        with pytest.raises(json.JSONDecodeError):
+            parse_json_reply(reply)
+        provider = ScriptedChatProvider([reply, ANALYSIS_REPLIES[0]])
+        result = run_analysis_stage("dataset-analyst", dict(ANALYST_CONTEXT), provider)
+        assert result.provider_calls == 2
+        assert f"invalid JSON (number {number} is out of range)" in provider.calls[1][2].text
+        provider = ScriptedChatProvider([reply, reply])
+        with pytest.raises(StageError, match=f"number {number} is out of range"):
+            run_analysis_stage("dataset-analyst", dict(ANALYST_CONTEXT), provider)
 
 
 def test_stage_retry_names_missing_keys():
