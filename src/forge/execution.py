@@ -22,6 +22,7 @@ import os
 import shlex
 import shutil
 import signal
+import stat
 import subprocess
 import sys
 import time
@@ -386,7 +387,7 @@ def _walk_files(root: Path) -> List[str]:
     return sorted(
         str(p.relative_to(root).as_posix())
         for p in root.rglob("*")
-        if p.is_file()
+        if stat.S_ISREG(p.lstat().st_mode)
     )
 
 

@@ -12,12 +12,13 @@ from __future__ import annotations
 
 import os
 import shutil
+import stat
 import tempfile
 from contextlib import contextmanager
 from dataclasses import MISSING, asdict, dataclass, fields, is_dataclass
 from pathlib import Path
 from typing import (
-    Any, Dict, Iterator, Optional, Tuple, Union, get_args, get_origin, get_type_hints,
+    Any, Dict, Iterator, List, Optional, Tuple, Union, get_args, get_origin, get_type_hints,
 )
 
 from .consensus import (
@@ -40,6 +41,7 @@ from .execution import (
     validate_predictions,
 )
 from .matrixio import (
+    PREDICTIONS_STEM,
     align_predictions,
     find_matrix_file,
     read_json,
@@ -241,7 +243,7 @@ class RecordingChatProvider(ChatProvider):
         inner: ChatProvider,
         stream: EventStream,
         ledger: UsageLedger,
-        model: str = "scripted",
+        model: str,
     ):
         self.inner = inner
         self.stream = stream
@@ -531,11 +533,28 @@ def _bundle_inputs(bundle_path: str) -> Dict[str, str]:
     return inputs
 
 
+_NOT_REGULAR = {stat.S_IFLNK: "a symlink", stat.S_IFDIR: "a directory", stat.S_IFIFO: "a FIFO"}
+
+
+def _prediction_files(workdir: str) -> List[str]:
+    """The ``predictions*`` names under ``workdir``, each checked to be a
+    regular file: the parent opens and moves them, and a FIFO would block
+    the read while a symlink would leave a dangling link behind."""
+    names = sorted(n for n in os.listdir(workdir) if n.startswith(PREDICTIONS_STEM))
+    for name in names:
+        mode = os.lstat(os.path.join(workdir, name)).st_mode
+        if not stat.S_ISREG(mode):
+            kind = _NOT_REGULAR.get(stat.S_IFMT(mode), "not a regular file")
+            raise ValidationError(f"{name} is {kind}")
+    return names
+
+
 def _prediction_validator(truth: ExpressionMatrix):
     """Validator closure: the run's predictions, read and aligned to ``truth``."""
 
     def check(result: ExecutionResult, workdir: str) -> ExpressionMatrix:
         try:
+            _prediction_files(workdir)
             return align_predictions(read_predictions(workdir), truth)
         except ValidationError as exc:
             raise ValidationError(f"prediction output invalid: {exc}") from exc
@@ -593,11 +612,9 @@ def persist_predictions(workdir: str, ctx: RunContext) -> str:
     """Move the run's prediction files from ``workdir`` into ``predictions/``."""
     dest = Path(ctx.out_dir) / "predictions"
     dest.mkdir(parents=True, exist_ok=True)
-    moved = []
-    for name in sorted(os.listdir(workdir)):
-        if name.startswith("predictions"):
-            shutil.move(os.path.join(workdir, name), dest / name)
-            moved.append(name)
+    moved = _prediction_files(workdir)
+    for name in moved:
+        shutil.move(os.path.join(workdir, name), dest / name)
     if not moved:
         raise LoadError(f"no prediction files found under {workdir}")
     return str(dest)

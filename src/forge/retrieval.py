@@ -57,13 +57,12 @@ STOPWORDS = frozenset(
 _TOKEN_RE = re.compile(r"[a-z0-9]+(?:[-'][a-z0-9]+)*")
 
 
+def _is_term(tok: str) -> bool:
+    return not (tok in STOPWORDS or len(tok) < 2 or tok.isdigit())
+
+
 def _tokens(text: str) -> List[str]:
-    out = []
-    for tok in _TOKEN_RE.findall(text.lower()):
-        if tok in STOPWORDS or len(tok) < 2 or tok.isdigit():
-            continue
-        out.append(tok)
-    return out
+    return [tok for tok in _TOKEN_RE.findall(text.lower()) if _is_term(tok)]
 
 
 @dataclass
@@ -155,10 +154,12 @@ class Corpus:
 
 
 def _document_frequencies(docs: Iterable[Document]) -> Dict[str, int]:
-    df: Dict[str, int] = {}
+    # The filter depends on the term alone: apply it per distinct term.
+    df: Counter = Counter()
     for doc in docs:
-        for term in set(_tokens(doc.text)):
-            df[term] = df.get(term, 0) + 1
+        df.update(set(_TOKEN_RE.findall(doc.text.lower())))
+    for term in [t for t in df if not _is_term(t)]:
+        del df[term]
     return df
 
 
@@ -288,14 +289,19 @@ def construct_initial_query(
     return QueryState(vector=vector, terms=tuple(terms), layer=0)
 
 
-def score(query: QueryState, doc: Document) -> float:
-    """Cosine similarity between query vector and document embedding."""
+def _checked_embedding(query: QueryState, doc: Document) -> np.ndarray:
     if query.vector.shape != doc.embedding.shape:
         raise ValidationError(
             f"dimension mismatch: query {query.vector.shape} vs doc {doc.embedding.shape}"
         )
-    denom = float(np.linalg.norm(query.vector) * np.linalg.norm(doc.embedding))
-    return float(np.dot(query.vector, doc.embedding) / denom)
+    return doc.embedding
+
+
+def score(query: QueryState, doc: Document) -> float:
+    """Cosine similarity between query vector and document embedding."""
+    embedding = _checked_embedding(query, doc)
+    denom = float(np.linalg.norm(query.vector) * np.linalg.norm(embedding))
+    return float(np.dot(query.vector, embedding) / denom)
 
 
 def update_query(
@@ -388,6 +394,28 @@ def follow_citations(
     return targets
 
 
+# Document and QueryState hold unit vectors, so a row's product with the query
+# equals its ``score`` up to rounding (BLAS may sum in another order than np.dot;
+# ``score`` divides by norms within an ulp of 1): ~1e-14 apart at d = 64. Every
+# top-k document by ``score`` thus has a product within this margin of the k-th.
+RANK_MARGIN = 1e-9
+
+
+def _top_unseen(
+    docs: Sequence[Document], matrix: np.ndarray, query: QueryState, exclude: Set[str], k: int
+) -> List[Document]:
+    """The first ``k`` documents by (-score, id) not in ``exclude``: one product
+    with ``matrix`` (embeddings as rows) ranks all, ``score`` orders the cut."""
+    seen = np.fromiter((d.id in exclude for d in docs), bool, len(docs))
+    products = matrix @ query.vector
+    products[seen] = -np.inf
+    k = min(k, len(docs) - int(seen.sum()))
+    kth = np.partition(products, -k)[-k] if k else np.inf  # no k: nothing is kept
+    near = [docs[i] for i in np.flatnonzero(products >= kth - RANK_MARGIN)]
+    near.sort(key=lambda d: (-score(query, d), d.id))
+    return near[:k]
+
+
 @dataclass
 class LayerTrace:
     layer: int
@@ -430,13 +458,14 @@ def retrieve(
 ) -> RetrievalResult:
     """Alternating breadth/depth walk with three-way termination.
 
-    Odd layers scan the whole corpus for the top-k unseen documents by
-    score; even layers follow citations of the previous layer. Documents
-    scoring at or above the relevance floor join the result set. After
-    each layer the query is updated; the walk stops on query stagnation
-    (overlap with the previous query above tau, first checked after layer
-    2), then on a sub-floor best score, then on the layer cap. Only the
-    first triggered reason is recorded.
+    Odd layers rank the whole corpus with one matrix-vector product for the
+    top-k unseen documents, and exact cosine (``score``) orders those near
+    the cut, so traces match a full sort by score; even layers follow
+    citations of the previous layer. Documents scoring at or above the
+    relevance floor join the result set. After each layer the query is
+    updated; the walk stops on query stagnation (overlap with the previous
+    query above tau, first checked after layer 2), then on a sub-floor best
+    score, then on the layer cap. Only the first triggered reason is recorded.
     """
     trace = RetrievalTrace()
     if len(corpus) == 0:
@@ -444,6 +473,8 @@ def retrieve(
         trace.stop_layer = 0
         return RetrievalResult(documents=[], trace=trace)
 
+    docs = corpus.documents()
+    matrix = np.stack([_checked_embedding(q0, d) for d in docs])
     collected: List[Document] = []
     collected_ids: Set[str] = set()
     query = q0
@@ -451,9 +482,7 @@ def retrieve(
 
     for t in range(1, params.l_max + 1):
         if t % 2 == 1:
-            candidates = [d for d in corpus.documents() if d.id not in collected_ids]
-            candidates.sort(key=lambda d: (-score(query, d), d.id))
-            layer_docs = candidates[: params.k_per_layer]
+            layer_docs = _top_unseen(docs, matrix, query, collected_ids, params.k_per_layer)
             mode = BFS
         else:
             layer_docs = follow_citations(

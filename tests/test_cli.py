@@ -798,6 +798,31 @@ def test_analyze_with_indexed_corpus(runner, workdir):
     )
 
 
+# A document without a row in embeddings.tsv is embedded at embed_dim (64).
+@pytest.mark.parametrize("rows", [
+    pytest.param({"doc-b": [1.0, 0.0, 0.0]}, id="mixed"),
+    pytest.param({"doc-a": [0.0, 1.0, 0.0], "doc-b": [1.0, 0.0, 0.0]}, id="not-embed-dim"),
+])
+def test_run_with_corpus_of_wrong_dimension_exits_1(runner, workdir, rows):
+    corpus = write_corpus(
+        workdir / "corpus",
+        {"doc-a": "Mean-shift baselines for perturbation prediction.",
+         "doc-b": "Expression profiles of knockout cells."},
+    )
+    (corpus / "embeddings.tsv").write_text(
+        "".join(f"{d}\t{' '.join(map(str, v))}\n" for d, v in rows.items())
+    )
+    fixture = golden_fixture(workdir / "fixture.json")
+    cfg = write_config(workdir / "config.json", **profile(fixture))
+    result = run_cli(
+        runner,
+        ["run", "--task", workdir / "task.txt", "--bundle", workdir / "bundle",
+         "--corpus", corpus, "--out", workdir / "out", "--config", cfg],
+    )
+    assert result.exit_code == 1, everything(result)
+    assert "dimension mismatch" in everything(result)
+
+
 # ---------------------------------------------------------------------------
 # option plumbing
 

@@ -2,6 +2,8 @@
 
 import json
 import os
+import subprocess
+import sys
 import textwrap
 from pathlib import Path
 
@@ -11,6 +13,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy import sparse
 
+import forge
 from forge.consensus import PLAN_SECTIONS, ResearchPlan
 from forge.errors import (
     GenerationError,
@@ -786,6 +789,72 @@ def test_loop_patches_undecodable_prediction_ids(tmp_path):
         "prediction output invalid: cannot read <workdir>/predictions_rows.tsv"
     )
     assert result.output.row_ids == ("c1",)
+
+
+# One refinement loop, run in a child interpreter so that a parent blocked
+# on a FIFO fails the test by timeout instead of hanging it. The two replies
+# come on stdin: revision 0 runs the bad program, revision 1 writes good
+# predictions, and the child prints what the loop recorded of revision 0.
+_LOOP_CHILD = textwrap.dedent("""\
+    import json, sys
+    import numpy as np
+    from forge.consensus import PLAN_SECTIONS, ResearchPlan
+    from forge.execution import refinement_loop
+    from forge.metrics import ExpressionMatrix
+    from forge.pipeline import _prediction_validator
+    from forge.providers import ScriptedChatProvider
+
+    replies, workdir_root = json.loads(sys.stdin.read())
+    plan = ResearchPlan(sections={s: s for s in PLAN_SECTIONS},
+                        weights_at_finalization={"a": 1.0}, rounds_used=1)
+    truth = ExpressionMatrix(np.zeros((1, 1)), row_ids=("c1",), column_ids=("g1",))
+    _, result, trace = refinement_loop(
+        plan, ScriptedChatProvider(replies), r_max=1,
+        validator=_prediction_validator(truth), workdir_root=workdir_root,
+    )
+    first = trace.revisions[0]
+    print(json.dumps({"category": first.failure.category,
+                      "evidence": first.failure.evidence,
+                      "produced": first.result.produced_files,
+                      "rows": list(result.output.row_ids)}))
+""")
+
+_PREDICTION_IDS = """\
+import os
+open("predictions_rows.tsv", "w").write("c1\\n")
+open("predictions_cols.tsv", "w").write("g1\\n")
+"""
+
+
+@pytest.mark.parametrize("make, evidence", [
+    ('os.mkfifo("predictions.tsv")', "predictions.tsv is a FIFO"),
+    ('open("values.tsv", "w").write("0.0\\n")\nos.symlink("values.tsv", "predictions.tsv")',
+     "predictions.tsv is a symlink"),
+    ("os.symlink({bundle_file!r}, 'predictions.tsv')", "predictions.tsv is a symlink"),
+    ('os.mkdir("predictions.mtx")', "predictions.mtx is a directory"),
+], ids=["fifo", "relative-symlink", "absolute-symlink", "directory"])
+def test_loop_patches_predictions_that_are_not_regular_files(tmp_path, make, evidence):
+    bundle_file = tmp_path / "bundle" / "matrix.tsv"
+    bundle_file.parent.mkdir()
+    bundle_file.write_text("0.0\n")
+    bad = reply(_PREDICTION_IDS + make.format(bundle_file=str(bundle_file)))
+    good = reply(_PREDICTION_IDS + 'open("predictions.tsv", "w").write("0.0\\n")')
+    src = str(Path(forge.__file__).resolve().parents[1])
+    child = subprocess.run(
+        [sys.executable, "-c", _LOOP_CHILD],
+        input=json.dumps([[bad, good], str(tmp_path / "revisions")]),
+        capture_output=True, text=True, timeout=60,
+        env={**os.environ, "PYTHONPATH": src},
+    )
+    assert child.returncode == 0, child.stderr
+    first = json.loads(child.stdout)
+    assert first["category"] == "data-access-failure"
+    assert first["evidence"] == f"prediction output invalid: {evidence}"
+    # only regular files count as produced
+    assert first["produced"] == ["predictions_cols.tsv", "predictions_rows.tsv"] + (
+        ["values.tsv"] if "values.tsv" in make else []
+    )
+    assert first["rows"] == ["c1"]
 
 
 def test_loop_repeated_validator_complaint_upgrades(tmp_path):

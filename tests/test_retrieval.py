@@ -15,6 +15,8 @@ from forge.retrieval import (
     Document,
     QueryState,
     RetrievalParams,
+    _tokens,
+    _top_unseen,
     construct_initial_query,
     extract_key_terms,
     follow_citations,
@@ -76,6 +78,30 @@ def test_hyphenated_tokens_survive():
 
 # ---------------------------------------------------------------------------
 # documents and corpus loading
+
+
+def _per_token_frequencies(docs):
+    """Document frequencies as first defined: each document's filtered
+    tokens, deduplicated, counted one term at a time."""
+    df = {}
+    for doc in docs:
+        for term in set(_tokens(doc.text)):
+            df[term] = df.get(term, 0) + 1
+    return df
+
+
+def test_document_frequencies_match_the_per_token_definition():
+    texts = [
+        "The T-cell's knock-out of KO-2 genes; Don't re-use 42 or 7b.",
+        "co-culture CO-CULTURE co-culture's naïve Ärger café ß x 3 12 a1",
+        "THE and OF to -- ' 2024-01 rock'n'roll well-known Well-Known",
+        "Zürich ZÜRICH zürich's 9-9 q-b b-q BRCA1 brca1",
+    ]
+    docs = [Document(id=f"d{i}", text=t, embedding=[1.0, 0.0]) for i, t in enumerate(texts)]
+    df = Corpus(docs).stats.doc_freq
+    assert df == _per_token_frequencies(docs)
+    assert df["co-culture"] == 1 and df["well-known"] == 1 and df["brca1"] == 1
+    assert "the" not in df and "42" not in df and "x" not in df
 
 
 def test_document_normalizes_embedding():
@@ -184,6 +210,97 @@ def test_score_is_cosine():
     )
     with pytest.raises(ValidationError):
         score(q, Document(id="d", text="x", embedding=[1.0, 0.0, 0.0]))
+
+
+def test_retrieve_rejects_mismatched_dimensions():
+    q0 = QueryState(vector=[1.0, 0.0], terms=("t",))
+    mixed = Corpus([Document(id="a", text="x", embedding=[1.0, 0.0]),
+                    Document(id="b", text="y", embedding=[1.0, 0.0, 0.0])])
+    wider = Corpus([Document(id="a", text="x", embedding=[1.0, 0.0, 0.0]),
+                    Document(id="b", text="y", embedding=[0.0, 1.0, 0.0])])
+    for corpus in (mixed, wider):
+        with pytest.raises(ValidationError, match="dimension mismatch"):
+            retrieve(q0, corpus, RetrievalParams(), ScriptedEmbedder(dim=2))
+
+
+# ---------------------------------------------------------------------------
+# the breadth layer: one product, exact order at the cut
+
+
+def _full_sort_layer(docs, query, exclude, k):
+    """A breadth layer as first defined: every unseen document sorted by
+    (-score, id)."""
+    candidates = [d for d in docs if d.id not in exclude]
+    candidates.sort(key=lambda d: (-score(query, d), d.id))
+    return candidates[:k]
+
+
+def _assert_layer_matches_full_sort(docs, query, exclude, k):
+    matrix = np.stack([d.embedding for d in docs])
+    got = _top_unseen(docs, matrix, query, exclude, k)
+    want = _full_sort_layer(docs, query, exclude, k)
+    assert [d.id for d in got] == [d.id for d in want]
+    assert [score(query, d) for d in got] == [score(query, d) for d in want]
+    assert not {d.id for d in got} & set(exclude)
+    return got
+
+
+def _shuffled_docs(rng, vectors):
+    ids = [f"doc{i:04d}" for i in rng.permutation(len(vectors))]
+    docs = [Document(id=i, text="x", embedding=v) for i, v in zip(ids, vectors)]
+    return Corpus(docs).documents()
+
+
+@pytest.mark.parametrize("seed", range(6))
+def test_top_unseen_matches_full_sort_on_random_corpora(seed):
+    rng = np.random.default_rng(seed)
+    dim = int(rng.choice([2, 8, 64]))
+    vectors = rng.standard_normal((400, dim))
+    # exact duplicates: their ties are broken by id
+    vectors[rng.choice(400, 60)] = vectors[rng.choice(400, 60)]
+    docs = _shuffled_docs(rng, vectors)
+    for _ in range(5):
+        query = QueryState(vector=rng.standard_normal(dim), terms=("t",))
+        exclude = {d.id for d in docs if rng.random() < 0.3}
+        for k in (1, 5, 17):
+            _assert_layer_matches_full_sort(docs, query, exclude, k)
+
+
+def test_top_unseen_breaks_duplicate_ties_by_id():
+    rng = np.random.default_rng(7)
+    shared = rng.standard_normal(64)
+    docs = _shuffled_docs(rng, [shared] * 12 + list(rng.standard_normal((30, 64))))
+    query = QueryState(vector=shared, terms=("t",))
+    got = _assert_layer_matches_full_sort(docs, query, set(), 5)
+    assert [d.id for d in got] == sorted(d.id for d in got)
+
+
+def test_top_unseen_orders_near_ties_by_exact_score():
+    # Scores apart by about 1e-15: the product may order them otherwise,
+    # and only ``score`` may decide.
+    rng = np.random.default_rng(11)
+    base = rng.standard_normal(64)
+    base /= np.linalg.norm(base)
+    vectors = [base + 1e-15 * rng.standard_normal(64) for _ in range(40)]
+    docs = _shuffled_docs(rng, vectors + list(rng.standard_normal((200, 64))))
+    query = QueryState(vector=base, terms=("t",))
+    scores = sorted(score(query, d) for d in docs)[-40:]
+    assert scores[-1] - scores[0] < 1e-14 and len(set(scores)) > 1
+    for k in (1, 5, 39):
+        _assert_layer_matches_full_sort(docs, query, set(), k)
+
+
+def test_top_unseen_with_few_or_no_unseen_documents():
+    rng = np.random.default_rng(3)
+    docs = _shuffled_docs(rng, rng.standard_normal((20, 8)))
+    query = QueryState(vector=rng.standard_normal(8), terms=("t",))
+    best = _full_sort_layer(docs, query, set(), 20)
+    # the best documents are collected: masked, they never come back
+    exclude = {d.id for d in best[:18]}
+    got = _assert_layer_matches_full_sort(docs, query, exclude, 5)
+    assert [d.id for d in got] == [d.id for d in best[18:]]
+    everything = {d.id for d in docs}
+    assert _assert_layer_matches_full_sort(docs, query, everything, 5) == []
 
 
 def test_update_query_blends_and_windows():
