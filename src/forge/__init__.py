@@ -50,7 +50,6 @@ from .providers import (
     ScriptedChatProvider,
     ScriptedEmbedder,
     Usage,
-    UsageLedger,
     cost_of,
     extract_score,
     load_fixture,

@@ -74,9 +74,9 @@ class DiscussionError(ProviderError):
     ``trace`` preserves the rounds completed before the failure.
     """
 
-    def __init__(self, message: str, trace=None):
+    def __init__(self, message: str, trace):
         super().__init__(message)
-        self.trace = trace if trace is not None else {}
+        self.trace = trace
 
 
 class SandboxError(ForgeError):
@@ -90,7 +90,7 @@ class LoopError(SandboxError):
     revision chosen as the best milestone reached.
     """
 
-    def __init__(self, message: str, trace=None, rollback=None):
+    def __init__(self, message: str, trace, rollback):
         super().__init__(message)
-        self.trace = trace if trace is not None else []
+        self.trace = trace
         self.rollback = rollback

@@ -29,7 +29,7 @@ from .consensus import (
     run_discussion,
     select_experts,
 )
-from .errors import EmptyQueryError, LoadError, LoopError, ValidationError
+from .errors import DiscussionError, EmptyQueryError, LoadError, LoopError, ValidationError
 from .execution import (
     CodeArtifact,
     EvaluationParams,
@@ -62,7 +62,6 @@ from .providers import (
     HttpChatProvider,
     HttpEmbedder,
     Usage,
-    UsageLedger,
     load_fixture,
 )
 from .retrieval import (
@@ -238,17 +237,9 @@ class RecordingChatProvider(ChatProvider):
     (character counts and synthesized token counts), never clocks.
     """
 
-    def __init__(
-        self,
-        inner: ChatProvider,
-        stream: EventStream,
-        ledger: UsageLedger,
-        model: str,
-    ):
+    def __init__(self, inner: ChatProvider, stream: EventStream):
         self.inner = inner
         self.stream = stream
-        self.ledger = ledger
-        self.model = model
         self.label = "pipeline"
         self._next_id = 1
 
@@ -283,7 +274,6 @@ class RecordingChatProvider(ChatProvider):
                 receiver=self.label,
             )
         )
-        self.ledger.record(self.label, self.model, usage)
         return reply, usage
 
 
@@ -343,7 +333,6 @@ class RunContext:
     embedder: Embedder
     store: MemoryStore
     stream: EventStream
-    ledger: UsageLedger
 
     @contextmanager
     def stage(self, name: str) -> Iterator[None]:
@@ -387,26 +376,32 @@ def open_run(
         raise ValidationError(f"{out_dir} already holds a run; use a new output directory")
     path.mkdir(parents=True, exist_ok=True)
     stream = EventStream(str(path / "events.jsonl"))
-    ledger = UsageLedger()
     chat_inner, embedder = build_providers(config, require_fixture=require_fixture)
-    chat = RecordingChatProvider(chat_inner, stream, ledger, model=config.generation.model)
-    ctx = RunContext(config=config, out_dir=str(path), chat=chat, embedder=embedder,
-                     store=MemoryStore(), stream=stream, ledger=ledger)
+    ctx = RunContext(config=config, out_dir=str(path),
+                     chat=RecordingChatProvider(chat_inner, stream), embedder=embedder,
+                     store=MemoryStore(), stream=stream)
     ctx.write("config.json", config.to_json())
     return ctx
 
 
 def close_run(ctx: RunContext) -> None:
-    """Persist the knowledge store and the usage summary."""
+    """Persist the knowledge store and ``usage.json``, the stream's chat
+    responses billed to their requests' stages, in stream order."""
     save_store(ctx.store, ctx.out_dir)
-    total = ctx.ledger.total()
-    ctx.write("usage.json", {
-        "records": ctx.ledger.to_json(),
-        "total": {
-            "prompt_tokens": total.prompt_tokens,
-            "completion_tokens": total.completion_tokens,
-        },
-    })
+    stages: Dict[int, str] = {}
+    records = []
+    for env in ctx.stream.events:
+        if env.kind == "request":
+            stages[env.id] = env.payload["stage"]
+        elif env.kind == "response":
+            records.append({
+                "label": stages[env.id],
+                "model": ctx.config.generation.model,
+                "prompt_tokens": env.payload["prompt_tokens"],
+                "completion_tokens": env.payload["completion_tokens"],
+            })
+    ctx.write("usage.json", {"records": records, "total": {
+        key: sum(r[key] for r in records) for key in ("prompt_tokens", "completion_tokens")}})
 
 
 # ----------------------------------------------------------------------
@@ -458,7 +453,7 @@ def stage_analyze(
         merged: Dict[str, Any] = {}
         provenance: Dict[str, Dict[str, Any]] = {}
         for role in ANALYSIS_ROLES:
-            result = run_analysis_stage(
+            answer = run_analysis_stage(
                 role,
                 {
                     "task": task_text,
@@ -470,11 +465,11 @@ def stage_analyze(
                 params=ctx.config.generation,
                 store=ctx.store,
             )
-            sections[role] = result.content
+            sections[role] = answer.value
             if role in ("dataset-analyst", "refiner"):
-                for key, value in result.content.items():
+                for key, value in answer.value.items():
                     merged[key] = value
-                    provenance[key] = {"role": role, "provider_calls": result.provider_calls}
+                    provenance[key] = {"role": role, "provider_calls": answer.calls}
 
         report = assemble_report(merged, provenance=provenance, store=ctx.store)
         report_entity = ctx.store.query_entities(kind="report")[-1]
@@ -497,19 +492,25 @@ def stage_design(
     """Select the panel and run the consensus discussion.
 
     Writes ``plan.json`` and ``discussion_trace.json`` into the run directory.
+    When the provider fails mid-discussion, the trace of the rounds completed
+    is written before the :class:`DiscussionError` propagates.
     """
     with ctx.stage("design"):
         panel = select_experts(
             load_registry(), report, ctx.config.discussion, ctx.config.seed, ctx.embedder
         )
-        plan, trace = run_discussion(
-            report,
-            ctx.config.discussion,
-            ctx.chat,
-            experts=panel,
-            store=ctx.store,
-            gen_params=ctx.config.generation,
-        )
+        try:
+            plan, trace = run_discussion(
+                report,
+                ctx.config.discussion,
+                ctx.chat,
+                experts=panel,
+                store=ctx.store,
+                gen_params=ctx.config.generation,
+            )
+        except DiscussionError as exc:
+            ctx.write("discussion_trace.json", exc.trace)
+            raise
         ctx.write("plan.json", plan.to_json())
         ctx.write("discussion_trace.json", trace.to_json())
     return plan, trace
@@ -591,10 +592,8 @@ def stage_execute(
                 gen_params=ctx.config.generation,
             )
         except LoopError as exc:
-            if isinstance(exc.trace, LoopTrace):
-                persist_loop_trace(exc.trace, ctx)
-            if exc.rollback is not None:
-                persist_artifact(exc.rollback, ctx)
+            persist_loop_trace(exc.trace, ctx)
+            persist_artifact(exc.rollback, ctx)
             raise
         persist_artifact(artifact, ctx)
         persist_loop_trace(trace, ctx)

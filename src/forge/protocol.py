@@ -306,12 +306,11 @@ class MemoryStore:
 
     def __init__(self):
         self._entities: Dict[str, KnowledgeEntity] = {}
-        self._order: List[str] = []
         self._relations: List[Relation] = []
         self._counters: Dict[str, int] = {}
 
     def __len__(self) -> int:
-        return len(self._order)
+        return len(self._entities)
 
     def new_id(self, kind: str) -> str:
         if kind not in ENTITY_KINDS:
@@ -333,7 +332,6 @@ class MemoryStore:
         if entity.id in self._entities:
             raise ConflictError(f"entity id {entity.id!r} already stored")
         self._entities[entity.id] = copy.deepcopy(entity)
-        self._order.append(entity.id)
         return entity.id
 
     def get_entity(self, entity_id: str) -> KnowledgeEntity:
@@ -358,12 +356,8 @@ class MemoryStore:
 
     def query_entities(self, kind: Optional[str] = None) -> List[KnowledgeEntity]:
         """Entities in insertion order, only those of ``kind`` when given."""
-        out = []
-        for eid in self._order:
-            ent = self._entities[eid]
-            if kind is None or ent.kind == kind:
-                out.append(copy.deepcopy(ent))
-        return out
+        return [copy.deepcopy(ent) for ent in self._entities.values()
+                if kind is None or ent.kind == kind]
 
 
 def entity_to_document(entity: KnowledgeEntity, seq: int) -> Dict[str, Any]:
@@ -391,8 +385,7 @@ def save_store(store: MemoryStore, directory: str) -> None:
     """
     ent_dir = os.path.join(directory, "entities")
     os.makedirs(ent_dir, exist_ok=True)
-    for seq, eid in enumerate(store._order, start=1):
-        ent = store._entities[eid]
+    for seq, (eid, ent) in enumerate(store._entities.items(), start=1):
         with open(os.path.join(ent_dir, f"{eid}.json"), "w", encoding="utf-8") as fh:
             fh.write(canonical_json(entity_to_document(ent, seq)) + "\n")
     with open(os.path.join(directory, "relations.jsonl"), "w", encoding="utf-8") as fh:

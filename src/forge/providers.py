@@ -77,7 +77,7 @@ class GenerationParams:
 
 @dataclass(frozen=True)
 class Usage:
-    """Token counts for one exchange (or a sum of exchanges)."""
+    """Token counts for one exchange."""
 
     prompt_tokens: int = 0
     completion_tokens: int = 0
@@ -85,12 +85,6 @@ class Usage:
     def __post_init__(self):
         if self.prompt_tokens < 0 or self.completion_tokens < 0:
             raise ValidationError("token counts must be non-negative")
-
-    def __add__(self, other: "Usage") -> "Usage":
-        return Usage(
-            self.prompt_tokens + other.prompt_tokens,
-            self.completion_tokens + other.completion_tokens,
-        )
 
 
 def synthesize_usage(turns: Sequence[ChatTurn], reply: str) -> Usage:
@@ -148,44 +142,6 @@ def cost_of(usage: Usage, model: str, table: PricingTable) -> float:
     )
 
 
-class UsageLedger:
-    """Accumulates (label, model, usage) rows for a run's cost report."""
-
-    def __init__(self):
-        self._rows: List[Tuple[str, str, Usage]] = []
-        self._lock = threading.Lock()
-
-    def record(self, label: str, model: str, usage: Usage) -> None:
-        with self._lock:
-            self._rows.append((label, model, usage))
-
-    def total(self) -> Usage:
-        out = Usage()
-        for _, _, usage in self._rows:
-            out = out + usage
-        return out
-
-    def total_cost(self, table: PricingTable) -> float:
-        return sum(cost_of(u, m, table) for _, m, u in self._rows)
-
-    def by_label(self) -> Dict[str, Usage]:
-        out: Dict[str, Usage] = {}
-        for label, _, usage in self._rows:
-            out[label] = out.get(label, Usage()) + usage
-        return out
-
-    def to_json(self) -> List[Dict[str, object]]:
-        return [
-            {
-                "label": label,
-                "model": model,
-                "prompt_tokens": usage.prompt_tokens,
-                "completion_tokens": usage.completion_tokens,
-            }
-            for label, model, usage in self._rows
-        ]
-
-
 def _check_turns(turns: Sequence[ChatTurn]) -> None:
     if not turns:
         raise ValidationError("at least one chat turn is required")
@@ -210,12 +166,9 @@ class ReplyError(ValueError):
 
 
 class Answer(NamedTuple):
-    """What :func:`ask` got: the parsed value, the reply it came from, the
-    usage of every exchange and how many exchanges it took."""
+    """What :func:`ask` got: the parsed value and how many exchanges it took."""
 
     value: Any
-    reply: str
-    usage: Usage
     calls: int
 
 
@@ -233,14 +186,14 @@ def ask(
     rejection is raised again with that reply attached.
     """
     turns = [ChatTurn("user", prompt)]
-    reply, usage = provider.complete(turns, params)
+    reply, _ = provider.complete(turns, params)
     try:
-        return Answer(parse(reply), reply, usage, 1)
+        return Answer(parse(reply), 1)
     except ReplyError as first:
         turns = turns + [ChatTurn("assistant", reply), ChatTurn("user", retry(str(first)))]
-    reply, more = provider.complete(turns, params)
+    reply, _ = provider.complete(turns, params)
     try:
-        return Answer(parse(reply), reply, usage + more, 2)
+        return Answer(parse(reply), 2)
     except ReplyError as second:
         second.reply = reply
         raise

@@ -37,7 +37,7 @@ from .errors import (
 from .matrixio import find_matrix_file, read_json, read_matrix, read_table
 from .metrics import ExpressionMatrix
 from .protocol import MemoryStore, canonical_json, decode_json
-from .providers import ChatProvider, GenerationParams, ReplyError, Usage, ask
+from .providers import Answer, ChatProvider, GenerationParams, ReplyError, ask
 
 CONTROL_LABEL = "control"
 MODALITIES = ("RNA", "ATAC", "protein")
@@ -321,26 +321,14 @@ def _parse_section(role: str, reply: str) -> Dict[str, Any]:
     return parsed
 
 
-@dataclass
-class StageResult:
-    """One agent's parsed section plus bookkeeping."""
-
-    role: str
-    content: Dict[str, Any]
-    provider_calls: int
-    raw_reply: str
-    entity_id: Optional[str] = None
-    usage: Usage = field(default_factory=Usage)
-
-
 def run_analysis_stage(
     role: str,
     context: Dict[str, Any],
     provider: ChatProvider,
     params: Optional[GenerationParams] = None,
     store: Optional[MemoryStore] = None,
-) -> StageResult:
-    """Run one analysis agent and parse its section.
+) -> Answer:
+    """Run one analysis agent; the answer's value is its parsed section.
 
     ``context`` carries "task" (text), "profile" (DatasetProfile or dict),
     "documents" (list of {id, text}), and "sections" (prior roles' parsed
@@ -374,15 +362,13 @@ def run_analysis_stage(
     except ReplyError as exc:
         raise StageError(role, f"reply failed schema after retry: {exc}",
                          raw_reply=exc.reply) from None
-    result = StageResult(role=role, content=answer.value, provider_calls=answer.calls,
-                         raw_reply=answer.reply, usage=answer.usage)
     if store is not None:
-        result.entity_id = store.record(
+        store.record(
             "report", {"role": role, "section": answer.value}, role,
             "task-analysis stage output",
             citations=[d.get("id", "?") for d in (context.get("documents") or [])],
         )
-    return result
+    return answer
 
 
 @dataclass

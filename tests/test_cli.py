@@ -577,6 +577,64 @@ def test_loop_exhaustion_exits_3_with_rollback(runner, workdir):
         assert not [e for e in events if e[1] == "evaluate"]
 
 
+def test_design_failure_writes_the_partial_discussion_trace(runner, workdir):
+    # the fixture ends during round 2's refinements, after its scores
+    fx = workdir / "cut.json"
+    fx.write_text(json.dumps(
+        {"completions": ANALYSIS_REPLIES + discussion_replies(2, 4)[:12]}))
+    cfg = write_config(workdir / "config.json", **profile(fx))
+    out = workdir / "out"
+    result = run_cli(runner, ["run", "--task", workdir / "task.txt", "--bundle",
+                              workdir / "bundle", "--out", out, "--config", cfg])
+    assert result.exit_code == 2, everything(result)
+    assert "provider failed during round 3" in everything(result)
+    trace = json.loads((out / "discussion_trace.json").read_text())
+    assert trace["rounds_used"] == 2
+    assert [r["round"] for r in trace["rounds"]] == [1, 2]
+    assert not (out / "plan.json").exists()
+
+
+def usage_from_events(out):
+    """The usage records ``out``'s events.jsonl implies: every chat response,
+    in stream order, billed to its request's stage with its own tokens."""
+    events = [json.loads(line) for line in (out / "events.jsonl").read_text().splitlines()]
+    stages = {e["id"]: e["params"]["stage"] for e in events
+              if e.get("method") == "llm.complete"}
+    return [
+        {"label": stages[e["id"]], "model": "scripted",
+         "prompt_tokens": e["result"]["prompt_tokens"],
+         "completion_tokens": e["result"]["completion_tokens"]}
+        for e in events if "result" in e
+    ]
+
+
+def test_usage_json_is_read_off_the_event_stream(runner, workdir):
+    analysis, design = list(ANALYSIS_REPLIES), discussion_replies(2, 4)
+    retried = (["this is not json"] + analysis + design[:2] + ["no score here"]
+               + design[2:] + ["no envelope at all", IDENTITY_ARTIFACT_REPLY])
+    cases = {  # completions, exit code, provider calls per stage
+        "golden": (analysis + design + [IDENTITY_ARTIFACT_REPLY], 0, (4, 24, 1)),
+        "retries": (retried, 0, (5, 25, 2)),
+        "exhausted": (analysis + design + [CRASH_REPLY] * 2, 3, (4, 24, 2)),
+    }
+    for name, (completions, code, calls) in cases.items():
+        fx = workdir / f"{name}.json"
+        fx.write_text(json.dumps({"completions": completions}))
+        cfg = write_config(workdir / f"config-{name}.json", **profile(fx, r_max=1))
+        out = workdir / name
+        result = run_cli(runner, ["run", "--task", workdir / "task.txt", "--bundle",
+                                  workdir / "bundle", "--out", out, "--config", cfg])
+        assert result.exit_code == code, (name, everything(result))
+        usage = json.loads((out / "usage.json").read_text())
+        records = usage_from_events(out)
+        assert usage["records"] == records, name
+        labels = [r["label"] for r in records]
+        assert tuple(map(labels.count, ("analyze", "design", "execute"))) == calls, name
+        assert usage["total"] == {
+            key: sum(r[key] for r in records) for key in ("prompt_tokens", "completion_tokens")
+        }, name
+
+
 @pytest.mark.parametrize(
     "section, key, value, named",
     [

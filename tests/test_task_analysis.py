@@ -16,7 +16,7 @@ from forge.errors import (
 )
 from forge.matrixio import canonical_json
 from forge.protocol import MemoryStore
-from forge.providers import ScriptedChatProvider, synthesize_usage
+from forge.providers import ScriptedChatProvider
 from forge.task_analysis import (
     AnalysisReport,
     assemble_report,
@@ -162,13 +162,10 @@ def test_stage_parses_valid_reply_and_stores_entity():
     provider = ScriptedChatProvider([ANALYSIS_REPLIES[0]])
     store = MemoryStore()
     result = run_analysis_stage("dataset-analyst", dict(ANALYST_CONTEXT), provider, store=store)
-    assert result.role == "dataset-analyst"
-    assert result.provider_calls == 1
-    assert result.content["introduction"].startswith("A four-cell pilot")
-    assert result.usage.prompt_tokens > 0 and result.usage.completion_tokens > 0
-    entity = store.get_entity(result.entity_id)
-    assert entity.kind == "report"
-    assert entity.body["role"] == "dataset-analyst"
+    assert result.calls == 1
+    assert result.value["introduction"].startswith("A four-cell pilot")
+    [entity] = store.query_entities(kind="report")
+    assert entity.body == {"role": "dataset-analyst", "section": result.value}
     assert entity.provenance["citations"] == ["doc-1"]
     # the prompt embeds the task text and the retrieved document
     prompt = provider.calls[0][0].text
@@ -179,16 +176,12 @@ def test_stage_parses_valid_reply_and_stores_entity():
 def test_stage_retries_once_then_succeeds():
     provider = ScriptedChatProvider(["this is not json", ANALYSIS_REPLIES[0]])
     result = run_analysis_stage("dataset-analyst", dict(ANALYST_CONTEXT), provider)
-    assert result.provider_calls == 2
-    assert result.content["quality_assessment"]
+    assert result.calls == 2
+    assert result.value["quality_assessment"]
     # the retry keeps the conversation: user, assistant, corrective user
     retry_turns = provider.calls[1]
     assert [t.role for t in retry_turns] == ["user", "assistant", "user"]
     assert "invalid JSON" in retry_turns[2].text
-    assert result.usage == (
-        synthesize_usage(provider.calls[0], "this is not json")
-        + synthesize_usage(retry_turns, ANALYSIS_REPLIES[0])
-    )
 
 
 def test_deeply_nested_reply_is_invalid_json():
@@ -197,7 +190,7 @@ def test_deeply_nested_reply_is_invalid_json():
         parse_json_reply(nested)
     provider = ScriptedChatProvider([nested, ANALYSIS_REPLIES[0]])
     result = run_analysis_stage("dataset-analyst", dict(ANALYST_CONTEXT), provider)
-    assert result.provider_calls == 2
+    assert result.calls == 2
     assert "invalid JSON (nesting too deep)" in provider.calls[1][2].text
     provider = ScriptedChatProvider([nested, nested])
     with pytest.raises(StageError, match="nesting too deep") as excinfo:
@@ -211,7 +204,7 @@ def test_deeply_nested_reply_is_invalid_json():
             parse_json_reply(reply)
         provider = ScriptedChatProvider([reply, ANALYSIS_REPLIES[0]])
         result = run_analysis_stage("dataset-analyst", dict(ANALYST_CONTEXT), provider)
-        assert result.provider_calls == 2
+        assert result.calls == 2
         assert f"invalid JSON (number {number} is out of range)" in provider.calls[1][2].text
         provider = ScriptedChatProvider([reply, reply])
         with pytest.raises(StageError, match=f"number {number} is out of range"):
@@ -244,7 +237,7 @@ def test_stage_rejects_empty_section_values():
     )
     provider = ScriptedChatProvider([empty_value, ANALYSIS_REPLIES[0]])
     result = run_analysis_stage("dataset-analyst", dict(ANALYST_CONTEXT), provider)
-    assert result.provider_calls == 2
+    assert result.calls == 2
     assert "empty values for: introduction" in provider.calls[1][2].text
 
 

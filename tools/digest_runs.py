@@ -17,6 +17,7 @@ the seed-1 inputs of ``perfbench/gen.py``. The scenarios:
 - ``patched``: revision 0 crashes and the patch succeeds;
 - ``exhausted``: every revision crashes and the loop rolls back;
 - ``schema-failure``: the first analysis agent fails its retry too;
+- ``design-failure``: the fixture ends after 12 of the 24 design replies;
 - ``pipeline-20k`` and ``deliberation``: the benchmark workloads, seed 1;
 - ``stage-commands``: ``forge analyze``, ``design``, ``execute`` and
   ``evaluate`` in turn, each a ``python -m forge.cli`` child with its own
@@ -94,6 +95,7 @@ def scenarios():
     yield "patched", _scripted("patched", patched)
     yield "exhausted", _scripted("exhausted", analysis + design + [CRASH_REPLY] * 2, r_max=1)
     yield "schema-failure", _scripted("schema-failure", ["nope", "still nope"])
+    yield "design-failure", _scripted("design-failure", analysis + design[:12])
 
     import gen
     from workloads import WORKLOADS
