@@ -7,7 +7,7 @@ import tempfile
 
 from forge.consensus import ResearchPlan
 from forge.errors import LoopError
-from forge.execution import SandboxLimits, refinement_loop
+from forge.execution import ExecutionParams, refinement_loop
 from forge.providers import ScriptedChatProvider
 
 plan = ResearchPlan(
@@ -40,7 +40,7 @@ print(values[-1])
 ENTRYPOINT: python main.py
 """
 
-limits = SandboxLimits(wall_seconds=30.0)
+limits = ExecutionParams(wall_seconds=30.0)
 
 # --- crash once, then a good patch -----------------------------------
 provider = ScriptedChatProvider([BROKEN, FIXED])

@@ -114,7 +114,6 @@ from .execution import (
     ExecutionResult,
     FailureRecord,
     LoopTrace,
-    SandboxLimits,
     ValidationReport,
     classify_failure,
     generate_code,

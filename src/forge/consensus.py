@@ -41,7 +41,6 @@ from .providers import (
     ChatProvider,
     ChatTurn,
     Embedder,
-    GenerationParams,
     ReplyError,
     ask,
     extract_score,
@@ -350,16 +349,12 @@ def _parse_score(reply: str) -> float:
     return score
 
 
-def request_score(
-    provider: ChatProvider,
-    prompt: str,
-    params: GenerationParams,
-) -> Tuple[float, int]:
+def request_score(provider: ChatProvider, prompt: str) -> Tuple[float, int]:
     """Ask for a score; re-prompt once on a malformed reply, then use 0.5.
 
     Returns the score and the number of exchanges it took."""
     try:
-        answer = ask(provider, prompt, params, _parse_score,
+        answer = ask(provider, prompt, _parse_score,
                      lambda reason: load_template("score-retry").substitute())
     except ReplyError:
         return 0.5, 2
@@ -437,7 +432,6 @@ def run_discussion(
     *,
     experts: Sequence[ExpertRole],
     store: Optional[MemoryStore] = None,
-    gen_params: Optional[GenerationParams] = None,
 ) -> Tuple[ResearchPlan, DiscussionTrace]:
     """Run the full deliberation and return the plan plus its trace.
 
@@ -456,7 +450,6 @@ def run_discussion(
         raise ValidationError("expert panel has duplicate role ids")
 
     store = store if store is not None else MemoryStore()
-    gen_params = gen_params or GenerationParams()
     summary = report.summary_text()
     trace = DiscussionTrace(experts=member_ids + [CRITIC_ID])
     latest = {m: 0.0 for m in member_ids}  # each member's current confidence
@@ -471,7 +464,7 @@ def run_discussion(
                 persona=member.template, summary=summary, digest=digest,
                 own=proposals.get(member.id, ""),
             )
-            reply, _ = provider.complete([ChatTurn("user", prompt)], gen_params)
+            reply, _ = provider.complete([ChatTurn("user", prompt)])
             proposals[member.id] = reply
             proposal_entities[member.id] = store.record(
                 "proposal", {"expert": member.id, "text": reply}, member.id,
@@ -488,7 +481,7 @@ def run_discussion(
                 persona=by_id[scorer].template, summary=summary,
                 proposal=proposals[proposer],
             )
-            score, _ = request_score(provider, prompt, gen_params)
+            score, _ = request_score(provider, prompt)
             scores.setdefault(scorer, {})[proposer] = score
             store.record(
                 "result",
@@ -550,8 +543,9 @@ def run_discussion(
             digest = _proposal_digest(_weight_order(member_ids, weight_map, proposals))
             propose("refine-proposal", round_no, digest)
     except ProviderError as exc:
+        trace.reason = "provider-failure"
         raise DiscussionError(
-            f"provider failed during round {trace.rounds_used + 1}: {exc}",
+            f"provider failed after {trace.rounds_used} completed rounds: {exc}",
             trace=trace.to_json(),
         ) from exc
 

@@ -50,7 +50,7 @@ from .metrics import (
     select_de_genes,
 )
 from .protocol import MemoryStore, canonical_json
-from .providers import ChatProvider, GenerationParams, ReplyError, ask
+from .providers import ChatProvider, ReplyError, ask
 from .task_analysis import load_template
 
 EXIT_COMPLETED = "completed"
@@ -285,7 +285,6 @@ def render_artifact(artifact: CodeArtifact) -> str:
 def _request_artifact(
     prompt: str,
     provider: ChatProvider,
-    gen_params: GenerationParams,
     revision: int,
     store: Optional[MemoryStore],
     reasoning: str,
@@ -297,7 +296,7 @@ def _request_artifact(
     """
     try:
         artifact = ask(
-            provider, prompt, gen_params, lambda reply: parse_artifact(reply, revision),
+            provider, prompt, lambda reply: parse_artifact(reply, revision),
             lambda reason: load_template("format-retry").substitute(reason=reason),
         ).value
     except ReplyError as exc:
@@ -310,16 +309,13 @@ def _request_artifact(
 def generate_code(
     plan: ResearchPlan,
     provider: ChatProvider,
-    gen_params: Optional[GenerationParams] = None,
     store: Optional[MemoryStore] = None,
 ) -> CodeArtifact:
     """Turn the plan into revision 0 of a code artifact."""
     prompt = load_template("generate-code").substitute(
         plan=canonical_json(plan.to_json()["sections"])
     )
-    return _request_artifact(
-        prompt, provider, gen_params or GenerationParams(), 0, store, "plan realization"
-    )
+    return _request_artifact(prompt, provider, 0, store, "plan realization")
 
 
 # ----------------------------------------------------------------------
@@ -328,29 +324,21 @@ def generate_code(
 
 
 @dataclass
-class SandboxLimits:
-    """Wall-clock and output-capture bounds for one run."""
+class ExecutionParams:
+    """The ``execution`` config section: the sandbox's wall-clock and
+    output-capture bounds for one run, and ``r_max``, the number of
+    refinements the loop may make."""
 
     wall_seconds: float = 60.0
     stdout_bytes: int = 65536
     stderr_bytes: int = 65536
+    r_max: int = 10
 
     def __post_init__(self):
         if self.wall_seconds <= 0:
             raise ValidationError("wall_seconds must be positive")
         if self.stdout_bytes < 0 or self.stderr_bytes < 0:
             raise ValidationError("stdout_bytes and stderr_bytes must be non-negative")
-
-
-@dataclass
-class ExecutionParams(SandboxLimits):
-    """The ``execution`` config section: the sandbox limits plus ``r_max``,
-    the number of refinements the loop may make."""
-
-    r_max: int = 10
-
-    def __post_init__(self):
-        super().__post_init__()
         if self.r_max < 0:
             raise ValidationError("r_max must be non-negative")
 
@@ -407,7 +395,7 @@ InputSpec = Dict[str, str]
 
 def run_sandbox(
     artifact: CodeArtifact,
-    limits: Optional[SandboxLimits] = None,
+    limits: Optional[ExecutionParams] = None,
     inputs: Optional[InputSpec] = None,
     *,
     workdir: str,
@@ -421,7 +409,7 @@ def run_sandbox(
     Absolute paths of the working directory are scrubbed from captured
     output so persisted traces stay location-independent.
     """
-    limits = limits or SandboxLimits()
+    limits = limits or ExecutionParams()
     root = Path(workdir)
     root.mkdir(parents=True, exist_ok=True)
     artifact.write_files(root)
@@ -611,7 +599,6 @@ def validate_predictions(
     de_k: int = DEFAULT_DE_K,
     pseudo: float = DEFAULT_DE_PSEUDO,
     thresholds: Optional[Dict[str, float]] = None,
-    store: Optional[MemoryStore] = None,
 ) -> ValidationReport:
     """Score predictions against truth and judge them by thresholds.
 
@@ -642,14 +629,7 @@ def validate_predictions(
     metrics = metric_report(truth, predictions, de_genes=de_genes)
     thresholds = dict(thresholds or {})
     verdict = apply_thresholds(metrics, thresholds)
-    report = ValidationReport(metrics=metrics, thresholds=thresholds, verdict=verdict)
-    if store is not None:
-        failing = sorted(name for name, ok in verdict.items() if not ok)
-        report.critique_ref = store.record(
-            "result", {"metrics": metrics.to_json(), "failing": failing},
-            "evaluator", "final scoring",
-        )
-    return report
+    return ValidationReport(metrics=metrics, thresholds=thresholds, verdict=verdict)
 
 
 # ----------------------------------------------------------------------
@@ -710,13 +690,12 @@ def refinement_loop(
     plan: ResearchPlan,
     provider: ChatProvider,
     r_max: int = 10,
-    limits: Optional[SandboxLimits] = None,
+    limits: Optional[ExecutionParams] = None,
     inputs: Optional[InputSpec] = None,
     *,
     validator: Optional[Validator] = None,
     workdir_root: str,
     store: Optional[MemoryStore] = None,
-    gen_params: Optional[GenerationParams] = None,
 ) -> Tuple[CodeArtifact, ExecutionResult, LoopTrace]:
     """Generate, run, and iteratively patch until success or the cap.
 
@@ -732,9 +711,7 @@ def refinement_loop(
     """
     if r_max < 0:
         raise ValidationError("r_max must be non-negative")
-    limits = limits or SandboxLimits()
-    gen_params = gen_params or GenerationParams()
-    artifact = generate_code(plan, provider, gen_params, store=store)
+    artifact = generate_code(plan, provider, store=store)
     trace = LoopTrace()
     previous_raw: Optional[FailureRecord] = None
 
@@ -784,9 +761,7 @@ def refinement_loop(
             stderr=result.stderr[-4000:] if result.stderr else "(no stderr)",
         )
         artifact = _request_artifact(
-            prompt, provider, gen_params, artifact.revision + 1, store,
-            f"patch for {failure.category}",
-        )
+            prompt, provider, artifact.revision + 1, store, f"patch for {failure.category}")
 
     trace.refinements = r_max
     best = max(trace.revisions, key=lambda rec: (rec.milestone, rec.revision))

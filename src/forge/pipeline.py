@@ -243,7 +243,7 @@ class RecordingChatProvider(ChatProvider):
         self.label = "pipeline"
         self._next_id = 1
 
-    def complete(self, turns, params) -> Tuple[str, Usage]:
+    def complete(self, turns) -> Tuple[str, Usage]:
         request_id = self._next_id
         self._next_id += 1
         self.stream.append(
@@ -260,7 +260,7 @@ class RecordingChatProvider(ChatProvider):
                 receiver="chat-provider",
             )
         )
-        reply, usage = self.inner.complete(turns, params)
+        reply, usage = self.inner.complete(turns)
         self.stream.append(
             Envelope(
                 kind="response",
@@ -308,7 +308,7 @@ def build_providers(
         raise ValidationError(
             f"http provider requires {ENV_LLM_URL} and {ENV_EMB_URL}"
         )
-    chat = HttpChatProvider(chat_url, api_key=os.environ.get(ENV_LLM_KEY))
+    chat = HttpChatProvider(chat_url, config.generation, api_key=os.environ.get(ENV_LLM_KEY))
     embedder = HttpEmbedder(
         emb_url,
         api_key=os.environ.get(ENV_EMB_KEY),
@@ -452,29 +452,24 @@ def stage_analyze(
         sections: Dict[str, Any] = {}
         merged: Dict[str, Any] = {}
         provenance: Dict[str, Dict[str, Any]] = {}
+        context = {"task": task_text, "profile": profile, "documents": documents,
+                   "sections": sections}
+        citations = [doc["id"] for doc in documents]
         for role in ANALYSIS_ROLES:
-            answer = run_analysis_stage(
-                role,
-                {
-                    "task": task_text,
-                    "profile": profile,
-                    "documents": documents,
-                    "sections": sections,
-                },
-                ctx.chat,
-                params=ctx.config.generation,
-                store=ctx.store,
-            )
+            answer = run_analysis_stage(role, context, ctx.chat)
+            ctx.store.record("report", {"role": role, "section": answer.value}, role,
+                             "task-analysis stage output", citations=citations)
             sections[role] = answer.value
             if role in ("dataset-analyst", "refiner"):
                 for key, value in answer.value.items():
                     merged[key] = value
                     provenance[key] = {"role": role, "provider_calls": answer.calls}
 
-        report = assemble_report(merged, provenance=provenance, store=ctx.store)
-        report_entity = ctx.store.query_entities(kind="report")[-1]
+        report = assemble_report(merged, provenance=provenance)
+        report_id = ctx.store.record("report", report.to_json(), "task-analysis",
+                                     "assembled report")
         for doc_id in doc_entity_ids:
-            ctx.store.link_entities(report_entity.id, doc_id, "cites")
+            ctx.store.link_entities(report_id, doc_id, "cites")
         ctx.write("report.json", report.to_json())
         ctx.write("retrieval_trace.json",
                   {"trace": retrieval.trace.to_json(), "documents": retrieval.document_ids})
@@ -506,7 +501,6 @@ def stage_design(
                 ctx.chat,
                 experts=panel,
                 store=ctx.store,
-                gen_params=ctx.config.generation,
             )
         except DiscussionError as exc:
             ctx.write("discussion_trace.json", exc.trace)
@@ -589,7 +583,6 @@ def stage_execute(
                 validator=_prediction_validator(bundle.matrix),
                 workdir_root=sandbox,
                 store=ctx.store,
-                gen_params=ctx.config.generation,
             )
         except LoopError as exc:
             persist_loop_trace(exc.trace, ctx)
@@ -635,7 +628,8 @@ def stage_evaluate(
     ctx: RunContext,
 ) -> ValidationReport:
     """Score predictions, aligned to the bundle's row and column ids, with the
-    config's ``de_k``, ``pseudo`` and thresholds; writes ``metrics.json`` into
+    config's ``de_k``, ``pseudo`` and thresholds; records the evaluator's
+    result, which ``critique_ref`` names, and writes ``metrics.json`` into
     the run directory.
     """
     params = ctx.config.evaluation
@@ -647,8 +641,11 @@ def stage_evaluate(
             de_k=params.de_k,
             pseudo=params.pseudo,
             thresholds=params.thresholds,
-            store=ctx.store,
         )
+        failing = sorted(name for name, ok in report.verdict.items() if not ok)
+        report.critique_ref = ctx.store.record(
+            "result", {"metrics": report.metrics.to_json(), "failing": failing},
+            "evaluator", "final scoring")
         ctx.write("metrics.json", {**report.to_json(), "passed": report.passed})
     return report
 

@@ -152,7 +152,7 @@ def _check_turns(turns: Sequence[ChatTurn]) -> None:
 class ChatProvider:
     """Interface: a list of turns in, (reply text, usage) out."""
 
-    def complete(self, turns: Sequence[ChatTurn], params: GenerationParams) -> Tuple[str, Usage]:
+    def complete(self, turns: Sequence[ChatTurn]) -> Tuple[str, Usage]:
         raise NotImplementedError
 
 
@@ -175,7 +175,6 @@ class Answer(NamedTuple):
 def ask(
     provider: ChatProvider,
     prompt: str,
-    params: GenerationParams,
     parse: Callable[[str], Any],
     retry: Callable[[str], str],
 ) -> Answer:
@@ -186,12 +185,12 @@ def ask(
     rejection is raised again with that reply attached.
     """
     turns = [ChatTurn("user", prompt)]
-    reply, _ = provider.complete(turns, params)
+    reply, _ = provider.complete(turns)
     try:
         return Answer(parse(reply), 1)
     except ReplyError as first:
         turns = turns + [ChatTurn("assistant", reply), ChatTurn("user", retry(str(first)))]
-    reply, _ = provider.complete(turns, params)
+    reply, _ = provider.complete(turns)
     try:
         return Answer(parse(reply), 2)
     except ReplyError as second:
@@ -221,7 +220,7 @@ class ScriptedChatProvider(ChatProvider):
     def remaining(self) -> int:
         return len(self._replies) - self._cursor
 
-    def complete(self, turns: Sequence[ChatTurn], params: GenerationParams) -> Tuple[str, Usage]:
+    def complete(self, turns: Sequence[ChatTurn]) -> Tuple[str, Usage]:
         _check_turns(turns)
         with self._lock:
             if self._cursor >= len(self._replies):
@@ -297,31 +296,43 @@ class _HttpClient:
 
 
 class HttpChatProvider(_HttpClient, ChatProvider):
-    """Minimal JSON-over-HTTP chat client.
+    """Minimal JSON-over-HTTP chat client, the one reader of the sampling
+    params: it sends them with every request.
 
     POSTs ``{"model", "messages", "temperature", "top_p"}`` to ``base_url``
     and expects ``{"text": ..., "usage": {"prompt_tokens", ...}}`` back.
+    ``usage`` may be absent; each count it holds must be a non-negative
+    integer, and a missing count is 0.
     """
 
-    def complete(self, turns: Sequence[ChatTurn], params: GenerationParams) -> Tuple[str, Usage]:
+    def __init__(self, base_url: str, params: GenerationParams, **client: Any):
+        super().__init__(base_url, **client)
+        self.params = params
+
+    def complete(self, turns: Sequence[ChatTurn]) -> Tuple[str, Usage]:
         _check_turns(turns)
         body = {
-            "model": params.model,
+            "model": self.params.model,
             "messages": [{"role": t.role, "content": t.text} for t in turns],
-            "temperature": params.temperature,
-            "top_p": params.top_p,
+            "temperature": self.params.temperature,
+            "top_p": self.params.top_p,
         }
-        if params.max_tokens is not None:
-            body["max_tokens"] = params.max_tokens
+        if self.params.max_tokens is not None:
+            body["max_tokens"] = self.params.max_tokens
         doc = self._post(body)
         if "text" not in doc:
             raise ProviderError("provider reply missing 'text'")
-        usage_doc = doc.get("usage") or {}
-        usage = Usage(
-            prompt_tokens=int(usage_doc.get("prompt_tokens", 0)),
-            completion_tokens=int(usage_doc.get("completion_tokens", 0)),
-        )
-        return str(doc["text"]), usage
+        usage_doc = doc.get("usage", {})
+        if not isinstance(usage_doc, dict):
+            raise ProviderError(f"provider reply 'usage' must be an object: {usage_doc!r}")
+        counts = {}
+        for key in ("prompt_tokens", "completion_tokens"):
+            value = usage_doc.get(key, 0)
+            if isinstance(value, bool) or not isinstance(value, int) or value < 0:
+                raise ProviderError(
+                    f"provider reply usage.{key} must be a non-negative integer: {value!r}")
+            counts[key] = value
+        return str(doc["text"]), Usage(**counts)
 
 
 class Embedder:
@@ -409,13 +420,23 @@ class HttpEmbedder(_HttpClient, Embedder):
         rows = self._post({"model": self.model, "input": list(texts)}).get("embeddings")
         if not isinstance(rows, list) or len(rows) != len(texts):
             raise ProviderError("embedding reply shape mismatch")
-        vecs = [_unit(np.asarray(row, dtype=np.float64), text)
-                for row, text in zip(rows, texts)]
-        if self.dim:
-            for v in vecs:
-                if v.shape[0] != self.dim:
-                    raise ProviderError("embedding dim mismatch")
+        vecs = [_reply_vector(row, f"embeddings[{i}]") for i, row in enumerate(rows)]
+        dims = {v.shape[0] for v in vecs}
+        if len(dims) > 1 or (self.dim and dims != {self.dim}):
+            raise ProviderError(f"embedding dim mismatch: got {sorted(dims)}")
         return vecs
+
+
+def _reply_vector(row: Any, name: str) -> np.ndarray:
+    """The unit vector of embedding row ``name`` of a provider reply, which
+    must be a non-empty list of numbers with a finite, non-zero norm."""
+    if not isinstance(row, list) or not row or any(
+            isinstance(x, bool) or not isinstance(x, (int, float)) for x in row):
+        raise ProviderError(f"provider reply {name} must be a non-empty list of numbers")
+    try:
+        return _unit(np.asarray(row, dtype=np.float64), name)
+    except (OverflowError, ValidationError) as exc:
+        raise ProviderError(f"provider reply {name}: {exc}") from None
 
 
 def _unit(vec: np.ndarray, label: str) -> np.ndarray:

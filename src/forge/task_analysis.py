@@ -36,8 +36,8 @@ from .errors import (
 )
 from .matrixio import find_matrix_file, read_json, read_matrix, read_table
 from .metrics import ExpressionMatrix
-from .protocol import MemoryStore, canonical_json, decode_json
-from .providers import Answer, ChatProvider, GenerationParams, ReplyError, ask
+from .protocol import canonical_json, decode_json
+from .providers import Answer, ChatProvider, ReplyError, ask
 
 CONTROL_LABEL = "control"
 MODALITIES = ("RNA", "ATAC", "protein")
@@ -321,13 +321,7 @@ def _parse_section(role: str, reply: str) -> Dict[str, Any]:
     return parsed
 
 
-def run_analysis_stage(
-    role: str,
-    context: Dict[str, Any],
-    provider: ChatProvider,
-    params: Optional[GenerationParams] = None,
-    store: Optional[MemoryStore] = None,
-) -> Answer:
+def run_analysis_stage(role: str, context: Dict[str, Any], provider: ChatProvider) -> Answer:
     """Run one analysis agent; the answer's value is its parsed section.
 
     ``context`` carries "task" (text), "profile" (DatasetProfile or dict),
@@ -337,7 +331,6 @@ def run_analysis_stage(
     """
     if role not in ROLE_SCHEMAS:
         raise ValidationError(f"unknown analysis role: {role!r}")
-    params = params or GenerationParams()
     sections: Dict[str, Any] = context.get("sections") or {}
     for dep in ROLE_DEPENDENCIES.get(role, ()):
         if dep not in sections:
@@ -355,19 +348,13 @@ def run_analysis_stage(
 
     try:
         answer = ask(
-            provider, prompt, params, functools.partial(_parse_section, role),
+            provider, prompt, functools.partial(_parse_section, role),
             lambda reason: load_template("schema-retry").substitute(
                 reason=reason, keys=", ".join(ROLE_SCHEMAS[role])),
         )
     except ReplyError as exc:
         raise StageError(role, f"reply failed schema after retry: {exc}",
                          raw_reply=exc.reply) from None
-    if store is not None:
-        store.record(
-            "report", {"role": role, "section": answer.value}, role,
-            "task-analysis stage output",
-            citations=[d.get("id", "?") for d in (context.get("documents") or [])],
-        )
     return answer
 
 
@@ -406,7 +393,6 @@ class AnalysisReport:
 def assemble_report(
     sections: Dict[str, Any],
     provenance: Optional[Dict[str, Dict[str, Any]]] = None,
-    store: Optional[MemoryStore] = None,
 ) -> AnalysisReport:
     """Validate the merged sections and produce the final report.
 
@@ -422,10 +408,7 @@ def assemble_report(
         raise AssemblyError(
             "task_definition must name input, output, and task_type"
         )
-    report = AnalysisReport(
+    return AnalysisReport(
         sections={name: sections[name] for name in REPORT_SECTIONS},
         provenance=dict(provenance or {}),
     )
-    if store is not None:
-        store.record("report", report.to_json(), "task-analysis", "assembled report")
-    return report

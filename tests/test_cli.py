@@ -25,6 +25,7 @@ import forge
 import forge.matrixio
 from forge.cli import main
 from forge.errors import LoadError
+from forge.protocol import load_store
 from forge.pipeline import (
     load_config,
     open_run,
@@ -32,7 +33,7 @@ from forge.pipeline import (
     stage_analyze,
     stage_design,
 )
-from forge.task_analysis import load_bundle
+from forge.task_analysis import ANALYSIS_ROLES, load_bundle
 
 CRASH_REPLY = (
     "FILE: main.py\n```\nraise IndexError('index 28 is out of bounds "
@@ -587,9 +588,9 @@ def test_design_failure_writes_the_partial_discussion_trace(runner, workdir):
     result = run_cli(runner, ["run", "--task", workdir / "task.txt", "--bundle",
                               workdir / "bundle", "--out", out, "--config", cfg])
     assert result.exit_code == 2, everything(result)
-    assert "provider failed during round 3" in everything(result)
+    assert "provider failed after 2 completed rounds" in everything(result)
     trace = json.loads((out / "discussion_trace.json").read_text())
-    assert trace["rounds_used"] == 2
+    assert (trace["rounds_used"], trace["reason"]) == (2, "provider-failure")
     assert [r["round"] for r in trace["rounds"]] == [1, 2]
     assert not (out / "plan.json").exists()
 
@@ -854,6 +855,39 @@ def test_analyze_with_indexed_corpus(runner, workdir):
     assert trace["trace"]["stop_reason"] in (
         "overlap", "relevance-floor", "layer-cap", "no-documents"
     )
+
+
+def test_stages_record_their_agents_outputs(workdir):
+    # the golden run with a corpus; hash-derived embeddings score near 0,
+    # so a relevance floor under -1 retrieves documents
+    corpus = write_corpus(
+        workdir / "corpus",
+        {"doc-a": "Predict knockout expression from control profiles with a mean shift.",
+         "doc-b": "Control expression profiles of knockout cells in perturbation screens."},
+    )
+    fixture = golden_fixture(workdir / "fixture.json")
+    cfg = write_config(workdir / "config.json", retrieval={"relevance_eps": -1.0},
+                       **profile(fixture, thresholds={"mse": 0.5, "pcc": 2.0}))
+    out = workdir / "out"
+    run_pipeline(str(workdir / "task.txt"), str(workdir / "bundle"), load_config(str(cfg)),
+                 str(out), corpus_path=str(corpus))
+    store = load_store(str(out))
+    retrieved = json.loads((out / "retrieval_trace.json").read_text())["documents"]
+    documents = {e.body["id"]: e.id for e in store.query_entities(kind="document")}
+    assert retrieved and sorted(documents) == sorted(retrieved)
+    # analyze: one section per role citing the retrieved documents, then the report
+    *sections, report = store.query_entities(kind="report")
+    assert [(e.body["role"], e.provenance["agent"]) for e in sections] == [
+        (role, role) for role in ANALYSIS_ROLES]
+    assert all(e.provenance["citations"] == retrieved for e in sections)
+    assert report.body == json.loads((out / "report.json").read_text())
+    assert [(r.source, r.target) for r in store.relations if r.label == "cites"] == [
+        (report.id, documents[doc_id]) for doc_id in retrieved]
+    # evaluate: the evaluator's result is the critique metrics.json points to
+    metrics = json.loads((out / "metrics.json").read_text())
+    critique = store.get_entity(metrics["critique_ref"])
+    assert (critique.kind, critique.provenance["agent"]) == ("result", "evaluator")
+    assert critique.body == {"metrics": metrics["metrics"], "failing": ["pcc"]}
 
 
 # A document without a row in embeddings.tsv is embedded at embed_dim (64).

@@ -27,9 +27,8 @@ from forge.consensus import (
     update_confidence,
 )
 from forge.errors import DiscussionError, LoadError, ValidationError
-from forge.providers import Embedder, GenerationParams, ScriptedChatProvider
+from forge.providers import Embedder, ScriptedChatProvider
 
-GEN = GenerationParams()
 
 
 def role(rid, desc="generic domain knowledge"):
@@ -267,12 +266,12 @@ def test_integration_weights_invariants(confidences, shift):
 
 def test_request_score_paths():
     provider = ScriptedChatProvider(["SCORE: 0.9"])
-    assert request_score(provider, "rate this", GEN) == (0.9, 1)
+    assert request_score(provider, "rate this") == (0.9, 1)
     provider = ScriptedChatProvider(["no score here", "SCORE: 0.75"])
-    assert request_score(provider, "rate this", GEN) == (0.75, 2)
+    assert request_score(provider, "rate this") == (0.75, 2)
     assert [t.role for t in provider.calls[1]] == ["user", "assistant", "user"]
     provider = ScriptedChatProvider(["no", "still no"])
-    assert request_score(provider, "rate this", GEN) == (0.5, 2)
+    assert request_score(provider, "rate this") == (0.5, 2)
 
 
 # ---------------------------------------------------------------------------
@@ -489,7 +488,8 @@ def test_discussion_underflow_carries_partial_trace():
     trace = excinfo.value.trace
     assert trace["experts"] == ["a", "b", "critic"]
     assert trace["rounds"] == []
-    assert "round 1" in str(excinfo.value)
+    assert trace["reason"] == "provider-failure"
+    assert "after 0 completed rounds" in str(excinfo.value)
 
 
 def test_discussion_panel_validation():

@@ -25,10 +25,10 @@ from forge.errors import (
 from forge.execution import (
     ENV_ALLOW_LIST,
     CodeArtifact,
+    ExecutionParams,
     ExecutionResult,
     FailureRecord,
     LoopTrace,
-    SandboxLimits,
     _ArtifactParseError,
     _escalate,
     apply_thresholds,
@@ -299,7 +299,7 @@ def test_sandbox_timeout_kills_process_group(tmp_path):
     artifact = art("import time\nprint('started', flush=True)\ntime.sleep(30)")
     result = run_sandbox(
         artifact,
-        SandboxLimits(wall_seconds=0.5),
+        ExecutionParams(wall_seconds=0.5),
         workdir=str(tmp_path / "run"),
     )
     assert result.exit_path == "timeout"
@@ -311,7 +311,7 @@ def test_sandbox_output_caps(tmp_path):
     artifact = art("print('x' * 100000)")
     result = run_sandbox(
         artifact,
-        SandboxLimits(stdout_bytes=10),
+        ExecutionParams(stdout_bytes=10),
         workdir=str(tmp_path / "run"),
     )
     assert result.stdout == "x" * 10
@@ -340,9 +340,9 @@ def test_sandbox_bad_interpreter(tmp_path):
 
 def test_sandbox_limit_validation():
     with pytest.raises(ValidationError):
-        SandboxLimits(wall_seconds=0)
+        ExecutionParams(wall_seconds=0)
     with pytest.raises(ValidationError):
-        SandboxLimits(stdout_bytes=-1)
+        ExecutionParams(stdout_bytes=-1)
 
 
 def test_execution_result_json_excludes_wall_time():
@@ -488,7 +488,7 @@ def test_validate_predictions_roundtrip(tmp_path):
     assert doc["verdict"] == {"mse": True, "pcc": True}
 
 
-def test_validate_predictions_de_variants_and_store(tmp_path):
+def test_validate_predictions_de_variants():
     # Row "c" is the control. Pooled perturbed means (a, b) against it give
     # |log2 FC| of 2.17 (g1), 3 (g2), 2.17 (g3) and 1.42 (g4): the top 2 are
     # g2 and g1, the g1/g3 tie going to the lower index. Contrasting all
@@ -502,19 +502,12 @@ def test_validate_predictions_de_variants_and_store(tmp_path):
         truth.values + np.array([1.0, 0.0, 3.0, 2.0]),
         row_ids=truth.row_ids, column_ids=truth.column_ids,
     )
-    store = MemoryStore()
     report = validate_predictions(
-        pred, truth, control_rows=[0], de_k=2,
-        thresholds={"mse_de": 0.5, "mse": 0.5}, store=store,
-    )
+        pred, truth, control_rows=[0], de_k=2, thresholds={"mse_de": 0.5, "mse": 0.5})
     assert report.metrics.get("mse_de") == pytest.approx(0.5)
     assert report.metrics.get("mse") == pytest.approx(3.5)
     assert report.verdict == {"mse_de": True, "mse": False}
-    assert report.critique_ref is not None
-    entity = store.get_entity(report.critique_ref)
-    assert entity.kind == "result"
-    assert entity.body["failing"] == ["mse"]
-    assert entity.body["metrics"] == report.metrics.to_json()
+    assert report.critique_ref is None
 
     # without a control group (or with no perturbed rows) the DE variants are skipped
     for rows in ([], [0, 1, 2]):

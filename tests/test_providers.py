@@ -23,6 +23,7 @@ from forge.providers import (
     load_fixture,
     synthesize_usage,
 )
+from forge.pipeline import ENV_EMB_URL, ENV_LLM_URL, build_providers, load_config
 
 PARAMS = GenerationParams()
 
@@ -125,10 +126,10 @@ def test_pricing_table_edges():
 def test_scripted_chat_replays_in_order():
     provider = ScriptedChatProvider(["first", "second"])
     turns = [ChatTurn("user", "go")]
-    reply, usage = provider.complete(turns, PARAMS)
+    reply, usage = provider.complete(turns)
     assert reply == "first"
     assert usage == synthesize_usage(turns, "first")
-    assert provider.complete(turns, PARAMS)[0] == "second"
+    assert provider.complete(turns)[0] == "second"
     assert (provider.consumed, provider.remaining) == (2, 0)
     assert len(provider.calls) == 2 and provider.calls[0][0].text == "go"
 
@@ -136,17 +137,15 @@ def test_scripted_chat_replays_in_order():
 def test_scripted_chat_underflow():
     provider = ScriptedChatProvider([])
     with pytest.raises(FixtureUnderflowError):
-        provider.complete([ChatTurn("user", "go")], PARAMS)
+        provider.complete([ChatTurn("user", "go")])
 
 
 def test_turn_sequence_checks():
     provider = ScriptedChatProvider(["x"])
     with pytest.raises(ValidationError):
-        provider.complete([], PARAMS)
+        provider.complete([])
     with pytest.raises(ValidationError):
-        provider.complete(
-            [ChatTurn("user", "q"), ChatTurn("assistant", "a")], PARAMS
-        )
+        provider.complete([ChatTurn("user", "q"), ChatTurn("assistant", "a")])
 
 
 # ---------------------------------------------------------------------------
@@ -160,9 +159,9 @@ class ListRecorder(ChatProvider):
         self.inner = ScriptedChatProvider(replies)
         self.turn_lists = []
 
-    def complete(self, turns, params):
+    def complete(self, turns):
         self.turn_lists.append(turns)
-        return self.inner.complete(turns, params)
+        return self.inner.complete(turns)
 
 
 def _digits(reply):
@@ -177,14 +176,14 @@ def _retry(reason):
 
 def test_ask_accepts_first_reply_in_one_call():
     provider = ScriptedChatProvider(["42"])
-    answer = ask(provider, "a number?", PARAMS, _digits, _retry)
+    answer = ask(provider, "a number?", _digits, _retry)
     assert answer == (42, 1)
     assert provider.consumed == 1
 
 
 def test_ask_retries_once_with_the_reason():
     provider = ListRecorder(["many", "7"])
-    answer = ask(provider, "a number?", PARAMS, _digits, _retry)
+    answer = ask(provider, "a number?", _digits, _retry)
     assert answer == (7, 2)
     first, second = provider.turn_lists
     assert [t.text for t in first] == ["a number?"]  # the first list is not extended
@@ -198,7 +197,7 @@ def test_ask_retries_once_with_the_reason():
 def test_ask_raises_the_second_rejection_with_its_reply():
     provider = ScriptedChatProvider(["many", "more"])
     with pytest.raises(ReplyError, match="'more' is not a number") as excinfo:
-        ask(provider, "a number?", PARAMS, _digits, _retry)
+        ask(provider, "a number?", _digits, _retry)
     assert excinfo.value.reply == "more"
     assert provider.consumed == 2
 
@@ -211,10 +210,9 @@ def test_http_chat_success_and_request_shape():
     session = FakeSession(
         [FakeResponse(200, {"text": "hi", "usage": {"prompt_tokens": 7, "completion_tokens": 2}})]
     )
-    provider = HttpChatProvider("https://api.test/v1", api_key="k", session=session, sleep=lambda s: None)
-    reply, usage = provider.complete(
-        [ChatTurn("user", "hello")], GenerationParams(model="m", max_tokens=64)
-    )
+    provider = HttpChatProvider("https://api.test/v1", GenerationParams(model="m", max_tokens=64),
+                                api_key="k", session=session, sleep=lambda s: None)
+    reply, usage = provider.complete([ChatTurn("user", "hello")])
     assert (reply, usage) == ("hi", Usage(7, 2))
     sent = session.requests[0]
     assert sent["json"] == {
@@ -229,8 +227,8 @@ def test_http_chat_success_and_request_shape():
 
 def test_http_chat_omits_optional_fields():
     session = FakeSession([FakeResponse(200, {"text": "ok"})])
-    provider = HttpChatProvider("https://api.test/v1", session=session, sleep=lambda s: None)
-    reply, usage = provider.complete([ChatTurn("user", "q")], PARAMS)
+    provider = HttpChatProvider("https://api.test/v1", PARAMS, session=session, sleep=lambda s: None)
+    reply, usage = provider.complete([ChatTurn("user", "q")])
     assert (reply, usage) == ("ok", Usage(0, 0))
     sent = session.requests[0]
     assert "max_tokens" not in sent["json"]
@@ -241,17 +239,17 @@ def test_http_chat_retries_server_errors():
     session = FakeSession([FakeResponse(503), FakeResponse(200, {"text": "ok"})])
     sleeps = []
     provider = HttpChatProvider(
-        "https://api.test/v1", retries=3, backoff=1.0, session=session, sleep=sleeps.append
+        "https://api.test/v1", PARAMS, retries=3, backoff=1.0, session=session, sleep=sleeps.append
     )
-    assert provider.complete([ChatTurn("user", "q")], PARAMS)[0] == "ok"
+    assert provider.complete([ChatTurn("user", "q")])[0] == "ok"
     assert sleeps == [1.0]
 
 
 def test_http_chat_client_error_fails_fast():
     session = FakeSession([FakeResponse(401)])
-    provider = HttpChatProvider("https://api.test/v1", session=session, sleep=lambda s: None)
+    provider = HttpChatProvider("https://api.test/v1", PARAMS, session=session, sleep=lambda s: None)
     with pytest.raises(ProviderError):
-        provider.complete([ChatTurn("user", "q")], PARAMS)
+        provider.complete([ChatTurn("user", "q")])
     assert len(session.requests) == 1
 
 
@@ -259,33 +257,73 @@ def test_http_chat_exhausts_retries_with_backoff():
     session = FakeSession([ConnectionError("down")] * 3)
     sleeps = []
     provider = HttpChatProvider(
-        "https://api.test/v1", retries=3, backoff=0.5, session=session, sleep=sleeps.append
+        "https://api.test/v1", PARAMS, retries=3, backoff=0.5, session=session, sleep=sleeps.append
     )
     with pytest.raises(ProviderError, match="after 3 attempts"):
-        provider.complete([ChatTurn("user", "q")], PARAMS)
+        provider.complete([ChatTurn("user", "q")])
     assert sleeps == [0.5, 1.0, 2.0]
 
 
 def test_http_chat_bad_bodies():
     provider = HttpChatProvider(
-        "https://api.test/v1", session=FakeSession([FakeResponse(200)]), sleep=lambda s: None
+        "https://api.test/v1", PARAMS, session=FakeSession([FakeResponse(200)]), sleep=lambda s: None
     )
     with pytest.raises(ProviderError, match="non-JSON"):
-        provider.complete([ChatTurn("user", "q")], PARAMS)
+        provider.complete([ChatTurn("user", "q")])
     provider = HttpChatProvider(
         "https://api.test/v1",
+        PARAMS,
         session=FakeSession([FakeResponse(200, {"usage": {}})]),
         sleep=lambda s: None,
     )
     with pytest.raises(ProviderError, match="missing 'text'"):
-        provider.complete([ChatTurn("user", "q")], PARAMS)
+        provider.complete([ChatTurn("user", "q")])
     provider = HttpChatProvider(
         "https://api.test/v1",
+        PARAMS,
         session=FakeSession([FakeResponse(200, ["text"])]),
         sleep=lambda s: None,
     )
     with pytest.raises(ProviderError, match="not a JSON object"):
-        provider.complete([ChatTurn("user", "q")], PARAMS)
+        provider.complete([ChatTurn("user", "q")])
+
+
+def test_build_providers_sends_the_generation_section(monkeypatch):
+    import requests
+
+    session = FakeSession([FakeResponse(200, {"text": "ok"})])
+    monkeypatch.setattr(requests, "Session", lambda: session)
+    monkeypatch.setenv(ENV_LLM_URL, "https://api.test/v1")
+    monkeypatch.setenv(ENV_EMB_URL, "https://api.test/emb")
+    config = load_config(overrides={
+        "provider": {"type": "http"},
+        "generation": {"model": "m-live", "temperature": 0.2, "top_p": 0.5, "max_tokens": 32},
+    })
+    chat, _ = build_providers(config)
+    chat.complete([ChatTurn("user", "q")])
+    assert session.requests[0]["json"] == {
+        "model": "m-live", "messages": [{"role": "user", "content": "q"}],
+        "temperature": 0.2, "top_p": 0.5, "max_tokens": 32,
+    }
+
+
+@pytest.mark.parametrize(
+    "usage,field",
+    [
+        ([1, 2], "'usage'"),
+        (None, "'usage'"),
+        ({"prompt_tokens": "many"}, "usage.prompt_tokens"),
+        ({"prompt_tokens": None}, "usage.prompt_tokens"),
+        ({"prompt_tokens": -3}, "usage.prompt_tokens"),
+        ({"completion_tokens": 2.0}, "usage.completion_tokens"),
+        ({"completion_tokens": True}, "usage.completion_tokens"),
+    ],
+)
+def test_http_chat_rejects_malformed_usage(usage, field):
+    session = FakeSession([FakeResponse(200, {"text": "ok", "usage": usage})])
+    provider = HttpChatProvider("https://api.test/v1", PARAMS, session=session, sleep=lambda s: None)
+    with pytest.raises(ProviderError, match=field):
+        provider.complete([ChatTurn("user", "q")])
 
 
 # ---------------------------------------------------------------------------
@@ -355,6 +393,26 @@ def test_http_embedder_round_trip_and_errors():
         not_json.embed(["a"])
 
 
+@pytest.mark.parametrize(
+    "rows,field",
+    [
+        ([["a", "b"]], r"embeddings\[0\]"),
+        ([[0.0, 0.0]], r"embeddings\[0\]"),
+        ([[1.0, float("nan")]], r"embeddings\[0\]"),
+        ([[1.0, 0.0], [True, 1.0]], r"embeddings\[1\]"),
+        ([[1.0, 0.0], []], r"embeddings\[1\]"),
+        ([[1.0, 0.0], "1 0"], r"embeddings\[1\]"),
+        ([[1.0, 0.0], [10**400, 1.0]], r"embeddings\[1\]"),
+        ([[1.0, 0.0], [1.0, 0.0, 0.0]], "dim mismatch"),
+    ],
+)
+def test_http_embedder_rejects_malformed_rows(rows, field):
+    session = FakeSession([FakeResponse(200, {"embeddings": rows})])
+    emb = HttpEmbedder("https://api.test/emb", session=session, sleep=lambda s: None)
+    with pytest.raises(ProviderError, match=field):
+        emb.embed(["t"] * len(rows))
+
+
 # ---------------------------------------------------------------------------
 # fixtures
 
@@ -370,7 +428,7 @@ def test_load_fixture(tmp_path):
         )
     )
     chat, embedder = load_fixture(str(path), dim=2)
-    assert chat.complete([ChatTurn("user", "q")], PARAMS)[0] == "one"
+    assert chat.complete([ChatTurn("user", "q")])[0] == "one"
     assert embedder.embed_one("query text") == pytest.approx([1.0, 0.0])
 
 

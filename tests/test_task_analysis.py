@@ -15,7 +15,6 @@ from forge.errors import (
     ValidationError,
 )
 from forge.matrixio import canonical_json
-from forge.protocol import MemoryStore
 from forge.providers import ScriptedChatProvider
 from forge.task_analysis import (
     AnalysisReport,
@@ -158,15 +157,11 @@ def test_parse_json_reply_forms():
 # the analysis agents
 
 
-def test_stage_parses_valid_reply_and_stores_entity():
+def test_stage_parses_valid_reply():
     provider = ScriptedChatProvider([ANALYSIS_REPLIES[0]])
-    store = MemoryStore()
-    result = run_analysis_stage("dataset-analyst", dict(ANALYST_CONTEXT), provider, store=store)
+    result = run_analysis_stage("dataset-analyst", dict(ANALYST_CONTEXT), provider)
     assert result.calls == 1
     assert result.value["introduction"].startswith("A four-cell pilot")
-    [entity] = store.query_entities(kind="report")
-    assert entity.body == {"role": "dataset-analyst", "section": result.value}
-    assert entity.provenance["citations"] == ["doc-1"]
     # the prompt embeds the task text and the retrieved document
     prompt = provider.calls[0][0].text
     assert "predict KO_A response" in prompt
@@ -317,14 +312,6 @@ def test_assemble_report_checks_task_definition():
     sections["task_definition"] = "free text"
     with pytest.raises(AssemblyError):
         assemble_report(sections)
-
-
-def test_assemble_report_stores_entity():
-    store = MemoryStore()
-    assemble_report(dict(REPORT_SECTIONS), store=store)
-    entities = store.query_entities(kind="report")
-    assert len(entities) == 1
-    assert entities[0].body["sections"]["constraints"] == REPORT_SECTIONS["constraints"]
 
 
 def test_summary_text_is_ordered_and_deterministic():

@@ -12,6 +12,8 @@ the seed-1 inputs of ``perfbench/gen.py``. The scenarios:
 
 - ``golden`` and ``golden-corpus``: the scripted golden run, without and
   with a small corpus;
+- ``thresholds``: the golden run judged by thresholds it partly fails, so
+  the evaluator's ``failing`` list is pinned;
 - ``retries``: one analysis, one score and one artifact reply rejected,
   each accepted on its corrective re-prompt;
 - ``patched``: revision 0 crashes and the patch succeeds;
@@ -58,7 +60,7 @@ CORPUS = {
 }
 
 
-def _scripted(name: str, completions, corpus: bool = False, r_max: int = 2):
+def _scripted(name: str, completions, corpus: bool = False, r_max: int = 2, thresholds=None):
     """Inputs of one conftest-built scenario: (task, bundle, config, corpus)."""
     from conftest import write_bundle, write_config, write_corpus
 
@@ -72,6 +74,7 @@ def _scripted(name: str, completions, corpus: bool = False, r_max: int = 2):
         provider={"type": "scripted", "fixture": str(fixture)},
         discussion={"n_experts": 2},
         execution={"r_max": r_max, "wall_seconds": 30.0},
+        evaluation={"thresholds": thresholds or {}},
         # hash-derived embeddings score near 0: a floor under -1 admits them
         retrieval={"relevance_eps": -1.0} if corpus else {},
     )
@@ -88,6 +91,8 @@ def scenarios():
     golden = analysis + design + [IDENTITY_ARTIFACT_REPLY]
     yield "golden", _scripted("golden", golden)
     yield "golden-corpus", _scripted("golden-corpus", golden, corpus=True)
+    yield "thresholds", _scripted(
+        "thresholds", golden, thresholds={"mse": 0.5, "pcc": 2.0, "mse_de": -1.0})
     retried = (["this is not json"] + analysis + design[:2] + ["no score here"]
                + design[2:] + ["no envelope at all", IDENTITY_ARTIFACT_REPLY])
     yield "retries", _scripted("retries", retried)
