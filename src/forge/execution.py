@@ -166,15 +166,6 @@ class CodeArtifact:
             dest.parent.mkdir(parents=True, exist_ok=True)
             dest.write_text(content, encoding="utf-8")
 
-    @classmethod
-    def from_json(cls, doc: Dict[str, Any]) -> "CodeArtifact":
-        return cls(
-            files=dict(doc["files"]),
-            entrypoint=doc["entrypoint"],
-            declared_dependencies=list(doc.get("declared_dependencies", [])),
-            revision=int(doc.get("revision", 0)),
-        )
-
 
 def _check_relative(path: str) -> None:
     pure = PurePosixPath(path)
@@ -596,11 +587,10 @@ def validate_predictions(
     predictions: ExpressionMatrix,
     truth: ExpressionMatrix,
     control_rows: Sequence[int] = (),
-    de_k: int = DEFAULT_DE_K,
-    pseudo: float = DEFAULT_DE_PSEUDO,
-    thresholds: Optional[Dict[str, float]] = None,
+    params: Optional[EvaluationParams] = None,
 ) -> ValidationReport:
-    """Score predictions against truth and judge them by thresholds.
+    """Score predictions against truth and judge them by the ``evaluation``
+    section ``params`` (default :class:`EvaluationParams`).
 
     ``predictions`` must already follow the truth's row and column ids
     (:func:`forge.matrixio.align_predictions` puts them in that order).
@@ -610,6 +600,7 @@ def validate_predictions(
     Without both groups they are skipped. Every control row must lie in
     ``[0, n)``; repeats and order among them do not matter.
     """
+    params = params or EvaluationParams()
     if (predictions.row_ids, predictions.column_ids) != (truth.row_ids, truth.column_ids):
         raise ValidationError("predictions are not in the truth's row and column order")
     n = truth.shape[0]
@@ -622,12 +613,12 @@ def validate_predictions(
     if is_control.any() and not is_control.all():
         de_genes = select_de_genes(
             truth.values,
-            k=min(int(de_k), truth.shape[1]),
-            pseudo=float(pseudo),
+            k=min(int(params.de_k), truth.shape[1]),
+            pseudo=float(params.pseudo),
             control=is_control,
         )
     metrics = metric_report(truth, predictions, de_genes=de_genes)
-    thresholds = dict(thresholds or {})
+    thresholds = dict(params.thresholds)
     verdict = apply_thresholds(metrics, thresholds)
     return ValidationReport(metrics=metrics, thresholds=thresholds, verdict=verdict)
 

@@ -311,9 +311,9 @@ def build_providers(
     chat = HttpChatProvider(chat_url, config.generation, api_key=os.environ.get(ENV_LLM_KEY))
     embedder = HttpEmbedder(
         emb_url,
+        config.provider.get("embed_model", "default"),
+        int(config.provider.get("embed_dim", 0)),
         api_key=os.environ.get(ENV_EMB_KEY),
-        model=config.provider.get("embed_model", "default"),
-        dim=int(config.provider.get("embed_dim", 0)),
     )
     return chat, embedder
 
@@ -628,20 +628,12 @@ def stage_evaluate(
     ctx: RunContext,
 ) -> ValidationReport:
     """Score predictions, aligned to the bundle's row and column ids, with the
-    config's ``de_k``, ``pseudo`` and thresholds; records the evaluator's
-    result, which ``critique_ref`` names, and writes ``metrics.json`` into
-    the run directory.
+    config's ``evaluation`` section; records the evaluator's result, which
+    ``critique_ref`` names, and writes ``metrics.json`` into the run directory.
     """
-    params = ctx.config.evaluation
     with ctx.stage("evaluate"):
         report = validate_predictions(
-            predictions,
-            bundle.matrix,
-            control_rows=bundle.control_rows,
-            de_k=params.de_k,
-            pseudo=params.pseudo,
-            thresholds=params.thresholds,
-        )
+            predictions, bundle.matrix, bundle.control_rows, ctx.config.evaluation)
         failing = sorted(name for name, ok in report.verdict.items() if not ok)
         report.critique_ref = ctx.store.record(
             "result", {"metrics": report.metrics.to_json(), "failing": failing},

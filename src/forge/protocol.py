@@ -188,15 +188,16 @@ class EventStream:
     def append(self, env: Envelope) -> int:
         """Stamp the envelope with the next sequence number and keep it.
 
-        Returns the assigned sequence number.
+        An envelope that does not encode is refused before the stream
+        changes. Returns the assigned sequence number.
         """
-        env.validate()
         stamped = copy.deepcopy(env)
         stamped.timestamp = len(self._events) + 1
+        line = encode_message(stamped) + b"\n"
         self._admit(stamped)
         if self.path is not None:
             with open(self.path, "ab") as fh:
-                fh.write(encode_message(stamped) + b"\n")
+                fh.write(line)
         return stamped.timestamp
 
     def pending_requests(self) -> Tuple[int | str, ...]:

@@ -300,7 +300,7 @@ class HttpChatProvider(_HttpClient, ChatProvider):
     params: it sends them with every request.
 
     POSTs ``{"model", "messages", "temperature", "top_p"}`` to ``base_url``
-    and expects ``{"text": ..., "usage": {"prompt_tokens", ...}}`` back.
+    and expects ``{"text": <string>, "usage": {"prompt_tokens", ...}}`` back.
     ``usage`` may be absent; each count it holds must be a non-negative
     integer, and a missing count is 0.
     """
@@ -320,8 +320,8 @@ class HttpChatProvider(_HttpClient, ChatProvider):
         if self.params.max_tokens is not None:
             body["max_tokens"] = self.params.max_tokens
         doc = self._post(body)
-        if "text" not in doc:
-            raise ProviderError("provider reply missing 'text'")
+        if not isinstance(doc.get("text"), str):
+            raise ProviderError(f"provider reply missing 'text' string, got {doc.get('text')!r}")
         usage_doc = doc.get("usage", {})
         if not isinstance(usage_doc, dict):
             raise ProviderError(f"provider reply 'usage' must be an object: {usage_doc!r}")
@@ -332,7 +332,29 @@ class HttpChatProvider(_HttpClient, ChatProvider):
                 raise ProviderError(
                     f"provider reply usage.{key} must be a non-negative integer: {value!r}")
             counts[key] = value
-        return str(doc["text"]), Usage(**counts)
+        return doc["text"], Usage(**counts)
+
+
+def unit_vector(values: Any, label: str) -> np.ndarray:
+    """``values`` over its L2 norm, as float64. ``values`` must be a non-empty
+    1-D array or list of real numbers (no bools, strings or nesting) with a
+    finite, non-zero norm; anything else is a :class:`ValidationError`
+    naming ``label``."""
+    if isinstance(values, np.ndarray):
+        numeric = values.ndim == 1 and values.dtype.kind in "iuf"
+    else:
+        numeric = isinstance(values, (list, tuple)) and all(
+            isinstance(x, (int, float)) and not isinstance(x, bool) for x in values)
+    if not numeric or not len(values):
+        raise ValidationError(f"{label} must be a non-empty list of numbers")
+    try:
+        vec = np.asarray(values, dtype=np.float64)
+        norm = float(np.linalg.norm(vec))
+    except OverflowError:
+        norm = math.inf
+    if norm == 0.0 or not math.isfinite(norm):
+        raise ValidationError(f"{label} has a zero or non-finite norm")
+    return vec / norm
 
 
 class Embedder:
@@ -370,7 +392,7 @@ class ScriptedEmbedder(Embedder):
         self.seed = seed
         self._overrides: Dict[str, np.ndarray] = {}
         for text, vec in (overrides or {}).items():
-            self._overrides[text] = _unit(np.asarray(vec, dtype=np.float64), text)
+            self._overrides[text] = unit_vector(vec, f"embedding override for {text!r}")
 
     def embed(self, texts: Sequence[str]) -> List[np.ndarray]:
         out = []
@@ -387,28 +409,19 @@ class ScriptedEmbedder(Embedder):
                 continue
             digest = hashlib.sha256(f"{self.seed}\x1f{text}".encode("utf-8")).digest()
             rng = np.random.default_rng(int.from_bytes(digest[:8], "big"))
-            out.append(_unit(rng.standard_normal(self.dim), text))
+            out.append(unit_vector(rng.standard_normal(self.dim), f"embedding of {text!r}"))
         return out
 
 
 class HttpEmbedder(_HttpClient, Embedder):
     """JSON-over-HTTP embedding client mirroring :class:`HttpChatProvider`.
 
-    POSTs ``{"model", "input"}`` and expects ``{"embeddings": [...]}`` back.
+    POSTs ``{"model", "input"}`` and expects ``{"embeddings": [...]}`` back;
+    each row must pass :func:`unit_vector`.
     """
 
-    def __init__(
-        self,
-        base_url: str,
-        api_key: Optional[str] = None,
-        model: str = "default",
-        dim: int = 0,
-        retries: int = 3,
-        backoff: float = 1.0,
-        session=None,
-        sleep: Callable[[float], None] = time.sleep,
-    ):
-        super().__init__(base_url, api_key, retries, backoff, session, sleep)
+    def __init__(self, base_url: str, model: str = "default", dim: int = 0, **client: Any):
+        super().__init__(base_url, **client)
         self.model = model
         self.dim = dim
 
@@ -420,30 +433,15 @@ class HttpEmbedder(_HttpClient, Embedder):
         rows = self._post({"model": self.model, "input": list(texts)}).get("embeddings")
         if not isinstance(rows, list) or len(rows) != len(texts):
             raise ProviderError("embedding reply shape mismatch")
-        vecs = [_reply_vector(row, f"embeddings[{i}]") for i, row in enumerate(rows)]
+        try:
+            vecs = [unit_vector(row, f"provider reply embeddings[{i}]")
+                    for i, row in enumerate(rows)]
+        except ValidationError as exc:
+            raise ProviderError(str(exc)) from None
         dims = {v.shape[0] for v in vecs}
         if len(dims) > 1 or (self.dim and dims != {self.dim}):
             raise ProviderError(f"embedding dim mismatch: got {sorted(dims)}")
         return vecs
-
-
-def _reply_vector(row: Any, name: str) -> np.ndarray:
-    """The unit vector of embedding row ``name`` of a provider reply, which
-    must be a non-empty list of numbers with a finite, non-zero norm."""
-    if not isinstance(row, list) or not row or any(
-            isinstance(x, bool) or not isinstance(x, (int, float)) for x in row):
-        raise ProviderError(f"provider reply {name} must be a non-empty list of numbers")
-    try:
-        return _unit(np.asarray(row, dtype=np.float64), name)
-    except (OverflowError, ValidationError) as exc:
-        raise ProviderError(f"provider reply {name}: {exc}") from None
-
-
-def _unit(vec: np.ndarray, label: str) -> np.ndarray:
-    norm = float(np.linalg.norm(vec))
-    if norm == 0.0 or not np.isfinite(norm):
-        raise ValidationError(f"cannot normalize zero/non-finite embedding for {label!r}")
-    return vec / norm
 
 
 def load_fixture(
@@ -462,9 +460,11 @@ def load_fixture(
     overrides = doc.get("embeddings") or {}
     if not isinstance(overrides, dict):
         raise LoadError(f"fixture {path} 'embeddings' must map text to vectors")
-    chat = ScriptedChatProvider(completions)
-    embedder = ScriptedEmbedder(dim=dim, seed=seed, overrides=overrides)
-    return chat, embedder
+    try:
+        embedder = ScriptedEmbedder(dim=dim, seed=seed, overrides=overrides)
+    except ValidationError as exc:
+        raise LoadError(f"fixture {path}: {exc}") from None
+    return ScriptedChatProvider(completions), embedder
 
 
 def extract_score(text: str) -> Optional[float]:

@@ -29,7 +29,7 @@ import numpy as np
 
 from .errors import EmptyQueryError, LoadError, ValidationError
 from .matrixio import read_text
-from .providers import Embedder
+from .providers import Embedder, unit_vector
 
 log = logging.getLogger(__name__)
 
@@ -109,11 +109,7 @@ class Document:
     citations: Tuple[str, ...] = ()
 
     def __post_init__(self):
-        self.embedding = np.asarray(self.embedding, dtype=np.float64)
-        norm = float(np.linalg.norm(self.embedding))
-        if norm == 0.0 or not np.isfinite(norm):
-            raise ValidationError(f"document {self.id!r} has a degenerate embedding")
-        self.embedding = self.embedding / norm
+        self.embedding = unit_vector(self.embedding, f"embedding of document {self.id!r}")
         self.citations = tuple(self.citations)
 
 
@@ -231,11 +227,7 @@ class QueryState:
     layer: int = 0
 
     def __post_init__(self):
-        self.vector = np.asarray(self.vector, dtype=np.float64)
-        norm = float(np.linalg.norm(self.vector))
-        if norm == 0.0 or not np.isfinite(norm):
-            raise ValidationError("query vector must be normalizable")
-        self.vector = self.vector / norm
+        self.vector = unit_vector(self.vector, "query vector")
         self.terms = tuple(self.terms)
         if self.layer < 0:
             raise ValidationError("layer must be non-negative")

@@ -19,6 +19,7 @@ import functools
 import json
 import os
 import re
+from collections import Counter
 from dataclasses import dataclass, field
 from importlib import resources
 from string import Template
@@ -82,17 +83,12 @@ TASK_DEFINITION_KEYS = ("input", "output", "task_type")
 
 @dataclass
 class DatasetBundle:
-    """Loaded bundle: matrix plus aligned cell/feature tables."""
+    """Loaded bundle: matrix, per-row perturbation labels and manifest."""
 
     matrix: ExpressionMatrix
-    cells: List[Dict[str, str]]
-    features: List[Dict[str, str]]
+    perturbations: Tuple[str, ...]
     manifest: Dict[str, str]
     path: str = ""
-
-    @property
-    def perturbations(self) -> List[str]:
-        return [row["perturbation"] for row in self.cells]
 
     @property
     def control_rows(self) -> List[int]:
@@ -146,9 +142,9 @@ def load_bundle(path: str) -> DatasetBundle:
         raise ValidationError(
             f"feature table has {len(features)} rows for {values.shape[1]} columns"
         )
-    for n, row in enumerate(cells):
-        if not row["perturbation"]:
-            raise ValidationError(f"obs.tsv row {n + 1}: empty perturbation label")
+    labels = tuple(row["perturbation"] for row in cells)
+    if "" in labels:
+        raise ValidationError(f"obs.tsv row {labels.index('') + 1}: empty perturbation label")
 
     row_ids = [row.get("cell_id") or f"cell-{i}" for i, row in enumerate(cells)]
     col_ids = [row["feature_id"] for row in features]
@@ -158,9 +154,7 @@ def load_bundle(path: str) -> DatasetBundle:
         raise ValidationError("duplicate feature ids in var.tsv")
 
     matrix = ExpressionMatrix(values, row_ids=tuple(row_ids), column_ids=tuple(col_ids))
-    return DatasetBundle(
-        matrix=matrix, cells=cells, features=features, manifest=dict(manifest), path=path
-    )
+    return DatasetBundle(matrix=matrix, perturbations=labels, manifest=dict(manifest), path=path)
 
 
 @dataclass
@@ -189,9 +183,7 @@ class DatasetProfile:
 
 def profile_dataset(bundle: DatasetBundle) -> DatasetProfile:
     """Exact counts: zero-entry sparsity and the perturbation inventory."""
-    inventory: Dict[str, int] = {}
-    for lab in bundle.perturbations:
-        inventory[lab] = inventory.get(lab, 0) + 1
+    inventory = Counter(bundle.perturbations)
     values = bundle.matrix.values
     n, d = values.shape
     stored = values.data if sparse.issparse(values) else values
@@ -199,7 +191,7 @@ def profile_dataset(bundle: DatasetBundle) -> DatasetProfile:
     return DatasetProfile(
         n_cells=n,
         n_features=d,
-        perturbation_inventory=inventory,
+        perturbation_inventory=dict(inventory),
         control_count=inventory.get(CONTROL_LABEL, 0),
         sparsity=sparsity,
         modality=bundle.manifest["modality"],

@@ -833,6 +833,20 @@ def test_corpus_index_unreadable_document_exits_1(runner, tmp_path):
     assert "error:" in everything(result)
 
 
+@pytest.mark.parametrize("vector", [["a"], [[1, 2]], 5, [], [0, 0]],
+                         ids=["string", "nested", "scalar", "empty", "zero"])
+def test_corpus_index_bad_fixture_embedding_exits_1(runner, tmp_path, vector):
+    corpus = write_corpus(tmp_path / "corpus", {"doc-a": "fine text"})
+    fixture = tmp_path / "fixture.json"
+    fixture.write_text(json.dumps({"completions": [], "embeddings": {"fine text": vector}}))
+    cfg = write_config(tmp_path / "config.json", **profile(fixture))
+    result = run_cli(runner, ["corpus", "index", corpus, "--config", cfg])
+    assert result.exit_code == 1, everything(result)
+    assert isinstance(result.exception, SystemExit)  # not an escaped exception
+    assert f"fixture {fixture}: embedding override for 'fine text'" in everything(result)
+    assert not (corpus / "embeddings.tsv").exists()
+
+
 def test_analyze_with_indexed_corpus(runner, workdir):
     corpus = write_corpus(
         workdir / "corpus",

@@ -25,6 +25,7 @@ from forge.errors import (
 from forge.execution import (
     ENV_ALLOW_LIST,
     CodeArtifact,
+    EvaluationParams,
     ExecutionParams,
     ExecutionResult,
     FailureRecord,
@@ -227,7 +228,8 @@ def test_code_artifact_validation_and_json():
     )
     doc = artifact.to_json()
     assert list(doc["files"]) == ["a.py", "b.py"]
-    assert CodeArtifact.from_json(doc) == artifact
+    assert doc == {"files": {"a.py": "1\n", "b.py": "2\n"}, "entrypoint": "python a.py",
+                   "declared_dependencies": [], "revision": 0}
     assert json.loads(json.dumps(doc)) == doc
 
 
@@ -481,7 +483,8 @@ def test_validate_predictions_roundtrip(tmp_path):
     )
     write_predictions(str(tmp_path / "artifact"), perm)
     aligned = align_predictions(read_predictions(str(tmp_path / "artifact")), truth)
-    report = validate_predictions(aligned, truth, thresholds={"mse": 1e-9, "pcc": 0.999})
+    report = validate_predictions(
+        aligned, truth, params=EvaluationParams(thresholds={"mse": 1e-9, "pcc": 0.999}))
     assert report.metrics.get("mse") == pytest.approx(0.0, abs=1e-12)
     assert report.passed
     doc = report.to_json()
@@ -503,7 +506,8 @@ def test_validate_predictions_de_variants():
         row_ids=truth.row_ids, column_ids=truth.column_ids,
     )
     report = validate_predictions(
-        pred, truth, control_rows=[0], de_k=2, thresholds={"mse_de": 0.5, "mse": 0.5})
+        pred, truth, control_rows=[0],
+        params=EvaluationParams(de_k=2, thresholds={"mse_de": 0.5, "mse": 0.5}))
     assert report.metrics.get("mse_de") == pytest.approx(0.5)
     assert report.metrics.get("mse") == pytest.approx(3.5)
     assert report.verdict == {"mse_de": True, "mse": False}
@@ -539,8 +543,9 @@ def test_validate_predictions_rejects_control_rows_out_of_range(rows, bad):
 
 def test_validate_predictions_control_rows_order_and_repeats():
     truth, pred = _de_fixture()
-    want = validate_predictions(pred, truth, control_rows=[1, 4, 7], de_k=3)
-    got = validate_predictions(pred, truth, control_rows=[7, 1, 4, 1, 7], de_k=3)
+    params = EvaluationParams(de_k=3)
+    want = validate_predictions(pred, truth, control_rows=[1, 4, 7], params=params)
+    got = validate_predictions(pred, truth, control_rows=[7, 1, 4, 1, 7], params=params)
     assert "mse_de" in want.metrics
     assert got.metrics.to_json() == want.metrics.to_json()
 

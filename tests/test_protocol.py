@@ -222,6 +222,20 @@ def test_file_backed_stream_replays(tmp_path):
     assert replayed.append(Envelope(kind=NOTIFICATION, method="tick", payload={})) == 4
 
 
+def test_refused_append_leaves_no_trace(tmp_path):
+    path = str(tmp_path / "events.jsonl")
+    stream = EventStream(path)
+    with pytest.raises(ProtocolError, match="not encodable"):
+        stream.append(Envelope(kind=REQUEST, method="m", id=1, payload={"x": float("nan")}))
+    assert len(stream) == 0
+    assert stream.pending_requests() == ()
+    assert stream.append(Envelope(kind=REQUEST, method="m", id=1, payload={"x": 1})) == 1
+    assert stream.append(Envelope(kind=EVENT, method="stage.start", payload={})) == 2
+    replayed = EventStream(path)
+    assert [e.timestamp for e in replayed.events] == [1, 2]
+    assert replayed.pending_requests() == (1,)
+
+
 def test_replay_rejects_gapped_sequence(tmp_path):
     path = tmp_path / "events.jsonl"
     good = encode_message(

@@ -1,6 +1,7 @@
 """Provider boundary: scripted replay, HTTP clients, usage, and scoring."""
 
 import json
+import math
 
 import numpy as np
 import pytest
@@ -22,8 +23,10 @@ from forge.providers import (
     extract_score,
     load_fixture,
     synthesize_usage,
+    unit_vector,
 )
 from forge.pipeline import ENV_EMB_URL, ENV_LLM_URL, build_providers, load_config
+from forge.retrieval import Document, QueryState
 
 PARAMS = GenerationParams()
 
@@ -326,6 +329,14 @@ def test_http_chat_rejects_malformed_usage(usage, field):
         provider.complete([ChatTurn("user", "q")])
 
 
+@pytest.mark.parametrize("text", [None, ["a"], {"x": 1}])
+def test_http_chat_rejects_a_text_that_is_not_a_string(text):
+    session = FakeSession([FakeResponse(200, {"text": text})])
+    provider = HttpChatProvider("https://api.test/v1", PARAMS, session=session, sleep=lambda s: None)
+    with pytest.raises(ProviderError, match="'text'"):
+        provider.complete([ChatTurn("user", "q")])
+
+
 # ---------------------------------------------------------------------------
 # embedders
 
@@ -411,6 +422,56 @@ def test_http_embedder_rejects_malformed_rows(rows, field):
     emb = HttpEmbedder("https://api.test/emb", session=session, sleep=lambda s: None)
     with pytest.raises(ProviderError, match=field):
         emb.embed(["t"] * len(rows))
+
+
+def test_unit_vector_divides_by_the_norm():
+    for row in ([3, 4], (3.0, 4.0), np.array([3, 4]), np.array([3.0, 4.0])):
+        vec = unit_vector(row, "v")
+        assert vec.dtype == np.float64
+        assert vec.tolist() == [0.6, 0.8]
+    row = [0.1, -2.5, 7e-3]
+    plain = np.asarray(row, dtype=np.float64)
+    assert np.array_equal(unit_vector(row, "v"), plain / float(np.linalg.norm(plain)))
+
+
+@pytest.mark.parametrize(
+    "values",
+    [np.array(5.0), np.zeros((1, 2)), np.array([True, False]), np.array(["a"]),
+     np.array([1 + 1j]), [10**400, 1.0], [None, 1.0], "12"],
+)
+def test_unit_vector_rejects_what_is_not_a_vector_of_numbers(values):
+    with pytest.raises(ValidationError, match="label-x"):
+        unit_vector(values, "label-x")
+
+
+def _http_reply(row):
+    session = FakeSession([FakeResponse(200, {"embeddings": [row]})])
+    HttpEmbedder("https://api.test/emb", session=session, sleep=lambda s: None).embed(["t"])
+
+
+# Every way a vector enters forge: (feed, error, what the message names).
+VECTOR_ENTRY_POINTS = {
+    "http-reply": (_http_reply, ProviderError, r"embeddings\[0\]"),
+    "fixture-override": (lambda row: ScriptedEmbedder(dim=2, overrides={"pinned": row}),
+                         ValidationError, "override for 'pinned'"),
+    "document": (lambda row: Document(id="d1", text="body", embedding=row),
+                 ValidationError, "document 'd1'"),
+    "query-state": (lambda row: QueryState(vector=row, terms=("t",)),
+                    ValidationError, "query vector"),
+}
+
+
+@pytest.mark.parametrize("entry", sorted(VECTOR_ENTRY_POINTS))
+@pytest.mark.parametrize(
+    "row",
+    [[True, False], [1.0, True], ["a", "b"], [[1.0, 2.0]], [], [0.0, 0.0],
+     [math.inf, 1.0], [math.nan, 1.0], 5.0],
+    ids=["bools", "a-bool", "strings", "nested", "empty", "zero", "inf", "nan", "0-d"],
+)
+def test_every_vector_entry_point_runs_the_one_check(entry, row):
+    feed, error, label = VECTOR_ENTRY_POINTS[entry]
+    with pytest.raises(error, match=label):
+        feed(row)
 
 
 # ---------------------------------------------------------------------------

@@ -44,7 +44,7 @@ def test_load_bundle_happy_path(bundle_dir):
     assert bundle.matrix.shape == (4, 3)
     assert bundle.matrix.row_ids == ("c1", "c2", "c3", "c4")
     assert bundle.matrix.column_ids == ("g1", "g2", "g3")
-    assert bundle.perturbations == ["control", "control", "KO_A", "KO_A"]
+    assert bundle.perturbations == ("control", "control", "KO_A", "KO_A")
     assert bundle.control_rows == [0, 1]
     assert bundle.manifest["modality"] == "RNA"
     assert bundle.path == str(bundle_dir)

@@ -29,7 +29,9 @@ For every scenario it prints the outcome (``ok`` or the error's class;
 for ``stage-commands`` the four exit codes and a digest of their joined
 stdout) and the ``perfbench/checks.tree_digest`` of the run directory on
 each side (for ``stage-commands``, of the four output directories), and
-exits 1 when any pair differs.
+exits 1 when any pair differs. Under a scenario that differs it lists the
+first 20 files, by path relative to the run directory, that only one side
+wrote or whose sha256 differs.
 """
 
 from __future__ import annotations
@@ -164,8 +166,15 @@ def worker(checkout: str) -> None:
         sys.exit(f"forge imported from {forge.__file__}, not {src}")
 
     def record(outcome: str, run_dir: str) -> dict:
-        files = sum(len(f) for _, _, f in os.walk(run_dir))
-        return {"outcome": outcome, "digest": tree_digest(run_dir)[:16], "files": files}
+        hashes = {}
+        for base, _, files in os.walk(run_dir):
+            for name in files:
+                path = os.path.join(base, name)
+                with open(path, "rb") as fh:
+                    hashes[os.path.relpath(path, run_dir)] = hashlib.file_digest(
+                        fh, "sha256").hexdigest()
+        return {"outcome": outcome, "digest": tree_digest(run_dir)[:16],
+                "files": len(hashes), "sha256": hashes}
 
     out = {}
     for name, (task, bundle, config, corpus) in scenarios():
@@ -211,11 +220,28 @@ def main() -> int:
     sides = {side: digests(getattr(args, side)) for side in ("parent", "change")}
     mismatches = 0
     for name, parent in sides["parent"].items():
-        change = sides["change"].get(name)
+        change = sides["change"].get(name, {})
         same = parent == change
         mismatches += not same
+        old, new = parent.pop("sha256"), change.pop("sha256", {})
         print(f"{name:15s} {'same' if same else 'DIFFERENT':9s} parent {parent}  change {change}")
+        for path in changed_files(old, new)[:20]:
+            print(f"    {path}")
     return 1 if mismatches else 0
+
+
+def changed_files(parent: dict, change: dict) -> list:
+    """The paths of ``parent`` and ``change`` (path -> sha256) that only one
+    side holds or whose hashes differ, each marked added, removed or changed."""
+    marks = []
+    for path in sorted(parent.keys() | change.keys()):
+        if path not in parent:
+            marks.append(f"added    {path}")
+        elif path not in change:
+            marks.append(f"removed  {path}")
+        elif parent[path] != change[path]:
+            marks.append(f"changed  {path}")
+    return marks
 
 
 if __name__ == "__main__":
