@@ -152,12 +152,7 @@ class CodeArtifact:
             )
 
     def to_json(self) -> Dict[str, Any]:
-        return {
-            "files": dict(sorted(self.files.items())),
-            "entrypoint": self.entrypoint,
-            "declared_dependencies": list(self.declared_dependencies),
-            "revision": self.revision,
-        }
+        return asdict(self)
 
     def write_files(self, root: Union[str, Path]) -> None:
         """Write each file under ``root``, making directories as needed."""
@@ -314,6 +309,10 @@ def generate_code(
 # ----------------------------------------------------------------------
 
 
+# The longest wait poll() accepts, (2**31 - 1) ms: the sandbox's wall-clock cap.
+MAX_WALL_SECONDS = (2**31 - 1) / 1000
+
+
 @dataclass
 class ExecutionParams:
     """The ``execution`` config section: the sandbox's wall-clock and
@@ -326,8 +325,9 @@ class ExecutionParams:
     r_max: int = 10
 
     def __post_init__(self):
-        if self.wall_seconds <= 0:
-            raise ValidationError("wall_seconds must be positive")
+        if not 0 < self.wall_seconds <= MAX_WALL_SECONDS:
+            raise ValidationError(
+                f"wall_seconds must lie in (0, {MAX_WALL_SECONDS}]: got {self.wall_seconds!r}")
         if self.stdout_bytes < 0 or self.stderr_bytes < 0:
             raise ValidationError("stdout_bytes and stderr_bytes must be non-negative")
         if self.r_max < 0:

@@ -15,7 +15,7 @@ import shutil
 import stat
 import tempfile
 from contextlib import contextmanager
-from dataclasses import MISSING, asdict, dataclass, fields, is_dataclass
+from dataclasses import asdict, dataclass, field, is_dataclass
 from pathlib import Path
 from typing import (
     Any, Dict, Iterator, List, Optional, Tuple, Union, get_args, get_origin, get_type_hints,
@@ -61,6 +61,7 @@ from .providers import (
     GenerationParams,
     HttpChatProvider,
     HttpEmbedder,
+    ProviderParams,
     Usage,
     load_fixture,
 )
@@ -112,13 +113,6 @@ _JSON_KINDS = {
     str: (str, "a string"),
     tuple: ((list, tuple), "a JSON list"),
     dict: (dict, "a JSON object"),
-    type(None): (type(None), "null"),
-}
-
-# The keys each provider type reads; http takes the default "fixture": null.
-_PROVIDER_KEYS = {
-    "scripted": {"type": str, "fixture": Optional[str], "embed_dim": int},
-    "http": {"type": str, "fixture": type(None), "embed_dim": int, "embed_model": str},
 }
 
 
@@ -143,45 +137,42 @@ def _convert(key: str, hint: Any, value: Any) -> Any:
 
 
 def _build_section(name: str, cls: type, doc: Any) -> Any:
-    """A config section as its dataclass, which defines its keys and checks.
+    """Config section ``name`` (``""``: the whole config) as its dataclass,
+    which defines its keys, their defaults and its checks.
 
-    Values are checked by :func:`_convert`; an unknown key or a value the
-    dataclass rejects raises :class:`ValidationError` naming it.
+    A key whose hint is a dataclass is built as a section of its own; any
+    other value is checked by :func:`_convert`. An unknown key or a value
+    the dataclass rejects raises :class:`ValidationError` naming it.
     """
     hints = get_type_hints(cls)
     kwargs: Dict[str, Any] = {}
     for key, value in _convert(name, dict, doc).items():
+        path = f"{name}.{key}" if name else key
         if key not in hints:
-            raise ValidationError(f"unknown config key {name}.{key}")
-        kwargs[key] = _convert(f"{name}.{key}", hints[key], value)
+            raise ValidationError(f"unknown config key {path}")
+        build = _build_section if is_dataclass(hints[key]) else _convert
+        kwargs[key] = build(path, hints[key], value)
     try:
         return cls(**kwargs)
     except (ValidationError, TypeError, ValueError) as exc:
-        raise ValidationError(f"bad config section {name!r}: {exc}") from exc
+        raise ValidationError(f"bad config section {name!r}: {exc}" if name else str(exc)) from exc
 
 
 @dataclass
 class RunConfig:
-    """Resolved knobs for one pipeline run."""
+    """Resolved knobs for one pipeline run: the whole config file's shape."""
 
-    provider: Dict[str, Any]
-    generation: GenerationParams
-    retrieval: RetrievalParams
-    discussion: DiscussionParams
-    execution: ExecutionParams
-    evaluation: EvaluationParams
+    provider: ProviderParams = field(default_factory=ProviderParams)
+    generation: GenerationParams = field(default_factory=GenerationParams)
+    retrieval: RetrievalParams = field(default_factory=RetrievalParams)
+    discussion: DiscussionParams = field(default_factory=DiscussionParams)
+    execution: ExecutionParams = field(default_factory=ExecutionParams)
+    evaluation: EvaluationParams = field(default_factory=EvaluationParams)
     pricing_table: Optional[str] = None
     seed: Optional[int] = 0
 
     def __post_init__(self):
-        kind = self.provider.get("type")
-        if kind not in _PROVIDER_KEYS:
-            raise ValidationError(f"provider type must be scripted or http: {kind!r}")
-        for key, value in self.provider.items():
-            if key not in _PROVIDER_KEYS[kind]:
-                raise ValidationError(f"unknown config key provider.{key} for type {kind}")
-            _convert(f"provider.{key}", _PROVIDER_KEYS[kind][key], value)
-        if kind == "scripted" and self.seed is None:
+        if self.provider.type == "scripted" and self.seed is None:
             raise ValidationError("scripted runs require a seed")
         if self.seed is not None and self.seed < 0:
             raise ValidationError(f"seed must be non-negative: got {self.seed}")
@@ -189,40 +180,23 @@ class RunConfig:
     def to_json(self) -> Dict[str, Any]:
         return asdict(self)
 
-    @classmethod
-    def from_profile(cls, profile: Dict[str, Any]) -> "RunConfig":
-        hints = get_type_hints(cls)
-        unknown = sorted(key for key in profile if key not in hints)
-        if unknown:
-            raise ValidationError(f"unknown config key {unknown[0]}")
-        kwargs: Dict[str, Any] = {}
-        for f in fields(cls):
-            value = profile.get(f.name, {} if f.default is MISSING else f.default)
-            hint = hints[f.name]
-            build = _build_section if is_dataclass(hint) else _convert
-            kwargs[f.name] = build(f.name, hint, value)
-        return cls(**kwargs)
-
 
 def load_config(
     path: Optional[str] = None, overrides: Optional[Dict[str, Any]] = None
 ) -> RunConfig:
     """The defaults, deep-merged with a user file, then with overrides.
 
-    A user file may either be a flat profile or wrap one under a
-    ``defaults`` key; overrides use the same nested shape. Every section but
-    ``provider``, whose keys depend on its type, takes its defaults from its
-    dataclass.
+    The file and the overrides are both shaped like :class:`RunConfig`;
+    every key they leave unset takes its dataclass default.
     """
-    profile = {"provider": {"type": "scripted", "fixture": None, "embed_dim": 64}}
+    profile: Dict[str, Any] = {}
     if path is not None:
-        doc = read_json(path)
-        if not isinstance(doc, dict):
+        profile = read_json(path)
+        if not isinstance(profile, dict):
             raise ValidationError("config file must hold a JSON object")
-        profile = _deep_merge(profile, doc.get("defaults", doc))
     if overrides:
         profile = _deep_merge(profile, overrides)
-    return RunConfig.from_profile(profile)
+    return _build_section("", RunConfig, profile)
 
 
 # ----------------------------------------------------------------------
@@ -286,12 +260,10 @@ def build_providers(
     pass ``require_fixture=False`` so a scripted config without a fixture
     still yields the deterministic embedder.
     """
-    kind = config.provider.get("type")
-    if kind == "scripted":
-        fixture = config.provider.get("fixture")
-        dim = int(config.provider.get("embed_dim", 64))
-        if fixture:
-            return load_fixture(fixture, dim=dim, seed=config.seed)
+    provider = config.provider
+    if provider.type == "scripted":
+        if provider.fixture:
+            return load_fixture(provider.fixture, dim=provider.embed_dim, seed=config.seed)
         if require_fixture:
             raise ValidationError(
                 "scripted provider requires provider.fixture in the config"
@@ -300,7 +272,7 @@ def build_providers(
 
         return (
             ScriptedChatProvider([]),
-            ScriptedEmbedder(dim=dim, seed=config.seed),
+            ScriptedEmbedder(dim=provider.embed_dim, seed=config.seed),
         )
     chat_url = os.environ.get(ENV_LLM_URL)
     emb_url = os.environ.get(ENV_EMB_URL)
@@ -309,12 +281,8 @@ def build_providers(
             f"http provider requires {ENV_LLM_URL} and {ENV_EMB_URL}"
         )
     chat = HttpChatProvider(chat_url, config.generation, api_key=os.environ.get(ENV_LLM_KEY))
-    embedder = HttpEmbedder(
-        emb_url,
-        config.provider.get("embed_model", "default"),
-        int(config.provider.get("embed_dim", 0)),
-        api_key=os.environ.get(ENV_EMB_KEY),
-    )
+    embedder = HttpEmbedder(emb_url, provider.embed_model, provider.embed_dim,
+                            api_key=os.environ.get(ENV_EMB_KEY))
     return chat, embedder
 
 

@@ -23,7 +23,7 @@ import copy
 import json
 import math
 import os
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from typing import Any, Dict, List, Optional, Tuple
 
 from .errors import (
@@ -362,14 +362,7 @@ class MemoryStore:
 
 
 def entity_to_document(entity: KnowledgeEntity, seq: int) -> Dict[str, Any]:
-    return {
-        "seq": seq,
-        "id": entity.id,
-        "kind": entity.kind,
-        "body": entity.body,
-        "provenance": entity.provenance,
-        "round": entity.round,
-    }
+    return {"seq": seq, **asdict(entity)}
 
 
 def canonical_json(doc: Any) -> str:
@@ -391,12 +384,7 @@ def save_store(store: MemoryStore, directory: str) -> None:
             fh.write(canonical_json(entity_to_document(ent, seq)) + "\n")
     with open(os.path.join(directory, "relations.jsonl"), "w", encoding="utf-8") as fh:
         for rel in store._relations:
-            fh.write(
-                canonical_json(
-                    {"source": rel.source, "target": rel.target, "label": rel.label}
-                )
-                + "\n"
-            )
+            fh.write(canonical_json(asdict(rel)) + "\n")
 
 
 def read_text(path: str) -> str:

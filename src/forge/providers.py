@@ -76,6 +76,30 @@ class GenerationParams:
 
 
 @dataclass(frozen=True)
+class ProviderParams:
+    """The ``provider`` config section: the chat and embedding backends.
+
+    Each type takes the key it does not read only at its default: a
+    scripted provider replays ``fixture`` and keeps ``embed_model``
+    "default"; an http provider embeds with ``embed_model`` and keeps
+    ``fixture`` null.
+    """
+
+    type: str = "scripted"
+    fixture: Optional[str] = None
+    embed_dim: int = 64
+    embed_model: str = "default"
+
+    def __post_init__(self):
+        if self.type not in ("scripted", "http"):
+            raise ValidationError(f"provider type must be scripted or http: {self.type!r}")
+        if self.type == "http" and self.fixture is not None:
+            raise ValidationError("provider.fixture must be null for type http")
+        if self.type == "scripted" and self.embed_model != "default":
+            raise ValidationError('provider.embed_model must be "default" for type scripted')
+
+
+@dataclass(frozen=True)
 class Usage:
     """Token counts for one exchange."""
 
@@ -181,15 +205,17 @@ def ask(
     """One exchange whose reply must pass ``parse``, with one corrective turn.
 
     When ``parse`` raises :class:`ReplyError`, the rejected reply and the
-    user turn ``retry(reason)`` extend the conversation once; a second
-    rejection is raised again with that reply attached.
+    user turn ``retry(reason)`` extend the conversation once (an empty
+    reply adds no turn); a second rejection is raised again with that reply
+    attached.
     """
     turns = [ChatTurn("user", prompt)]
     reply, _ = provider.complete(turns)
     try:
         return Answer(parse(reply), 1)
     except ReplyError as first:
-        turns = turns + [ChatTurn("assistant", reply), ChatTurn("user", retry(str(first)))]
+        said = [ChatTurn("assistant", reply)] if reply else []
+        turns = turns + said + [ChatTurn("user", retry(str(first)))]
     reply, _ = provider.complete(turns)
     try:
         return Answer(parse(reply), 2)

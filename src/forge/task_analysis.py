@@ -20,7 +20,7 @@ import json
 import os
 import re
 from collections import Counter
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from importlib import resources
 from string import Template
 from typing import Any, Dict, Iterable, List, Optional, Sequence, Tuple
@@ -170,15 +170,7 @@ class DatasetProfile:
     organism: str
 
     def to_json(self) -> Dict[str, Any]:
-        return {
-            "n_cells": self.n_cells,
-            "n_features": self.n_features,
-            "perturbation_inventory": dict(sorted(self.perturbation_inventory.items())),
-            "control_count": self.control_count,
-            "sparsity": self.sparsity,
-            "modality": self.modality,
-            "organism": self.organism,
-        }
+        return asdict(self)
 
 
 def profile_dataset(bundle: DatasetBundle) -> DatasetProfile:
@@ -211,11 +203,7 @@ class HoldoutSplit:
     held_out_perturbations: Tuple[str, ...]
 
     def to_json(self) -> Dict[str, Any]:
-        return {
-            "train_indices": list(self.train_indices),
-            "test_indices": list(self.test_indices),
-            "held_out_perturbations": list(self.held_out_perturbations),
-        }
+        return asdict(self)
 
 
 def split_holdout(bundle: DatasetBundle, held_out: Iterable[str]) -> HoldoutSplit:

@@ -25,7 +25,7 @@ import forge
 import forge.matrixio
 from forge.cli import main
 from forge.errors import LoadError
-from forge.protocol import load_store
+from forge.protocol import canonical_json, load_store
 from forge.pipeline import (
     load_config,
     open_run,
@@ -214,6 +214,35 @@ def test_run_directories_are_byte_identical(runner, workdir):
         assert result.exit_code == 0, everything(result)
         digests.append(tree_digest(workdir / name))
     assert digests[0] == digests[1]
+
+
+def test_written_config_reproduces_the_run(runner, workdir):
+    fixture = golden_fixture(workdir / "fixture.json")
+    cfg = write_config(workdir / "config.json", **profile(fixture))
+    args = ["run", "--task", workdir / "task.txt", "--bundle", workdir / "bundle"]
+    result = run_cli(runner, args + ["--out", workdir / "out1", "--config", cfg])
+    assert result.exit_code == 0, everything(result)
+    written = workdir / "out1" / "config.json"
+    assert canonical_json(load_config(str(written)).to_json()) + "\n" == written.read_text()
+    result = run_cli(runner, args + ["--out", workdir / "out2", "--config", written])
+    assert result.exit_code == 0, everything(result)
+    assert tree_digest(workdir / "out2") == tree_digest(workdir / "out1")
+
+
+@pytest.mark.parametrize("empty, exit_code", [(1, 0), (2, 2)])
+def test_empty_analysis_reply_is_reprompted(runner, workdir, empty, exit_code):
+    # One empty reply gets the corrective re-prompt; a second fails the stage.
+    fixture = golden_fixture(workdir / "fixture.json")
+    completions = json.loads(fixture.read_text())["completions"]
+    fixture.write_text(json.dumps({"completions": [""] * empty + completions}))
+    cfg = write_config(workdir / "config.json", **profile(fixture))
+    result = run_cli(
+        runner,
+        ["run", "--task", workdir / "task.txt", "--bundle", workdir / "bundle",
+         "--out", workdir / "out", "--config", cfg],
+    )
+    assert result.exit_code == exit_code, everything(result)
+    assert result.exception is None or isinstance(result.exception, SystemExit)
 
 
 def test_validator_evidence_is_location_free(runner, workdir):
@@ -651,6 +680,10 @@ def test_usage_json_is_read_off_the_event_stream(runner, workdir):
         ("evaluation", "thresholds", {"bogus": 1},
          "'evaluation': unknown metric 'bogus' in thresholds"),
         ("retrieval", "l_max", 0, "'retrieval': l_max must be positive"),
+        # one past the longest wait poll() accepts; 2147483.647 itself loads
+        ("execution", "wall_seconds", 2147483.648,
+         "'execution': wall_seconds must lie in (0, 2147483.647]: got 2147483.648"),
+        ("execution", "wall_seconds", 1e12, "'execution': wall_seconds must lie in"),
         # values of the wrong JSON type
         ("generation", "max_tokens", "x", "generation.max_tokens must be an integer"),
         ("generation", "model", 5, "generation.model must be a string"),
@@ -696,6 +729,10 @@ def test_bad_config_key_exits_1(runner, workdir, section, key, value, named):
         ({"generation": {"temperature": float("inf")}},
          "is not valid JSON: number Infinity is out of range"),
         ({"seed": -1}, "seed must be non-negative: got -1"),
+        ({"provider": {"embed_model": "m"}}, 'provider.embed_model must be "default"'),
+        # one file shape: a "defaults" wrapper is an unknown key like any other
+        ({"defaults": 3}, "unknown config key defaults"),
+        ({"defaults": {"seed": 1}, "seed": 5}, "unknown config key defaults"),
     ],
 )
 def test_bad_top_level_config_value_exits_1(runner, workdir, doc, named):
@@ -760,8 +797,14 @@ def test_malformed_saved_stage_output_exits_1(runner, workdir, command, flag, do
 
 def test_http_provider_config_loads():
     config = load_config(overrides={"provider": {"type": "http", "embed_model": "m"}, "seed": None})
-    assert config.provider == {"type": "http", "fixture": None, "embed_dim": 64, "embed_model": "m"}
+    assert canonical_json(config.to_json()["provider"]) == (
+        '{"embed_dim":64,"embed_model":"m","fixture":null,"type":"http"}')
     assert config.seed is None
+
+
+def test_wall_seconds_loads_up_to_the_longest_wait():
+    config = load_config(overrides={"execution": {"wall_seconds": 2147483.647}})
+    assert config.execution.wall_seconds == 2147483.647
 
 
 def test_readme_config_block_is_the_defaults():

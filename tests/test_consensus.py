@@ -272,6 +272,9 @@ def test_request_score_paths():
     assert [t.role for t in provider.calls[1]] == ["user", "assistant", "user"]
     provider = ScriptedChatProvider(["no", "still no"])
     assert request_score(provider, "rate this") == (0.5, 2)
+    # an empty reply is malformed like any other
+    assert request_score(ScriptedChatProvider(["", "SCORE: 0.6"]), "rate this") == (0.6, 2)
+    assert request_score(ScriptedChatProvider(["", ""]), "rate this") == (0.5, 2)
 
 
 # ---------------------------------------------------------------------------

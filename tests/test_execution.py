@@ -1,6 +1,7 @@
 """Artifact envelopes, the sandbox, failure taxonomy, and the loop."""
 
 import json
+import math
 import os
 import subprocess
 import sys
@@ -24,6 +25,7 @@ from forge.errors import (
 )
 from forge.execution import (
     ENV_ALLOW_LIST,
+    MAX_WALL_SECONDS,
     CodeArtifact,
     EvaluationParams,
     ExecutionParams,
@@ -43,6 +45,7 @@ from forge.execution import (
 )
 from forge.matrixio import (
     align_predictions,
+    canonical_json,
     read_predictions,
     write_json,
     write_predictions,
@@ -227,10 +230,11 @@ def test_code_artifact_validation_and_json():
         files={"b.py": "2\n", "a.py": "1\n"}, entrypoint="python a.py"
     )
     doc = artifact.to_json()
-    assert list(doc["files"]) == ["a.py", "b.py"]
     assert doc == {"files": {"a.py": "1\n", "b.py": "2\n"}, "entrypoint": "python a.py",
                    "declared_dependencies": [], "revision": 0}
-    assert json.loads(json.dumps(doc)) == doc
+    assert canonical_json(doc) == (  # written with the files sorted
+        '{"declared_dependencies":[],"entrypoint":"python a.py",'
+        '"files":{"a.py":"1\\n","b.py":"2\\n"},"revision":0}')
 
 
 # ---------------------------------------------------------------------------
@@ -309,6 +313,12 @@ def test_sandbox_timeout_kills_process_group(tmp_path):
     assert result.wall_time < 10.0
 
 
+def test_sandbox_waits_up_to_the_longest_wall_seconds(tmp_path):
+    result = run_sandbox(art("print('done')"), ExecutionParams(wall_seconds=MAX_WALL_SECONDS),
+                         workdir=str(tmp_path / "run"))
+    assert result.succeeded and result.stdout == "done\n"
+
+
 def test_sandbox_output_caps(tmp_path):
     artifact = art("print('x' * 100000)")
     result = run_sandbox(
@@ -341,8 +351,9 @@ def test_sandbox_bad_interpreter(tmp_path):
 
 
 def test_sandbox_limit_validation():
-    with pytest.raises(ValidationError):
-        ExecutionParams(wall_seconds=0)
+    for wall_seconds in (0, math.nextafter(MAX_WALL_SECONDS, math.inf), float("nan")):
+        with pytest.raises(ValidationError, match="wall_seconds must lie in"):
+            ExecutionParams(wall_seconds=wall_seconds)
     with pytest.raises(ValidationError):
         ExecutionParams(stdout_bytes=-1)
 

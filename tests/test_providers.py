@@ -197,6 +197,20 @@ def test_ask_retries_once_with_the_reason():
     ]
 
 
+def test_ask_reprompts_an_empty_reply_without_its_turn():
+    provider = ListRecorder(["", "7"])
+    answer = ask(provider, "a number?", _digits, _retry)
+    assert answer == (7, 2)
+    assert [(t.role, t.text) for t in provider.turn_lists[1]] == [
+        ("user", "a number?"),
+        ("user", "fix it: '' is not a number"),
+    ]
+    provider = ScriptedChatProvider(["", ""])
+    with pytest.raises(ReplyError) as excinfo:
+        ask(provider, "a number?", _digits, _retry)
+    assert excinfo.value.reply == "" and provider.consumed == 2
+
+
 def test_ask_raises_the_second_rejection_with_its_reply():
     provider = ScriptedChatProvider(["many", "more"])
     with pytest.raises(ReplyError, match="'more' is not a number") as excinfo:

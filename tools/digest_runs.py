@@ -16,6 +16,8 @@ the seed-1 inputs of ``perfbench/gen.py``. The scenarios:
   the evaluator's ``failing`` list is pinned;
 - ``retries``: one analysis, one score and one artifact reply rejected,
   each accepted on its corrective re-prompt;
+- ``empty-reply``: the golden run with an empty reply before the first
+  analysis reply and before the first score, each re-prompted;
 - ``patched``: revision 0 crashes and the patch succeeds;
 - ``exhausted``: every revision crashes and the loop rolls back;
 - ``schema-failure``: the first analysis agent fails its retry too;
@@ -98,6 +100,8 @@ def scenarios():
     retried = (["this is not json"] + analysis + design[:2] + ["no score here"]
                + design[2:] + ["no envelope at all", IDENTITY_ARTIFACT_REPLY])
     yield "retries", _scripted("retries", retried)
+    emptied = [""] + analysis + design[:2] + [""] + design[2:] + [IDENTITY_ARTIFACT_REPLY]
+    yield "empty-reply", _scripted("empty-reply", emptied)
     patched = analysis + design + [CRASH_REPLY, IDENTITY_ARTIFACT_REPLY]
     yield "patched", _scripted("patched", patched)
     yield "exhausted", _scripted("exhausted", analysis + design + [CRASH_REPLY] * 2, r_max=1)
