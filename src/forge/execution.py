@@ -25,10 +25,12 @@ import signal
 import stat
 import subprocess
 import sys
+import tempfile
+import threading
 import time
 from dataclasses import asdict, dataclass, field
 from pathlib import Path, PurePosixPath
-from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple, Union
+from typing import IO, Any, Callable, Dict, List, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
@@ -309,7 +311,8 @@ def generate_code(
 # ----------------------------------------------------------------------
 
 
-# The longest wait poll() accepts, (2**31 - 1) ms: the sandbox's wall-clock cap.
+# The sandbox's wall-clock cap, (2**31 - 1) ms: far inside threading.TIMEOUT_MAX,
+# so every valid wall_seconds is waited for as given.
 MAX_WALL_SECONDS = (2**31 - 1) / 1000
 
 
@@ -370,8 +373,10 @@ def _walk_files(root: Path) -> List[str]:
     )
 
 
-def _truncate(data: bytes, cap: int) -> str:
-    return data[:cap].decode("utf-8", errors="replace")
+def _read_capped(fh: IO[bytes], cap: int, workdir: str) -> str:
+    """The first ``cap`` bytes of ``fh``, decoded and scrubbed of ``workdir``."""
+    fh.seek(0)
+    return _scrub(fh.read(cap).decode("utf-8", errors="replace"), workdir)
 
 
 def _scrub(text: str, workdir: str) -> str:
@@ -395,8 +400,9 @@ def run_sandbox(
 
     The caller owns ``workdir``. ``inputs`` maps a relative destination
     path to an existing file to copy in; any other source is a
-    :class:`LoadError`. The child sees only the allow-listed environment;
-    its whole process group is killed at the wall limit.
+    :class:`LoadError`. The child sees only the allow-listed environment
+    and ``/dev/null`` as stdin. Its process group is killed once it exits
+    or at the wall limit, and only the capped bytes of its output are read.
     Absolute paths of the working directory are scrubbed from captured
     output so persisted traces stay location-independent.
     """
@@ -420,41 +426,32 @@ def run_sandbox(
         tokens[0] = sys.executable
 
     started = time.monotonic()
-    try:
-        proc = subprocess.Popen(
-            tokens,
-            cwd=str(root),
-            env=env,
-            stdout=subprocess.PIPE,
-            stderr=subprocess.PIPE,
-            start_new_session=True,
-        )
-    except OSError as exc:
-        raise SandboxError(f"failed to launch entrypoint: {exc}") from exc
-
-    exit_path = EXIT_COMPLETED
-    try:
-        out, err = proc.communicate(timeout=limits.wall_seconds)
-    except subprocess.TimeoutExpired:
-        exit_path = EXIT_TIMEOUT
+    with tempfile.TemporaryFile() as out, tempfile.TemporaryFile() as err:
         try:
-            os.killpg(os.getpgid(proc.pid), signal.SIGKILL)
-        except (ProcessLookupError, PermissionError):
-            proc.kill()
-        out, err = proc.communicate()
-    wall_time = time.monotonic() - started
+            proc = subprocess.Popen(tokens, cwd=str(root), env=env, stdin=subprocess.DEVNULL,
+                                    stdout=out, stderr=err, start_new_session=True)
+        except OSError as exc:
+            raise SandboxError(f"failed to launch entrypoint: {exc}") from exc
+        # WNOWAIT leaves the child unreaped, so its group id stays reserved
+        # for the kill; the waiter is joined before wait() reaps it.
+        waiter = threading.Thread(
+            target=os.waitid, args=(os.P_PID, proc.pid, os.WEXITED | os.WNOWAIT), daemon=True)
+        waiter.start()
+        try:
+            waiter.join(limits.wall_seconds)
+            exit_path = EXIT_TIMEOUT if waiter.is_alive() else EXIT_COMPLETED
+        finally:
+            os.killpg(proc.pid, signal.SIGKILL)
+            waiter.join()
+            proc.wait()
+        wall_time = time.monotonic() - started
+        stdout = _read_capped(out, limits.stdout_bytes, str(root))
+        stderr = _read_capped(err, limits.stderr_bytes, str(root))
 
-    after = _walk_files(root)
-    produced = sorted(set(after) - before)
-    return ExecutionResult(
-        exit_code=proc.returncode,
-        stdout=_scrub(_truncate(out, limits.stdout_bytes), str(root)),
-        stderr=_scrub(_truncate(err, limits.stderr_bytes), str(root)),
-        wall_time=wall_time,
-        produced_files=produced,
-        exit_path=exit_path,
-        workdir=str(root),
-    )
+    produced = sorted(set(_walk_files(root)) - before)
+    return ExecutionResult(exit_code=proc.returncode, stdout=stdout, stderr=stderr,
+                           wall_time=wall_time, produced_files=produced,
+                           exit_path=exit_path, workdir=str(root))
 
 
 # ----------------------------------------------------------------------

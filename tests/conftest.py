@@ -23,6 +23,11 @@ def pytest_terminal_summary(terminalreporter):
         for line in lines:
             terminalreporter.write_line(line)
 
+
+# Runs a memory probe from a small interpreter: a child's ru_maxrss starts
+# from the peak of the process that launched it, and pytest's can be large.
+LAUNCHER = "import subprocess, sys; sys.exit(subprocess.call(sys.argv[1:]))"
+
 BUNDLE_MATRIX = np.array(
     [
         [1.0, 2.0, 3.0],

@@ -6,10 +6,12 @@ import os
 import subprocess
 import sys
 import textwrap
+import time
 from pathlib import Path
 
 import numpy as np
 import pytest
+from conftest import LAUNCHER
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy import sparse
@@ -301,16 +303,108 @@ def test_sandbox_env_allow_list(tmp_path, monkeypatch):
             assert name in ENV_ALLOW_LIST
 
 
-def test_sandbox_timeout_kills_process_group(tmp_path):
-    artifact = art("import time\nprint('started', flush=True)\ntime.sleep(30)")
-    result = run_sandbox(
-        artifact,
-        ExecutionParams(wall_seconds=0.5),
-        workdir=str(tmp_path / "run"),
+# Runs one sandbox in a child interpreter, so a sandbox that hangs fails the
+# test at its timeout instead of stalling the suite. The child is started
+# through LAUNCHER, so its peak RSS growth is its own.
+_SANDBOX_CHILD = textwrap.dedent("""\
+    import json, resource, sys, time
+    from forge.execution import CodeArtifact, ExecutionParams, run_sandbox
+
+    code, limits, workdir = json.loads(sys.argv[1])
+    peak = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss
+    started = time.monotonic()
+    result = run_sandbox(CodeArtifact(files={"main.py": code}, entrypoint="python main.py"),
+                         ExecutionParams(**limits), workdir=workdir)
+    seconds = time.monotonic() - started
+    grown = (resource.getrusage(resource.RUSAGE_SELF).ru_maxrss - peak) * 1024
+    print(json.dumps({**result.to_json(), "seconds": seconds, "rss_growth": grown}))
+""")
+
+
+def sandbox_in_child(code, workdir, stdin=subprocess.DEVNULL, **limits):
+    """``run_sandbox``'s result as JSON, with the seconds it took and how far
+    it raised its caller's peak RSS, from a child interpreter."""
+    src = str(Path(forge.__file__).resolve().parents[1])
+    child = subprocess.run(
+        [sys.executable, "-c", LAUNCHER, sys.executable, "-c", _SANDBOX_CHILD,
+         json.dumps([code, limits, str(workdir)])],
+        stdin=stdin, capture_output=True, text=True,
+        timeout=limits.get("wall_seconds", 60.0) + 15, env={**os.environ, "PYTHONPATH": src},
     )
-    assert result.exit_path == "timeout"
-    assert not result.succeeded
-    assert result.wall_time < 10.0
+    assert child.returncode == 0, child.stderr
+    return json.loads(child.stdout)
+
+
+def leaves_behind(grandchild, then, new_session=False):
+    """Code that starts ``grandchild`` (in a new session if ``new_session``),
+    waits until it has written ``alive``, then runs ``then``."""
+    return textwrap.dedent(f"""\
+        import os, subprocess, sys, time
+        subprocess.Popen([sys.executable, "-c", {grandchild!r}], start_new_session={new_session})
+        while not os.path.exists("alive"):
+            time.sleep(0.01)
+        {then}
+    """)
+
+
+# Writes ``late`` one second after ``alive``, unless it is killed first.
+_LATE_WRITER = "import time; open('alive', 'w').close(); time.sleep(1); open('late', 'w').close()"
+
+
+def test_sandbox_timeout_kills_process_group(tmp_path):
+    result = sandbox_in_child(leaves_behind(_LATE_WRITER, "time.sleep(30)"), tmp_path / "run",
+                              wall_seconds=1.0)
+    assert result["exit_path"] == "timeout" and result["exit_code"] == -9
+    assert result["seconds"] < 2.0
+    time.sleep(1.5)
+    assert (tmp_path / "run" / "alive").exists()
+    assert not (tmp_path / "run" / "late").exists()
+
+
+def test_sandbox_kills_what_a_finished_child_leaves_in_its_group(tmp_path):
+    result = sandbox_in_child(leaves_behind(_LATE_WRITER, "pass"), tmp_path / "run",
+                              wall_seconds=5.0)
+    assert result["exit_path"] == "completed" and result["exit_code"] == 0
+    assert result["seconds"] < 2.5
+    time.sleep(1.5)
+    assert (tmp_path / "run" / "alive").exists()
+    assert not (tmp_path / "run" / "late").exists()
+
+
+@pytest.mark.parametrize("then, exit_path, exit_code", [
+    ("time.sleep(30)", "timeout", -9),
+    ("pass", "completed", 0),
+])
+def test_sandbox_does_not_wait_for_a_new_session_grandchild(tmp_path, then, exit_path, exit_code):
+    # The grandchild leaves the group, so it escapes the kill; it outlives
+    # the wall limit by 3 s and then exits on its own.
+    grandchild = "import time; open('alive', 'w').close(); time.sleep(6)"
+    result = sandbox_in_child(leaves_behind(grandchild, then, new_session=True),
+                              tmp_path / "run", wall_seconds=3.0)
+    assert (result["exit_path"], result["exit_code"]) == (exit_path, exit_code)
+    assert result["seconds"] < (4.0 if exit_path == "timeout" else 1.5)
+
+
+def test_sandbox_stdin_is_empty(tmp_path):
+    # The caller's stdin stays open and holds a line the child must not see.
+    read_end, write_end = os.pipe()
+    try:
+        os.write(write_end, b"a line typed to the caller\n")
+        result = sandbox_in_child("import sys\nprint(repr(sys.stdin.read()))", tmp_path / "run",
+                                  stdin=read_end, wall_seconds=3.0)
+    finally:
+        os.close(read_end)
+        os.close(write_end)
+    assert result["exit_path"] == "completed" and result["stdout"] == "''\n"
+    assert result["seconds"] < 1.5
+
+
+def test_sandbox_reads_only_the_capped_output(tmp_path):
+    code = "import sys\nsys.stdout.buffer.write(b'x' * (32 << 20))"
+    result = sandbox_in_child(code, tmp_path / "run", stdout_bytes=1024)
+    assert result["exit_path"] == "completed" and result["exit_code"] == 0
+    assert result["stdout"] == "x" * 1024
+    assert result["rss_growth"] < 8 << 20
 
 
 def test_sandbox_waits_up_to_the_longest_wall_seconds(tmp_path):
@@ -320,13 +414,15 @@ def test_sandbox_waits_up_to_the_longest_wall_seconds(tmp_path):
 
 
 def test_sandbox_output_caps(tmp_path):
-    artifact = art("print('x' * 100000)")
+    artifact = art("import sys\nprint('x' * 100000)\nsys.stderr.write('\u00e9' * 3)")
     result = run_sandbox(
         artifact,
-        ExecutionParams(stdout_bytes=10),
+        ExecutionParams(stdout_bytes=10, stderr_bytes=3),
         workdir=str(tmp_path / "run"),
     )
     assert result.stdout == "x" * 10
+    # the cap cuts the second two-byte character in half
+    assert result.stderr == "\u00e9\ufffd"
 
 
 def test_sandbox_scrubs_workdir_paths(tmp_path):

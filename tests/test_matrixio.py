@@ -8,6 +8,7 @@ import sys
 
 import numpy as np
 import pytest
+from conftest import LAUNCHER
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy import io as spio
@@ -239,10 +240,6 @@ validate_predictions(predictions, bundle.matrix, control_rows=bundle.control_row
 print(peak() - before)
 """
 
-# Runs the probe from a small interpreter: a child's ru_maxrss starts from
-# the peak of the process that launched it, and pytest's can be large.
-_LAUNCHER = "import subprocess, sys; sys.exit(subprocess.call(sys.argv[1:]))"
-
 
 def test_mtx_bundle_stays_sparse_in_memory(tmp_path):
     n, d = 20000, 500
@@ -276,7 +273,7 @@ def test_mtx_bundle_stays_sparse_in_memory(tmp_path):
     src = os.path.dirname(os.path.dirname(os.path.abspath(forge.__file__)))
     env = dict(os.environ, PYTHONPATH=src, OPENBLAS_NUM_THREADS="1", OMP_NUM_THREADS="1")
     proc = subprocess.run(
-        [sys.executable, "-c", _LAUNCHER, sys.executable, str(probe), str(bundle),
+        [sys.executable, "-c", LAUNCHER, sys.executable, str(probe), str(bundle),
          str(predictions)],
         capture_output=True, text=True, timeout=300, env=env,
     )

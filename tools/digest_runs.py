@@ -20,6 +20,11 @@ the seed-1 inputs of ``perfbench/gen.py``. The scenarios:
   analysis reply and before the first score, each re-prompted;
 - ``patched``: revision 0 crashes and the patch succeeds;
 - ``exhausted``: every revision crashes and the loop rolls back;
+- ``timeout``: revision 0 prints a line and sleeps past a 1 s wall limit,
+  and the patch succeeds;
+- ``chatty``: revision 0 prints more than the 65,536 bytes the sandbox
+  keeps, with a two-byte character across the cap, then crashes, and the
+  patch succeeds;
 - ``schema-failure``: the first analysis agent fails its retry too;
 - ``design-failure``: the fixture ends after 12 of the 24 design replies;
 - ``pipeline-20k`` and ``deliberation``: the benchmark workloads, seed 1;
@@ -52,10 +57,17 @@ REPO = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 ROOT = os.path.join(tempfile.gettempdir(), "forge-digest-runs")
 SEED = 1
 
-CRASH_REPLY = (
-    "FILE: main.py\n```\nraise IndexError('index 28 is out of bounds "
-    "for axis 0 with size 10')\n```\nENTRYPOINT: python main.py\n"
-)
+
+def _reply(code: str) -> str:
+    """An artifact reply whose one file, ``main.py``, holds ``code``."""
+    return f"FILE: main.py\n```\n{code}\n```\nENTRYPOINT: python main.py\n"
+
+
+CRASH_CODE = "raise IndexError('index 28 is out of bounds for axis 0 with size 10')"
+CRASH_REPLY = _reply(CRASH_CODE)
+SLEEPY_REPLY = _reply("import time\nprint('started', flush=True)\ntime.sleep(30)")
+# 65,535 bytes of x, then a two-byte character across the 65,536-byte cap.
+CHATTY_REPLY = _reply("print('x' * 65535 + '\\u00e9' + 'y' * 1000, flush=True)\n" + CRASH_CODE)
 TASK_TEXT = "Predict KO_A expression from control expression profiles.\n"
 CORPUS = {
     "doc-a": "Predict knockout expression from control profiles with a mean shift.",
@@ -64,7 +76,8 @@ CORPUS = {
 }
 
 
-def _scripted(name: str, completions, corpus: bool = False, r_max: int = 2, thresholds=None):
+def _scripted(name: str, completions, corpus: bool = False, r_max: int = 2, thresholds=None,
+              wall_seconds: float = 30.0):
     """Inputs of one conftest-built scenario: (task, bundle, config, corpus)."""
     from conftest import write_bundle, write_config, write_corpus
 
@@ -77,7 +90,7 @@ def _scripted(name: str, completions, corpus: bool = False, r_max: int = 2, thre
         base / "config.json",
         provider={"type": "scripted", "fixture": str(fixture)},
         discussion={"n_experts": 2},
-        execution={"r_max": r_max, "wall_seconds": 30.0},
+        execution={"r_max": r_max, "wall_seconds": wall_seconds},
         evaluation={"thresholds": thresholds or {}},
         # hash-derived embeddings score near 0: a floor under -1 admits them
         retrieval={"relevance_eps": -1.0} if corpus else {},
@@ -105,6 +118,9 @@ def scenarios():
     patched = analysis + design + [CRASH_REPLY, IDENTITY_ARTIFACT_REPLY]
     yield "patched", _scripted("patched", patched)
     yield "exhausted", _scripted("exhausted", analysis + design + [CRASH_REPLY] * 2, r_max=1)
+    yield "timeout", _scripted(
+        "timeout", analysis + design + [SLEEPY_REPLY, IDENTITY_ARTIFACT_REPLY], wall_seconds=1.0)
+    yield "chatty", _scripted("chatty", analysis + design + [CHATTY_REPLY, IDENTITY_ARTIFACT_REPLY])
     yield "schema-failure", _scripted("schema-failure", ["nope", "still nope"])
     yield "design-failure", _scripted("design-failure", analysis + design[:12])
 
