@@ -288,9 +288,6 @@ class RoundTrace:
     converged: bool
     reason: str
 
-    def to_json(self) -> Dict[str, Any]:
-        return asdict(self)
-
 
 @dataclass
 class DiscussionTrace:

@@ -8,7 +8,7 @@ materializes the artifact into a working directory, launches the
 entrypoint as a child process under a scrubbed environment and a
 wall-clock limit, and captures bounded stdout/stderr.
 
-Failures are classified against a seven-way taxonomy by first-match over
+Failures are classified against a six-way taxonomy by first-match over
 an ordered stderr pattern table; landing in the same category with the
 same evidence twice in a row is itself a failure mode (the loop is stuck
 repeating the same broken action). The refinement loop alternates

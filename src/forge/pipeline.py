@@ -54,6 +54,7 @@ from .protocol import (
     EventStream,
     MemoryStore,
     save_store,
+    writing,
 )
 from .providers import (
     ChatProvider,
@@ -320,14 +321,19 @@ class RunContext:
         """Write ``doc`` as JSON at ``rel`` in the run directory, making its
         parent directories; the one writer of a run's JSON files."""
         path = Path(self.out_dir, rel)
-        path.parent.mkdir(parents=True, exist_ok=True)
-        write_json(str(path), doc)
+        with writing(str(path)):
+            path.parent.mkdir(parents=True, exist_ok=True)
+            write_json(str(path), doc)
 
     def __enter__(self) -> "RunContext":
         return self
 
-    def __exit__(self, *exc_info) -> None:
-        close_run(self)
+    def __exit__(self, exc_type, exc, tb) -> None:
+        try:
+            close_run(self)
+        except LoadError:
+            if exc is None:  # else the error already on its way out came first: keep it
+                raise
 
 
 def open_run(
@@ -342,7 +348,8 @@ def open_run(
     path = Path(out_dir)
     if (path / "events.jsonl").exists():
         raise ValidationError(f"{out_dir} already holds a run; use a new output directory")
-    path.mkdir(parents=True, exist_ok=True)
+    with writing(out_dir):
+        path.mkdir(parents=True, exist_ok=True)
     stream = EventStream(str(path / "events.jsonl"))
     chat_inner, embedder = build_providers(config, require_fixture=require_fixture)
     ctx = RunContext(config=config, out_dir=str(path),
@@ -564,17 +571,20 @@ def stage_execute(
 
 def persist_artifact(artifact: CodeArtifact, ctx: RunContext) -> None:
     """Write the artifact's files plus a manifest under ``artifact/``."""
-    artifact.write_files(os.path.join(ctx.out_dir, "artifact"))
+    root = os.path.join(ctx.out_dir, "artifact")
+    with writing(root):
+        artifact.write_files(root)
     ctx.write("artifact/manifest.json", artifact.to_json())
 
 
 def persist_predictions(workdir: str, ctx: RunContext) -> str:
     """Move the run's prediction files from ``workdir`` into ``predictions/``."""
     dest = Path(ctx.out_dir) / "predictions"
-    dest.mkdir(parents=True, exist_ok=True)
-    moved = _prediction_files(workdir)
-    for name in moved:
-        shutil.move(os.path.join(workdir, name), dest / name)
+    with writing(str(dest)):
+        dest.mkdir(parents=True, exist_ok=True)
+        moved = _prediction_files(workdir)
+        for name in moved:
+            shutil.move(os.path.join(workdir, name), dest / name)
     if not moved:
         raise LoadError(f"no prediction files found under {workdir}")
     return str(dest)

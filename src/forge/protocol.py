@@ -3,9 +3,11 @@
 All inter-agent traffic in a run is expressed as JSON-RPC 2.0 envelopes
 appended to a single event stream, and everything an agent wants to remember
 is written to a memory store as an immutable, provenance-stamped knowledge
-entity. Both structures are fully deterministic: stream timestamps are
-sequence numbers (never wall-clock), entity ids come from per-kind counters,
-and persisted files round-trip byte for byte.
+entity. Each record is kept only as the line it is persisted as, so a record
+that does not encode is refused before anything changes, and every read
+decodes a fresh object. Both structures are fully deterministic: stream
+timestamps are sequence numbers (never wall-clock), entity ids come from
+per-kind counters, and persisted files round-trip byte for byte.
 
 Wire form
 ---------
@@ -19,12 +21,12 @@ encode to the minimal byte string above.
 
 from __future__ import annotations
 
-import copy
 import json
 import math
 import os
-from dataclasses import asdict, dataclass, field
-from typing import Any, Dict, List, Optional, Tuple
+from contextlib import contextmanager
+from dataclasses import dataclass, field, replace
+from typing import Any, Dict, Iterator, List, Optional, Tuple
 
 from .errors import (
     ConflictError,
@@ -97,8 +99,8 @@ class Envelope:
 
 def encode_message(env: Envelope) -> bytes:
     """Serialize an envelope to its canonical UTF-8 JSON byte string; a NaN
-    or infinite number, which :func:`decode_message` rejects, is a
-    :class:`ProtocolError`."""
+    or infinite number, which :func:`decode_message` rejects, or a value
+    JSON has no form for, is a :class:`ProtocolError`."""
     env.validate()
     doc: Dict[str, Any] = {"jsonrpc": "2.0"}
     if env.id is not None:
@@ -119,9 +121,9 @@ def encode_message(env: Envelope) -> bytes:
         doc["ts"] = env.timestamp
     try:
         text = json.dumps(doc, separators=(",", ":"), ensure_ascii=False, allow_nan=False)
-    except ValueError as exc:
+        return text.encode("utf-8")
+    except (TypeError, ValueError) as exc:
         raise ProtocolError(f"envelope not encodable: {exc}") from exc
-    return text.encode("utf-8")
 
 
 def decode_message(raw: bytes | str) -> Envelope:
@@ -137,21 +139,17 @@ def decode_message(raw: bytes | str) -> Envelope:
 
     if doc.get("kind") == "event":
         kind = EVENT
-        payload = doc.get("params")
     elif "result" in doc:
         kind = RESPONSE
-        payload = doc.get("result")
-    elif "id" in doc and doc["id"] is not None:
+    elif doc.get("id") is not None:
         kind = REQUEST
-        payload = doc.get("params")
     else:
         kind = NOTIFICATION
-        payload = doc.get("params")
 
     env = Envelope(
         kind=kind,
         method=doc.get("method"),
-        payload=payload,
+        payload=doc.get("result" if kind == RESPONSE else "params"),
         id=doc.get("id"),
         sender=doc.get("sender"),
         receiver=doc.get("receiver"),
@@ -162,63 +160,68 @@ def decode_message(raw: bytes | str) -> Envelope:
 
 
 class EventStream:
-    """Append-only, sequence-stamped log of envelopes.
+    """Append-only, sequence-stamped log of envelopes, kept as their lines.
 
-    Appending stamps the envelope with the next sequence number and, when
-    the stream is file-backed, writes the encoded line through to disk
-    immediately. Responses are checked against the set of still-pending
-    request ids; orphan or duplicate responses are rejected.
+    Responses are checked against the set of still-pending request ids;
+    orphan or duplicate responses are rejected.
     """
 
     def __init__(self, path: Optional[str] = None):
         self.path = path
-        self._events: List[Envelope] = []
+        self._lines: List[bytes] = []  # each envelope's line, without the newline
         self._pending: Dict[int | str, int] = {}
         self._request_ids: set = set()
         if path is not None and os.path.exists(path):
             self._replay_file(path)
 
     def __len__(self) -> int:
-        return len(self._events)
+        return len(self._lines)
 
     @property
     def events(self) -> Tuple[Envelope, ...]:
-        return tuple(self._events)
+        """Every envelope in stream order, decoded afresh from its line."""
+        return tuple(decode_message(line) for line in self._lines)
 
     def append(self, env: Envelope) -> int:
-        """Stamp the envelope with the next sequence number and keep it.
-
-        An envelope that does not encode is refused before the stream
-        changes. Returns the assigned sequence number.
+        """Stamp a copy of the envelope with the next sequence number, write
+        its line through to a file-backed stream's file, then keep it: a
+        refused or unwritten envelope leaves the stream and the file as they
+        were. Returns the assigned sequence number.
         """
-        stamped = copy.deepcopy(env)
-        stamped.timestamp = len(self._events) + 1
-        line = encode_message(stamped) + b"\n"
-        self._admit(stamped)
+        stamped = replace(env, timestamp=len(self._lines) + 1)
+        line = encode_message(stamped)
+        self._correlate(stamped)
         if self.path is not None:
-            with open(self.path, "ab") as fh:
-                fh.write(line)
+            with writing(self.path), open(self.path, "ab", buffering=0) as fh:
+                end, rest = fh.tell(), line + b"\n"
+                try:
+                    while rest:
+                        rest = rest[fh.write(rest):]
+                except OSError:
+                    fh.truncate(end)  # a torn last line would stop the file replaying
+                    raise
+        self._admit(stamped, line)
         return stamped.timestamp
 
     def pending_requests(self) -> Tuple[int | str, ...]:
         """Ids of requests that have not yet been answered, oldest first."""
         return tuple(sorted(self._pending, key=self._pending.__getitem__))
 
-    def _admit(self, env: Envelope, where: str = "") -> None:
-        """Keep a stamped envelope: a request id is used once, and a response
-        answers a pending request. ``where`` prefixes the error."""
+    def _correlate(self, env: Envelope, where: str = "") -> None:
+        """Refuse a reused request id or an orphan response; ``where`` prefixes the error."""
+        if env.kind == REQUEST and env.id in self._request_ids:
+            raise CorrelationError(f"{where}request id {env.id!r} already used")
+        if env.kind == RESPONSE and env.id not in self._pending:
+            raise CorrelationError(
+                f"{where}response id {env.id!r} does not match a pending request")
+
+    def _admit(self, env: Envelope, line: bytes) -> None:
         if env.kind == REQUEST:
-            if env.id in self._request_ids:
-                raise CorrelationError(f"{where}request id {env.id!r} already used")
             self._request_ids.add(env.id)
             self._pending[env.id] = env.timestamp
         elif env.kind == RESPONSE:
-            if env.id not in self._pending:
-                raise CorrelationError(
-                    f"{where}response id {env.id!r} does not match a pending request"
-                )
             del self._pending[env.id]
-        self._events.append(env)
+        self._lines.append(line)
 
     def _replay_file(self, path: str) -> None:
         with open(path, "rb") as fh:
@@ -227,12 +230,11 @@ class EventStream:
                 if not line:
                     continue
                 env = decode_message(line)
-                if env.timestamp != len(self._events) + 1:
-                    raise ProtocolError(
-                        f"line {n}: expected ts {len(self._events) + 1}, "
-                        f"got {env.timestamp}"
-                    )
-                self._admit(env, f"line {n}: ")
+                if env.timestamp != len(self._lines) + 1:
+                    raise ProtocolError(f"line {n}: expected ts {len(self._lines) + 1}, "
+                                        f"got {env.timestamp}")
+                self._correlate(env, f"line {n}: ")
+                self._admit(env, line)
 
 
 def read_events(
@@ -242,16 +244,10 @@ def read_events(
     sender: Optional[str] = None,
 ) -> List[Envelope]:
     """Filtered, order-preserving view of a stream. Pure."""
-    out = []
-    for env in stream.events:
-        if env.timestamp is not None and env.timestamp <= after:
-            continue
-        if method is not None and env.method != method:
-            continue
-        if sender is not None and env.sender != sender:
-            continue
-        out.append(copy.deepcopy(env))
-    return out
+    return [env for env in stream.events
+            if env.timestamp > after
+            and (method is None or env.method == method)
+            and (sender is None or env.sender == sender)]
 
 
 @dataclass
@@ -300,14 +296,16 @@ class Relation:
 class MemoryStore:
     """Insertion-ordered store of immutable entities and relations.
 
-    Entities are deep-copied on the way in and out, so a stored entity can
-    never be mutated by reference. Ids are caller-chosen but must be fresh;
-    :meth:`new_id` hands out deterministic per-kind counters.
+    Entities and relations are kept as the lines :func:`save_store` writes,
+    so a stored entity can never be mutated by reference, and an entity
+    whose body or provenance does not encode (NaN, a non-JSON type) is
+    refused. Ids are caller-chosen but must be fresh; :meth:`new_id` hands
+    out deterministic per-kind counters.
     """
 
     def __init__(self):
-        self._entities: Dict[str, KnowledgeEntity] = {}
-        self._relations: List[Relation] = []
+        self._entities: Dict[str, bytes] = {}
+        self._relations: List[bytes] = []
         self._counters: Dict[str, int] = {}
 
     def __len__(self) -> int:
@@ -332,13 +330,14 @@ class MemoryStore:
         entity.validate()
         if entity.id in self._entities:
             raise ConflictError(f"entity id {entity.id!r} already stored")
-        self._entities[entity.id] = copy.deepcopy(entity)
+        try:
+            self._entities[entity.id] = _line({"seq": len(self._entities) + 1, **vars(entity)})
+        except (TypeError, ValueError) as exc:
+            raise ValidationError(f"entity {entity.id!r} not encodable: {exc}") from exc
         return entity.id
 
     def get_entity(self, entity_id: str) -> KnowledgeEntity:
-        if entity_id not in self._entities:
-            raise KeyError(entity_id)
-        return copy.deepcopy(self._entities[entity_id])
+        return _entity(decode_json(self._entities[entity_id]))
 
     def link_entities(self, source: str, target: str, label: str) -> Relation:
         if source not in self._entities:
@@ -347,22 +346,23 @@ class MemoryStore:
             raise ValidationError(f"relation target {target!r} not stored")
         if not label:
             raise ValidationError("relation label must be non-empty")
-        rel = Relation(source, target, label)
-        self._relations.append(rel)
-        return rel
+        self._relations.append(_line({"source": source, "target": target, "label": label}))
+        return Relation(source, target, label)
 
     @property
     def relations(self) -> Tuple[Relation, ...]:
-        return tuple(self._relations)
+        return tuple(Relation(**decode_json(line)) for line in self._relations)
 
     def query_entities(self, kind: Optional[str] = None) -> List[KnowledgeEntity]:
         """Entities in insertion order, only those of ``kind`` when given."""
-        return [copy.deepcopy(ent) for ent in self._entities.values()
-                if kind is None or ent.kind == kind]
+        entities = (_entity(decode_json(line)) for line in self._entities.values())
+        return [ent for ent in entities if kind is None or ent.kind == kind]
 
 
-def entity_to_document(entity: KnowledgeEntity, seq: int) -> Dict[str, Any]:
-    return {"seq": seq, **asdict(entity)}
+def _entity(doc: Dict[str, Any]) -> KnowledgeEntity:
+    """The entity a stored document describes."""
+    return KnowledgeEntity(id=doc["id"], kind=doc["kind"], body=doc["body"],
+                           provenance=doc.get("provenance", {}), round=int(doc.get("round", 0)))
 
 
 def canonical_json(doc: Any) -> str:
@@ -371,20 +371,30 @@ def canonical_json(doc: Any) -> str:
                       allow_nan=False)
 
 
-def save_store(store: MemoryStore, directory: str) -> None:
-    """Persist a store as ``entities/<id>.json`` plus ``relations.jsonl``.
+def _line(doc: Any) -> bytes:
+    return (canonical_json(doc) + "\n").encode("utf-8")
 
-    Each entity document carries the store-assigned insertion sequence so a
-    reload reconstructs identical insertion order.
-    """
+
+@contextmanager
+def writing(path: str) -> Iterator[None]:
+    """An ``OSError`` from writing ``path`` as a :class:`LoadError` naming it."""
+    try:
+        yield
+    except OSError as exc:
+        raise LoadError(f"cannot write {path}: {exc}") from exc
+
+
+def save_store(store: MemoryStore, directory: str) -> None:
+    """Persist a store as ``entities/<id>.json`` plus ``relations.jsonl``,
+    writing the lines it holds; a failed write is a :class:`LoadError`."""
     ent_dir = os.path.join(directory, "entities")
-    os.makedirs(ent_dir, exist_ok=True)
-    for seq, (eid, ent) in enumerate(store._entities.items(), start=1):
-        with open(os.path.join(ent_dir, f"{eid}.json"), "w", encoding="utf-8") as fh:
-            fh.write(canonical_json(entity_to_document(ent, seq)) + "\n")
-    with open(os.path.join(directory, "relations.jsonl"), "w", encoding="utf-8") as fh:
-        for rel in store._relations:
-            fh.write(canonical_json(asdict(rel)) + "\n")
+    with writing(ent_dir):
+        os.makedirs(ent_dir, exist_ok=True)
+    files = [(os.path.join(ent_dir, f"{eid}.json"), line) for eid, line in store._entities.items()]
+    files.append((os.path.join(directory, "relations.jsonl"), b"".join(store._relations)))
+    for path, data in files:
+        with writing(path), open(path, "wb") as fh:
+            fh.write(data)
 
 
 def read_text(path: str) -> str:
@@ -403,7 +413,7 @@ def _finite(text: str) -> float:
     return value
 
 
-def decode_json(text: str) -> Any:
+def decode_json(text: str | bytes) -> Any:
     """``text`` parsed as JSON. Malformed or too deeply nested text, and a
     NaN or infinite number, which no forge file or reply may hold, are a
     :class:`json.JSONDecodeError`."""
@@ -445,24 +455,12 @@ def load_store(directory: str) -> MemoryStore:
     docs.sort(key=lambda d: d.get("seq", 0))
     store = MemoryStore()
     for doc in docs:
-        store.put_entity(
-            KnowledgeEntity(
-                id=doc["id"],
-                kind=doc["kind"],
-                body=doc["body"],
-                provenance=doc.get("provenance", {}),
-                round=int(doc.get("round", 0)),
-            )
-        )
+        store.put_entity(_entity(doc))
         # Keep the per-kind counters ahead of any counter-styled id so
         # new_id never collides after a reload.
-        prefix = doc["kind"] + "-"
-        if doc["id"].startswith(prefix):
-            tail = doc["id"][len(prefix):]
-            if tail.isdigit():
-                store._counters[doc["kind"]] = max(
-                    store._counters.get(doc["kind"], 0), int(tail)
-                )
+        kind, _, tail = doc["id"].rpartition("-")
+        if kind == doc["kind"] and tail.isdigit():
+            store._counters[kind] = max(store._counters.get(kind, 0), int(tail))
     rel_path = os.path.join(directory, "relations.jsonl")
     if os.path.exists(rel_path):
         for n, line in enumerate(read_text(rel_path).split("\n"), start=1):

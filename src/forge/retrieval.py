@@ -418,9 +418,6 @@ class LayerTrace:
     overlap_with_previous: Optional[float]
     collected: List[str]
 
-    def to_json(self) -> Dict[str, object]:
-        return asdict(self)
-
 
 @dataclass
 class RetrievalTrace:

@@ -3,6 +3,8 @@
 import hashlib
 import json
 import os
+import resource
+import signal
 import subprocess
 import sys
 import tempfile
@@ -25,7 +27,7 @@ import forge
 import forge.matrixio
 from forge.cli import main
 from forge.errors import LoadError
-from forge.protocol import canonical_json, load_store
+from forge.protocol import EventStream, canonical_json, load_store
 from forge.pipeline import (
     load_config,
     open_run,
@@ -793,6 +795,67 @@ def test_malformed_saved_stage_output_exits_1(runner, workdir, command, flag, do
     assert result.exit_code == 1, everything(result)
     assert isinstance(result.exception, SystemExit)  # not an escaped exception
     assert everything(result).startswith("error: ") and named in everything(result)
+
+
+@pytest.mark.parametrize(
+    "blocked",
+    [("artifact",), ("sandbox_logs",), ("predictions",), ("entities",), ("artifact", "entities")],
+    ids=["artifact", "loop-trace", "predictions", "store", "artifact-then-store"],
+)
+def test_run_directory_write_failure_exits_1(runner, workdir, blocked):
+    # A regular file where the run needs a directory fails that write. When
+    # closing the run fails too, the first failure is the one reported.
+    out = workdir / "out"
+    out.mkdir()
+    for name in blocked:
+        (out / name).write_text("")
+    cfg = write_config(workdir / "config.json", **profile(golden_fixture(workdir / "fx.json")))
+    result = run_cli(runner, ["run", "--task", workdir / "task.txt", "--bundle",
+                              workdir / "bundle", "--out", out, "--config", cfg])
+    assert result.exit_code == 1, everything(result)
+    assert isinstance(result.exception, SystemExit)  # not an escaped exception
+    assert everything(result).startswith(f"error: cannot write {out / blocked[0]}")
+
+
+def forge_in_child(args, fsize=None):
+    """``forge ARGS`` in a child interpreter, with a timeout. With ``fsize``,
+    that child alone gets a file-size limit of ``fsize`` bytes and ignores
+    SIGXFSZ, so a longer write fails with EFBIG, as on a full disk."""
+
+    def limit_file_size():
+        signal.signal(signal.SIGXFSZ, signal.SIG_IGN)
+        resource.setrlimit(resource.RLIMIT_FSIZE, (fsize, fsize))
+
+    return subprocess.run(
+        [sys.executable, "-m", "forge.cli", *map(str, args)], capture_output=True, text=True,
+        env=dict(os.environ, PYTHONPATH=str(Path(__file__).parents[1] / "src")), timeout=120,
+        preexec_fn=None if fsize is None else limit_file_size,
+    )
+
+
+@pytest.mark.parametrize("fsize, victim", [(500, "config.json"), (2000, "events.jsonl")])
+def test_full_disk_exits_1(workdir, fsize, victim):
+    # config.json is 577 bytes; events.jsonl passes 2,000 bytes in the design stage.
+    cfg = write_config(workdir / "config.json", **profile(golden_fixture(workdir / "fx.json")))
+    out = workdir / "out"
+    done = forge_in_child(["run", "--task", workdir / "task.txt", "--bundle", workdir / "bundle",
+                           "--out", out, "--config", cfg], fsize)
+    assert done.returncode == 1, done.stderr[-2000:]
+    [line] = done.stderr.splitlines()
+    assert line.startswith(f"error: cannot write {out / victim}: ") and "too large" in line
+    if victim == "events.jsonl":  # the refused line left no torn part behind
+        assert len(EventStream(str(out / victim))) > 0
+
+
+def test_out_below_a_regular_file_exits_1(workdir):
+    (workdir / "F").write_text("")
+    out = workdir / "F" / "sub"
+    cfg = write_config(workdir / "config.json", **profile(golden_fixture(workdir / "fx.json")))
+    done = forge_in_child(["run", "--task", workdir / "task.txt", "--bundle", workdir / "bundle",
+                           "--out", out, "--config", cfg])
+    assert done.returncode == 1, done.stderr[-2000:]
+    [line] = done.stderr.splitlines()
+    assert line.startswith(f"error: cannot write {out}: ")
 
 
 def test_http_provider_config_loads():

@@ -1,12 +1,20 @@
 """Envelope wire format, event-stream correlation, and the memory store."""
 
 import json
+import os
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from forge.errors import ConflictError, CorrelationError, LoadError, ProtocolError
+from forge.errors import (
+    ConflictError,
+    CorrelationError,
+    LoadError,
+    ProtocolError,
+    ValidationError,
+)
 from forge.protocol import (
     EVENT,
     NOTIFICATION,
@@ -236,6 +244,23 @@ def test_refused_append_leaves_no_trace(tmp_path):
     assert replayed.pending_requests() == (1,)
 
 
+def test_append_refuses_a_payload_json_cannot_hold(tmp_path):
+    path = tmp_path / "events.jsonl"
+    stream = EventStream(str(path))
+    with pytest.raises(ProtocolError, match="not encodable"):
+        stream.append(Envelope(kind=REQUEST, method="m", id=1, payload={"n": np.int64(3)}))
+    assert (len(stream), stream.pending_requests(), path.exists()) == (0, (), False)
+
+
+def test_unwritten_append_leaves_the_stream_as_it_was(tmp_path):
+    (tmp_path / "file").write_text("")
+    path = tmp_path / "file" / "events.jsonl"
+    stream = EventStream(str(path))
+    with pytest.raises(LoadError, match=f"cannot write {path}"):
+        stream.append(Envelope(kind=REQUEST, method="m", id=1, payload={}))
+    assert (len(stream), stream.pending_requests()) == (0, ())
+
+
 def test_replay_rejects_gapped_sequence(tmp_path):
     path = tmp_path / "events.jsonl"
     good = encode_message(
@@ -334,6 +359,24 @@ def test_store_rejects_duplicate_and_isolates_copies():
     assert store.get_entity("report-0001").body == {"sections": ["a"]}
     ent.body["sections"].append("c")  # caller-side mutation is also isolated
     assert store.get_entity("report-0001").body == {"sections": ["a"]}
+
+
+@pytest.mark.parametrize("body", [{"x": float("nan")}, [np.int64(3)]], ids=["nan", "int64"])
+def test_record_refuses_a_body_json_cannot_hold(tmp_path, body):
+    store = MemoryStore()
+    with pytest.raises(ValidationError, match="not encodable"):
+        store.record("result", body, "critic", "scored")
+    assert len(store) == 0
+    save_store(store, str(tmp_path))
+    assert os.listdir(tmp_path / "entities") == []
+
+
+def test_store_reads_back_what_a_reload_reads(tmp_path):
+    store = MemoryStore()
+    eid = store.record("result", {1: ("a", 2.5)}, "critic", "scored", citations=["doc-1"])
+    save_store(store, str(tmp_path))
+    assert store.get_entity(eid).body == {"1": ["a", 2.5]}
+    assert load_store(str(tmp_path)).get_entity(eid) == store.get_entity(eid)
 
 
 def test_store_relations_and_queries():

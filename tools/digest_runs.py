@@ -25,6 +25,9 @@ the seed-1 inputs of ``perfbench/gen.py``. The scenarios:
 - ``chatty``: revision 0 prints more than the 65,536 bytes the sandbox
   keeps, with a two-byte character across the cap, then crashes, and the
   patch succeeds;
+- ``invalid-output``: revision 0 exits 0 but its predictions miss the
+  bundle's last row, so the validator records a ``data-access-failure``,
+  and the patch succeeds;
 - ``schema-failure``: the first analysis agent fails its retry too;
 - ``design-failure``: the fixture ends after 12 of the 24 design replies;
 - ``pipeline-20k`` and ``deliberation``: the benchmark workloads, seed 1;
@@ -68,6 +71,13 @@ CRASH_REPLY = _reply(CRASH_CODE)
 SLEEPY_REPLY = _reply("import time\nprint('started', flush=True)\ntime.sleep(30)")
 # 65,535 bytes of x, then a two-byte character across the 65,536-byte cap.
 CHATTY_REPLY = _reply("print('x' * 65535 + '\\u00e9' + 'y' * 1000, flush=True)\n" + CRASH_CODE)
+# The identity predictions without the bundle's last row.
+SHORT_REPLY = _reply("""\
+rows = [line for line in open("matrix.tsv") if line.strip()]
+open("predictions.tsv", "w").writelines(rows[:-1])
+cells = [line.split("\\t")[0] for line in open("obs.tsv")][1:-1]
+open("predictions_rows.tsv", "w").write("\\n".join(cells) + "\\n")
+open("predictions_cols.tsv", "w").writelines(list(open("var.tsv"))[1:])""")
 TASK_TEXT = "Predict KO_A expression from control expression profiles.\n"
 CORPUS = {
     "doc-a": "Predict knockout expression from control profiles with a mean shift.",
@@ -121,6 +131,8 @@ def scenarios():
     yield "timeout", _scripted(
         "timeout", analysis + design + [SLEEPY_REPLY, IDENTITY_ARTIFACT_REPLY], wall_seconds=1.0)
     yield "chatty", _scripted("chatty", analysis + design + [CHATTY_REPLY, IDENTITY_ARTIFACT_REPLY])
+    yield "invalid-output", _scripted(
+        "invalid-output", analysis + design + [SHORT_REPLY, IDENTITY_ARTIFACT_REPLY])
     yield "schema-failure", _scripted("schema-failure", ["nope", "still nope"])
     yield "design-failure", _scripted("design-failure", analysis + design[:12])
 
