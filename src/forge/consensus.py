@@ -433,8 +433,9 @@ def run_discussion(
     """Run the full deliberation and return the plan plus its trace.
 
     ``experts`` is the panel, critic last (see :func:`select_experts`).
-    Proposals, scores, confidences, and the final plan are stored as
-    knowledge entities with round numbers.
+    Proposals and the final plan are stored as knowledge entities with
+    round numbers; the scores and confidences of each round live in the
+    trace alone.
     """
     panel = list(experts)
     if not panel or panel[-1].id != CRITIC_ID:
@@ -468,10 +469,9 @@ def run_discussion(
                 "discussion", round_no,
             )
 
-    def rate(metric: str, pairs: Sequence[Tuple[str, str]],
-             round_no: int) -> Dict[str, Dict[str, float]]:
-        """Score each (scorer, proposer) pair with the ``metric`` template and
-        record it under that metric; returns scores by scorer, then proposer."""
+    def rate(metric: str, pairs: Sequence[Tuple[str, str]]) -> Dict[str, Dict[str, float]]:
+        """Score each (scorer, proposer) pair with the ``metric`` template;
+        returns scores by scorer, then proposer."""
         scores: Dict[str, Dict[str, float]] = {}
         for scorer, proposer in pairs:
             prompt = load_template(metric).substitute(
@@ -480,11 +480,6 @@ def run_discussion(
             )
             score, _ = request_score(provider, prompt)
             scores.setdefault(scorer, {})[proposer] = score
-            store.record(
-                "result",
-                {"metric": metric, "scorer": scorer, "proposer": proposer, "value": score},
-                scorer, "discussion", round_no,
-            )
         return scores
 
     try:
@@ -492,26 +487,17 @@ def run_discussion(
         final_reason = ""
         for round_no in range(1, params.t_max + 1):
             critic_scores = rate(  # submission order
-                "critic-score", [(CRITIC_ID, m) for m in member_ids], round_no
-            )[CRITIC_ID]
+                "critic-score", [(CRITIC_ID, m) for m in member_ids])[CRITIC_ID]
             peers = rate(
-                "peer-score",
-                sorted((s, p) for s in member_ids for p in member_ids if s != p),
-                round_no,
-            )
+                "peer-score", sorted((s, p) for s in member_ids for p in member_ids if s != p))
             peer_scores = {m: peers.get(m, {}) for m in member_ids}
 
             previous = [latest[m] for m in member_ids]
             confidences: Dict[str, float] = {}
             for member_id in member_ids:
                 incoming = [peer_scores[s][member_id] for s in member_ids if s != member_id]
-                value = update_confidence(latest[member_id], critic_scores[member_id],
-                                          incoming, params.lambdas)
-                confidences[member_id] = value
-                store.record(
-                    "result", {"metric": "confidence", "expert": member_id, "value": value},
-                    member_id, "discussion", round_no, confidence=value,
-                )
+                confidences[member_id] = update_confidence(
+                    latest[member_id], critic_scores[member_id], incoming, params.lambdas)
 
             latest = confidences
             current = [confidences[m] for m in member_ids]

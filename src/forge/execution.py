@@ -736,9 +736,6 @@ def refinement_loop(
         if failure is None:
             trace.refinements = round_no
             trace.succeeded = True
-            if store is not None:
-                store.record("result", trace.to_json(), "refinement-loop",
-                             "successful execution", round_no)
             return artifact, result, trace
         if round_no == r_max:
             break

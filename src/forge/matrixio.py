@@ -19,26 +19,32 @@ from scipy import sparse
 
 from .errors import LoadError, ValidationError
 from .metrics import ExpressionMatrix, Matrix
-from .protocol import canonical_json, parse_json, read_text
+from .protocol import canonical_json, parse_json, read_text, writing
 
 
-def write_json(path: str, doc: Any) -> None:
-    """Write ``doc`` as canonical JSON, replacing ``path`` atomically.
+def write_text(path: str, text: str) -> None:
+    """Write ``text`` to ``path``, replacing it atomically; a failed write is
+    a :class:`LoadError` naming ``path``.
 
     The text goes to a temporary file beside ``path`` that is then renamed
     over it, so a failure part-way leaves the previous file whole and no
     temporary file behind.
     """
-    text = canonical_json(doc) + "\n"
     tmp = f"{path}.{os.getpid()}.tmp"
-    try:
-        with open(tmp, "w", encoding="utf-8") as fh:
-            fh.write(text)
-        os.replace(tmp, path)
-    except BaseException:
-        with contextlib.suppress(FileNotFoundError):
-            os.unlink(tmp)
-        raise
+    with writing(path):
+        try:
+            with open(tmp, "w", encoding="utf-8") as fh:
+                fh.write(text)
+            os.replace(tmp, path)
+        except BaseException:
+            with contextlib.suppress(FileNotFoundError):
+                os.unlink(tmp)
+            raise
+
+
+def write_json(path: str, doc: Any) -> None:
+    """Write ``doc`` as canonical JSON through :func:`write_text`."""
+    write_text(path, canonical_json(doc) + "\n")
 
 
 def read_json(path: str) -> Any:

@@ -175,7 +175,9 @@ def pointwise_metrics(
 
     PCC correlates the two matrices after removing each one's mean row;
     R2 is 1 - SSE/SST with SST measured about the truth's mean row.
-    Zero variance makes pcc (and, for truth, r2) undefined.
+    Zero variance makes pcc (and, for truth, r2) undefined: a row-constant
+    matrix, whose rows all equal its first, has none, though its rounded
+    column means can leave a few ulps of it.
     """
     y, yhat = _check_pair(truth, pred)
     n, d = y.shape
@@ -195,10 +197,27 @@ def pointwise_metrics(
         sums[i] = _walk((a.T, am.T) * 2)[i]
     sse, sst, spp, cross = (float(v) for v in sums)
     mse = sse / (n * d)
-    if sst == 0.0:
+    if sst == 0.0 or _row_constant(y):
         return mse, None, None
-    pcc = cross / math.sqrt(sst * spp) if spp > 0.0 else None
+    pcc = cross / math.sqrt(sst * spp) if spp > 0.0 and not _row_constant(yhat) else None
     return mse, pcc, 1.0 - sse / sst
+
+
+def _row_constant(values: Matrix) -> bool:
+    """Whether every row of ``values`` equals its first, exactly. An array
+    compares its column minima and maxima; a CSR, with any stored zeros
+    dropped, compares its rows' entry counts first, which settles real data
+    at once."""
+    if not sparse.issparse(values):
+        return bool((values.min(axis=0) == values.max(axis=0)).all())
+    if not values.data.all():
+        values = values.copy()
+        values.eliminate_zeros()
+    counts = np.diff(values.indptr)
+    if (counts != counts[0]).any():
+        return False
+    n, k = values.shape[0], counts[0]
+    return all((a.reshape(n, k) == a[:k]).all() for a in (values.indices, values.data))
 
 
 def _fortran(a: Matrix) -> bool:

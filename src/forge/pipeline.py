@@ -323,7 +323,7 @@ class RunContext:
         path = Path(self.out_dir, rel)
         with writing(str(path)):
             path.parent.mkdir(parents=True, exist_ok=True)
-            write_json(str(path), doc)
+        write_json(str(path), doc)
 
     def __enter__(self) -> "RunContext":
         return self

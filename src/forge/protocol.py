@@ -300,7 +300,8 @@ class MemoryStore:
     so a stored entity can never be mutated by reference, and an entity
     whose body or provenance does not encode (NaN, a non-JSON type) is
     refused. Ids are caller-chosen but must be fresh; :meth:`new_id` hands
-    out deterministic per-kind counters.
+    out deterministic per-kind counters, which every stored counter-styled
+    id moves past.
     """
 
     def __init__(self):
@@ -320,9 +321,10 @@ class MemoryStore:
     def record(self, kind: str, body: Any, agent: str, reasoning: str, round: int = 0,
                **provenance: Any) -> str:
         """Store ``body`` as a new ``kind`` entity under the next counter id,
-        stamped with ``agent``, ``reasoning`` and any further provenance keys."""
+        stamped with ``agent``, ``reasoning`` and any further provenance keys.
+        The id is taken only when the entity is stored."""
         return self.put_entity(KnowledgeEntity(
-            id=self.new_id(kind), kind=kind, body=body, round=round,
+            id=f"{kind}-{self._counters.get(kind, 0) + 1:04d}", kind=kind, body=body, round=round,
             provenance={"agent": agent, "reasoning": reasoning, **provenance},
         ))
 
@@ -334,6 +336,9 @@ class MemoryStore:
             self._entities[entity.id] = _line({"seq": len(self._entities) + 1, **vars(entity)})
         except (TypeError, ValueError) as exc:
             raise ValidationError(f"entity {entity.id!r} not encodable: {exc}") from exc
+        kind, _, tail = entity.id.rpartition("-")
+        if kind == entity.kind and tail.isdigit():
+            self._counters[kind] = max(self._counters.get(kind, 0), int(tail))
         return entity.id
 
     def get_entity(self, entity_id: str) -> KnowledgeEntity:
@@ -456,11 +461,6 @@ def load_store(directory: str) -> MemoryStore:
     store = MemoryStore()
     for doc in docs:
         store.put_entity(_entity(doc))
-        # Keep the per-kind counters ahead of any counter-styled id so
-        # new_id never collides after a reload.
-        kind, _, tail = doc["id"].rpartition("-")
-        if kind == doc["kind"] and tail.isdigit():
-            store._counters[kind] = max(store._counters.get(kind, 0), int(tail))
     rel_path = os.path.join(directory, "relations.jsonl")
     if os.path.exists(rel_path):
         for n, line in enumerate(read_text(rel_path).split("\n"), start=1):

@@ -28,7 +28,7 @@ from typing import Dict, Iterable, List, Optional, Sequence, Set, Tuple
 import numpy as np
 
 from .errors import EmptyQueryError, LoadError, ValidationError
-from .matrixio import read_text
+from .matrixio import read_text, write_text
 from .providers import Embedder, unit_vector
 
 log = logging.getLogger(__name__)
@@ -209,12 +209,11 @@ def load_corpus(directory: str, embedder: Embedder) -> Corpus:
 
 
 def write_embeddings(corpus: Corpus, directory: str) -> str:
-    """Persist every document embedding as embeddings.tsv for fast reload."""
+    """Persist every document embedding as embeddings.tsv for fast reload,
+    replacing an earlier index whole or not at all."""
     path = os.path.join(directory, "embeddings.tsv")
-    with open(path, "w", encoding="utf-8") as fh:
-        for doc in corpus.documents():
-            row = " ".join(f"{v:.17g}" for v in doc.embedding)
-            fh.write(f"{doc.id}\t{row}\n")
+    write_text(path, "".join(f"{doc.id}\t{' '.join(f'{v:.17g}' for v in doc.embedding)}\n"
+                             for doc in corpus.documents()))
     return path
 
 

@@ -847,6 +847,22 @@ def test_full_disk_exits_1(workdir, fsize, victim):
         assert len(EventStream(str(out / victim))) > 0
 
 
+def test_full_disk_keeps_the_corpus_index(runner, tmp_path):
+    # One document's row fits in 2,000 bytes; three documents' rows do not.
+    corpus = write_corpus(tmp_path / "corpus", {"doc-a": "Perturbation atlases."})
+    cfg = write_config(tmp_path / "config.json", **profile())
+    assert run_cli(runner, ["corpus", "index", corpus, "--config", cfg]).exit_code == 0
+    index = corpus / "embeddings.tsv"
+    before = index.read_bytes()
+    write_corpus(corpus, {"doc-b": "Linear baselines.", "doc-c": "Control means."})
+    done = forge_in_child(["corpus", "index", corpus, "--config", cfg], 2000)
+    assert done.returncode == 1, done.stderr[-2000:]
+    [line] = done.stderr.splitlines()
+    assert line.startswith(f"error: cannot write {index}: ") and "too large" in line
+    assert sorted(os.listdir(corpus)) == ["doc-a.txt", "doc-b.txt", "doc-c.txt", index.name]
+    assert index.read_bytes() == before
+
+
 def test_out_below_a_regular_file_exits_1(workdir):
     (workdir / "F").write_text("")
     out = workdir / "F" / "sub"
@@ -1003,10 +1019,22 @@ def test_stages_record_their_agents_outputs(workdir):
     assert report.body == json.loads((out / "report.json").read_text())
     assert [(r.source, r.target) for r in store.relations if r.label == "cites"] == [
         (report.id, documents[doc_id]) for doc_id in retrieved]
-    # evaluate: the evaluator's result is the critique metrics.json points to
+    # design: every critic score, peer score and confidence is in the trace
+    discussion = json.loads((out / "discussion_trace.json").read_text())
+    members = discussion["experts"][:-1]
+    for rnd in discussion["rounds"]:
+        assert sorted(rnd["critic_scores"]) == sorted(rnd["confidences"]) == sorted(members)
+        assert {m: sorted(p) for m, p in rnd["peer_scores"].items()} == {
+            m: sorted(o for o in members if o != m) for m in members}
+    scores = sum(len(rnd["critic_scores"]) + sum(map(len, rnd["peer_scores"].values()))
+                 for rnd in discussion["rounds"])
+    assert scores == discussion_replies(2, 4).count("SCORE: 0.9")
+    # evaluate: the evaluator's result, the store's only one, is the critique
+    # metrics.json points to
     metrics = json.loads((out / "metrics.json").read_text())
-    critique = store.get_entity(metrics["critique_ref"])
-    assert (critique.kind, critique.provenance["agent"]) == ("result", "evaluator")
+    [critique] = store.query_entities(kind="result")
+    assert critique.id == metrics["critique_ref"] == "result-0001"
+    assert critique.provenance["agent"] == "evaluator"
     assert critique.body == {"metrics": metrics["metrics"], "failing": ["pcc"]}
 
 

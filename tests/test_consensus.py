@@ -472,13 +472,9 @@ def test_discussion_stores_round_stamped_entities():
     # 2 initial (round 0) + 2 x 3 refinement rounds
     assert len(proposals) == 8
     assert [p.round for p in proposals[:2]] == [0, 0]
-    results = store.query_entities(kind="result")
-    critic_rows = [e for e in results if e.body["metric"] == "critic-score"]
-    peer_rows = [e for e in results if e.body["metric"] == "peer-score"]
-    conf_rows = [e for e in results if e.body["metric"] == "confidence"]
-    assert (len(critic_rows), len(peer_rows), len(conf_rows)) == (8, 8, 8)
-    assert all(0.0 <= e.provenance["confidence"] <= 1.0 for e in conf_rows)
-    assert len(store.query_entities(kind="plan")) == 1
+    # scores and confidences live in the trace only
+    assert store.query_entities(kind="result") == []
+    assert [e.kind for e in store.query_entities()] == ["proposal"] * 8 + ["plan"]
 
 
 def test_discussion_underflow_carries_partial_trace():

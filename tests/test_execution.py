@@ -988,17 +988,15 @@ def test_loop_r_max_zero_single_run(tmp_path):
         refinement_loop(make_plan(), provider, r_max=-1, workdir_root=str(tmp_path))
 
 
-def test_loop_stores_patch_and_result_entities(tmp_path):
+def test_loop_stores_each_revision_artifact_only(tmp_path):
     store = MemoryStore()
     provider = ScriptedChatProvider([CRASH_REPLY, GOOD_REPLY])
     refinement_loop(
         make_plan(), provider, r_max=2, workdir_root=str(tmp_path), store=store
     )
-    artifacts = store.query_entities(kind="artifact")
-    assert [a.round for a in artifacts] == [0, 1]
-    results = store.query_entities(kind="result")
-    assert len(results) == 1
-    assert results[0].body["succeeded"] is True
+    # the loop's outcome lives in its trace (sandbox_logs/loop.json) only
+    assert [(a.kind, a.round) for a in store.query_entities()] == [
+        ("artifact", 0), ("artifact", 1)]
 
 
 def test_loop_trace_serializes(tmp_path):

@@ -464,6 +464,20 @@ def test_pointwise_constant_truth_is_undefined():
     assert pcc is None and r2 is None
 
 
+@pytest.mark.parametrize("layout", ["C", "csr"])
+def test_pointwise_row_constant_is_undefined(layout):
+    # A tiled row has no variance, but the rounded column means of 1,000
+    # equal values leave centered values of a few ulps: the whole-array
+    # formula gives pcc near 1e-16 and, for a tiled truth, r2 near -1e27.
+    rng = np.random.default_rng(0)
+    y, tiled = rng.random((1000, 5)), np.tile(rng.random(5), (1000, 1))
+    noisy = plain_pointwise(y, tiled)
+    assert noisy[1] is not None and plain_pointwise(tiled, y)[1] is not None
+    truth, pred = _laid_out(y, layout), _laid_out(tiled, layout)
+    assert pointwise_metrics(truth, pred) == (noisy[0], None, noisy[2])
+    assert pointwise_metrics(pred, truth) == (noisy[0], None, None)
+
+
 def test_pointwise_rejects_bad_shapes():
     with pytest.raises(ValidationError):
         pointwise_metrics(np.ones((2, 2)), np.ones((2, 3)))

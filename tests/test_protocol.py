@@ -369,6 +369,8 @@ def test_record_refuses_a_body_json_cannot_hold(tmp_path, body):
     assert len(store) == 0
     save_store(store, str(tmp_path))
     assert os.listdir(tmp_path / "entities") == []
+    # the refused record took no id
+    assert store.record("result", 1.0, "critic", "scored") == "result-0001"
 
 
 def test_store_reads_back_what_a_reload_reads(tmp_path):

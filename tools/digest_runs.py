@@ -40,8 +40,9 @@ for ``stage-commands`` the four exit codes and a digest of their joined
 stdout) and the ``perfbench/checks.tree_digest`` of the run directory on
 each side (for ``stage-commands``, of the four output directories), and
 exits 1 when any pair differs. Under a scenario that differs it lists the
-first 20 files, by path relative to the run directory, that only one side
-wrote or whose sha256 differs.
+files, by path relative to the run directory, that only one side wrote or
+whose sha256 differs: first one count per change mark and top-level file or
+directory (``removed  entities/  301``), then the first 20 paths.
 """
 
 from __future__ import annotations
@@ -54,6 +55,7 @@ import shutil
 import subprocess
 import sys
 import tempfile
+from collections import Counter
 from pathlib import Path
 
 REPO = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
@@ -257,8 +259,9 @@ def main() -> int:
         mismatches += not same
         old, new = parent.pop("sha256"), change.pop("sha256", {})
         print(f"{name:15s} {'same' if same else 'DIFFERENT':9s} parent {parent}  change {change}")
-        for path in changed_files(old, new)[:20]:
-            print(f"    {path}")
+        marks = changed_files(old, new)
+        for line in change_counts(marks) + marks[:20]:
+            print(f"    {line}")
     return 1 if mismatches else 0
 
 
@@ -274,6 +277,17 @@ def changed_files(parent: dict, change: dict) -> list:
         elif parent[path] != change[path]:
             marks.append(f"changed  {path}")
     return marks
+
+
+def change_counts(marks: list) -> list:
+    """One ``<mark> <top-level path>  <count>`` line per change mark and
+    top-level file or directory of ``marks``, as :func:`changed_files` gives
+    them, in their order."""
+    counts = Counter()
+    for line in marks:
+        top, sep, _ = line[9:].partition("/")
+        counts[f"{line[:9]}{top}{sep}"] += 1
+    return [f"{key}  {count}" for key, count in counts.items()]
 
 
 if __name__ == "__main__":
