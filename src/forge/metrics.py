@@ -199,7 +199,10 @@ def pointwise_metrics(
     mse = sse / (n * d)
     if sst == 0.0 or _row_constant(y):
         return mse, None, None
-    pcc = cross / math.sqrt(sst * spp) if spp > 0.0 and not _row_constant(yhat) else None
+    denom = math.sqrt(sst * spp)
+    if denom == 0.0 or math.isinf(denom):  # the product under- or overflowed
+        denom = math.sqrt(sst) * math.sqrt(spp)
+    pcc = cross / denom if spp > 0.0 and not _row_constant(yhat) else None
     return mse, pcc, 1.0 - sse / sst
 
 

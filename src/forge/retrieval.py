@@ -65,16 +65,41 @@ def _tokens(text: str) -> List[str]:
     return [tok for tok in _TOKEN_RE.findall(text.lower()) if _is_term(tok)]
 
 
-@dataclass
-class CorpusStats:
-    """Document frequencies used to damp ubiquitous terms."""
+def _token_pattern(term: str) -> re.Pattern:
+    # Matches exactly where ``_TOKEN_RE.findall`` returns ``term`` whole.
+    # The literal leads so that ``re`` can search for it as a prefix.
+    e = re.escape(term)
+    return re.compile(rf"{e}(?<![a-z0-9]{e})(?<![a-z0-9][-']{e})(?![a-z0-9]|[-'][a-z0-9])")
 
-    doc_count: int
-    doc_freq: Dict[str, int]
+
+class CorpusStats:
+    """Document frequencies used to damp ubiquitous terms, each counted
+    over the corpus texts the first time it is asked for."""
+
+    def __init__(self, texts: Sequence[str]):
+        self._texts = texts  # the documents' own strings, not a copy
+        self.doc_count = len(texts)
+        self._doc_freq: Dict[str, int] = {}
+
+    def count(self, terms: Iterable[str]) -> None:
+        """Count the terms not counted yet, in one pass over the texts: a
+        document counts when the term is one of its tokens. Stopwords,
+        digits and strings that are no token count 0."""
+        todo = {t: _token_pattern(t) for t in terms if t not in self._doc_freq
+                and _is_term(t) and _TOKEN_RE.fullmatch(t)}
+        if not todo:
+            return
+        self._doc_freq.update(dict.fromkeys(todo, 0))
+        for text in self._texts:
+            lowered = text.lower()
+            for term, pattern in todo.items():
+                if term in lowered and pattern.search(lowered):
+                    self._doc_freq[term] += 1
 
     def icf(self, term: str) -> float:
         # Smoothed inverse corpus frequency; strictly positive.
-        return math.log((1 + self.doc_count) / (1 + self.doc_freq.get(term, 0))) + 1.0
+        self.count((term,))
+        return math.log((1 + self.doc_count) / (1 + self._doc_freq.get(term, 0))) + 1.0
 
 
 def extract_key_terms(text: str, stats: Optional[CorpusStats] = None) -> List[str]:
@@ -89,6 +114,8 @@ def extract_key_terms(text: str, stats: Optional[CorpusStats] = None) -> List[st
     counts = Counter(_tokens(text))
     if not counts:
         raise EmptyQueryError("text reduces to zero key terms")
+    if stats is not None:
+        stats.count(counts)
     scored = []
     for term, freq in counts.items():
         weight = float(freq)
@@ -129,11 +156,8 @@ class Corpus:
                 dropped = [c for c in doc.citations if c not in self._docs]
                 log.warning("document %s: dropping dangling citations %s", doc.id, dropped)
                 doc.citations = kept
-        self.stats = CorpusStats(
-            doc_count=len(self._docs),
-            doc_freq=_document_frequencies(self._docs.values()),
-        )
         self._docs = dict(sorted(self._docs.items()))  # ``documents()`` order
+        self.stats = CorpusStats([doc.text for doc in self._docs.values()])
 
     def __len__(self) -> int:
         return len(self._docs)
@@ -147,16 +171,6 @@ class Corpus:
     def documents(self) -> List[Document]:
         """The documents in id order, as a new list."""
         return list(self._docs.values())
-
-
-def _document_frequencies(docs: Iterable[Document]) -> Dict[str, int]:
-    # The filter depends on the term alone: apply it per distinct term.
-    df: Counter = Counter()
-    for doc in docs:
-        df.update(set(_TOKEN_RE.findall(doc.text.lower())))
-    for term in [t for t in df if not _is_term(t)]:
-        del df[term]
-    return df
 
 
 def load_corpus(directory: str, embedder: Embedder) -> Corpus:
@@ -175,7 +189,7 @@ def load_corpus(directory: str, embedder: Embedder) -> Corpus:
             if len(parts) < 2:
                 continue
             try:
-                precomputed[parts[0]] = np.array([float(x) for x in parts[1:]])
+                precomputed[parts[0]] = np.array(list(map(float, parts[1:])))
             except ValueError as exc:
                 raise LoadError(f"bad embeddings line for {parts[0]!r}: {exc}") from exc
 

@@ -478,6 +478,16 @@ def test_pointwise_row_constant_is_undefined(layout):
     assert pointwise_metrics(pred, truth) == (noisy[0], None, None)
 
 
+@pytest.mark.parametrize("scale", [1e-100, 1e150])
+def test_pointwise_pcc_survives_a_product_out_of_range(scale):
+    # sst * spp underflows to 0.0 at 1e-100 and overflows at 1e150, though
+    # each sum alone is a normal float; pcc does not depend on the scale.
+    rng = np.random.default_rng(0)
+    y, p = rng.random((10, 3)), rng.random((10, 3))
+    _, pcc, _ = pointwise_metrics(y * scale, p * scale)
+    assert pcc == pytest.approx(pointwise_metrics(y, p)[1], rel=1e-12)
+
+
 def test_pointwise_rejects_bad_shapes():
     with pytest.raises(ValidationError):
         pointwise_metrics(np.ones((2, 2)), np.ones((2, 3)))

@@ -15,6 +15,8 @@ from forge.retrieval import (
     Document,
     QueryState,
     RetrievalParams,
+    _TOKEN_RE,
+    _token_pattern,
     _tokens,
     _top_unseen,
     construct_initial_query,
@@ -64,7 +66,7 @@ def test_extract_key_terms_respects_limit_and_raises_when_empty():
 
 
 def test_corpus_stats_damp_ubiquitous_terms():
-    stats = CorpusStats(doc_count=3, doc_freq={"common": 3})
+    stats = CorpusStats(["common", "Common ground", "the common case"])
     assert stats.icf("common") == pytest.approx(1.0)
     assert stats.icf("rare") == pytest.approx(math.log(4.0) + 1.0)
     # frequency 2 of "common" loses to frequency 1 of "rare" once damped
@@ -98,10 +100,45 @@ def test_document_frequencies_match_the_per_token_definition():
         "Zürich ZÜRICH zürich's 9-9 q-b b-q BRCA1 brca1",
     ]
     docs = [Document(id=f"d{i}", text=t, embedding=[1.0, 0.0]) for i, t in enumerate(texts)]
-    df = Corpus(docs).stats.doc_freq
-    assert df == _per_token_frequencies(docs)
-    assert df["co-culture"] == 1 and df["well-known"] == 1 and df["brca1"] == 1
-    assert "the" not in df and "42" not in df and "x" not in df
+    stats = Corpus(docs).stats
+    assert stats._doc_freq == {}  # nothing is counted until asked for
+    want = _per_token_frequencies(docs)
+    # every token, stopwords and digits included, plus absent and non-tokens
+    terms = {tok for t in texts for tok in _TOKEN_RE.findall(t.lower())}
+    terms |= {"absent", "ko-", "cell's-", "KO", "co culture", ""}
+    stats.count(terms)
+    got = {term: stats._doc_freq.get(term, 0) for term in terms}
+    assert got == {term: want.get(term, 0) for term in terms}
+    assert got["co-culture"] == 1 and got["well-known"] == 1 and got["brca1"] == 1
+    assert got["the"] == got["42"] == got["x"] == got["ko-"] == got["KO"] == 0
+    # a counted term is not counted again; icf counts what it is asked for
+    stats.count(["co-culture"])
+    assert stats._doc_freq["co-culture"] == 1
+    fresh = Corpus(docs).stats
+    assert fresh.icf("brca1") == pytest.approx(math.log(5 / 2) + 1.0)
+    assert fresh._doc_freq == {"brca1": 1}
+
+
+def test_token_pattern_matches_where_findall_returns_the_term():
+    # Random strings over token characters, separators, doubled and trailing
+    # hyphens, apostrophes, and characters whose lowercase differs in
+    # length or letter (ß stays, İ gains a combining dot, Kelvin becomes k).
+    rng = np.random.default_rng(7)
+    alphabet = list("ab0-' x\n") + ["--", "'", "ß", "İ", "\u212a", "A", "B", "K"]
+    terms = ["a", "b", "ab", "ba", "b0", "a-b", "a'b", "ab'a", "k", "ki", "i", "0"]
+    patterns = {term: _token_pattern(term) for term in terms}
+    texts = ["".join(rng.choice(alphabet, size=rng.integers(0, 14))) for _ in range(20000)]
+    for text in texts[:10000]:
+        for s in (text, text.lower()):
+            tokens = _TOKEN_RE.findall(s)
+            for term, pattern in patterns.items():
+                assert (pattern.search(s) is not None) == (term in tokens), (s, term)
+    # whole counts over a corpus of the rest, against the per-document definition
+    stats = CorpusStats(texts[10000:])
+    stats.count(terms)
+    for term in terms:
+        want = sum(term in _tokens(t) for t in texts[10000:])
+        assert stats._doc_freq.get(term, 0) == want, term
 
 
 def test_document_normalizes_embedding():

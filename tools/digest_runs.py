@@ -12,6 +12,9 @@ the seed-1 inputs of ``perfbench/gen.py``. The scenarios:
 
 - ``golden`` and ``golden-corpus``: the scripted golden run, without and
   with a small corpus;
+- ``corpus-terms``: the golden run with a corpus whose documents hold the
+  task's terms in upper case, hyphenated, as possessives and inside longer
+  words, so the query's term order rests on exact token counts;
 - ``thresholds``: the golden run judged by thresholds it partly fails, so
   the evaluator's ``failing`` list is pinned;
 - ``retries``: one analysis, one score and one artifact reply rejected,
@@ -86,9 +89,18 @@ CORPUS = {
     "doc-b": "Control expression profiles of knockout cells in perturbation screens.",
     "doc-c": "Baselines for expression prediction carry the control mean forward.",
 }
+# Each task term counts only where it is a whole token: "ko-a", "control's",
+# "non-control", "uncontrolled" and "expressions" hold a term but do not
+# count for it.
+CORPUS_TERMS = {
+    "doc-a": "PREDICT knockout Expression from CONTROL profiles.",
+    "doc-b": "The ko-a screen's uncontrolled expressions: control's profiles-matched cells.",
+    "doc-c": "Ko cells PREDICT KO_A's shift; predict-ahead predictions.",
+    "doc-d": "Single-cell perturbation expression-profile baselines of non-control cells.",
+}
 
 
-def _scripted(name: str, completions, corpus: bool = False, r_max: int = 2, thresholds=None,
+def _scripted(name: str, completions, corpus=None, r_max: int = 2, thresholds=None,
               wall_seconds: float = 30.0):
     """Inputs of one conftest-built scenario: (task, bundle, config, corpus)."""
     from conftest import write_bundle, write_config, write_corpus
@@ -108,7 +120,7 @@ def _scripted(name: str, completions, corpus: bool = False, r_max: int = 2, thre
         retrieval={"relevance_eps": -1.0} if corpus else {},
     )
     return (str(base / "task.txt"), str(write_bundle(base / "bundle")), str(config),
-            str(write_corpus(base / "corpus", CORPUS)) if corpus else None)
+            str(write_corpus(base / "corpus", corpus)) if corpus else None)
 
 
 def scenarios():
@@ -119,7 +131,8 @@ def scenarios():
     design = discussion_replies(2, 4)
     golden = analysis + design + [IDENTITY_ARTIFACT_REPLY]
     yield "golden", _scripted("golden", golden)
-    yield "golden-corpus", _scripted("golden-corpus", golden, corpus=True)
+    yield "golden-corpus", _scripted("golden-corpus", golden, corpus=CORPUS)
+    yield "corpus-terms", _scripted("corpus-terms", golden, corpus=CORPUS_TERMS)
     yield "thresholds", _scripted(
         "thresholds", golden, thresholds={"mse": 0.5, "pcc": 2.0, "mse_de": -1.0})
     retried = (["this is not json"] + analysis + design[:2] + ["no score here"]
