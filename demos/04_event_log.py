@@ -1,6 +1,6 @@
 #!/usr/bin/env python3
 # The message bus and knowledge store that make runs replayable:
-# append-only JSON-RPC event log plus a typed entity graph on disk.
+# append-only JSON-RPC event log plus provenance-stamped entities on disk.
 
 import tempfile
 from pathlib import Path
@@ -35,20 +35,16 @@ with tempfile.TemporaryDirectory() as tmp:
     print("replay matches:", replayed.events == stream.events)
     print("stage events:", [e.payload for e in read_events(replayed, method="stage.start")])
 
-    # the knowledge store: typed entities with provenance and links
+    # the knowledge store: typed entities, each with its provenance
     store = MemoryStore()
-    plan_id = store.record(
+    proposal_id = store.record(
         "proposal", {"text": "mean-shift baseline, then a linear decoder"},
         "statistics-expert", "discussion", round=1, confidence=0.83,
+        citations=["doc-0007", "doc-0042"],
     )
-    score_id = store.record(
-        "result", {"metric": "critic-score", "value": 0.9}, "critic", "discussion", round=1
-    )
-    store.link_entities(score_id, plan_id, "scores")
 
     save_store(store, tmp)
     again = load_store(tmp)
-    print("\nstore round-trip:",
-          [e.id for e in again.query_entities()],
-          "links:", [(r.source, r.label, r.target) for r in again.relations])
+    print("\nstore round-trip:", [e.id for e in again.query_entities()],
+          "provenance:", again.get_entity(proposal_id).provenance)
     print("next proposal id after reload:", again.new_id("proposal"))

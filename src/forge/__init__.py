@@ -31,7 +31,6 @@ from .protocol import (
     EventStream,
     KnowledgeEntity,
     MemoryStore,
-    Relation,
     decode_message,
     encode_message,
     load_store,

@@ -433,9 +433,9 @@ def run_discussion(
     """Run the full deliberation and return the plan plus its trace.
 
     ``experts`` is the panel, critic last (see :func:`select_experts`).
-    Proposals and the final plan are stored as knowledge entities with
-    round numbers; the scores and confidences of each round live in the
-    trace alone.
+    Each proposal is stored as a knowledge entity with its round number;
+    the scores and confidences of each round live in the trace, and the
+    plan is returned, not stored.
     """
     panel = list(experts)
     if not panel or panel[-1].id != CRITIC_ID:
@@ -533,6 +533,4 @@ def run_discussion(
         ) from exc
 
     trace.reason = final_reason
-    plan = finalize_plan(member_ids, latest, proposals, trace.rounds_used)
-    store.record("plan", plan.to_json(), "discussion", "discussion", trace.rounds_used)
-    return plan, trace
+    return finalize_plan(member_ids, latest, proposals, trace.rounds_used), trace

@@ -523,7 +523,6 @@ class ValidationReport:
     metrics: MetricReport
     thresholds: Dict[str, float]
     verdict: Dict[str, bool]
-    critique_ref: Optional[str] = None
 
     @property
     def passed(self) -> bool:
@@ -534,7 +533,6 @@ class ValidationReport:
             "metrics": self.metrics.to_json(),
             "thresholds": dict(self.thresholds),
             "verdict": dict(self.verdict),
-            "critique_ref": self.critique_ref,
         }
 
 
@@ -671,7 +669,7 @@ class LoopTrace:
         }
 
 
-Validator = Callable[[ExecutionResult, str], Any]
+Validator = Callable[[str], Any]
 
 
 def refinement_loop(
@@ -689,8 +687,8 @@ def refinement_loop(
 
     Revision n runs in ``workdir_root/rev-n``; the caller owns the root.
     Success means exit 0 on the completed path plus a passing validator,
-    when one is given. The validator, called with the result and its
-    working directory, returns what it accepted, which becomes the result's
+    when one is given. The validator, called with the revision's working
+    directory, returns what it accepted, which becomes the result's
     ``output``, or raises :class:`ValidationError` or :class:`LoadError`,
     whose message (the directory shown as ``<workdir>``) is the evidence.
     On terminal failure the loop raises carrying the full trace and the
@@ -712,7 +710,7 @@ def refinement_loop(
             milestone = _MILESTONE_SUCCESS
             if validator is not None:
                 try:
-                    result.output = validator(result, result.workdir)
+                    result.output = validator(result.workdir)
                 except ValidationError as exc:
                     evidence = _scrub(str(exc), result.workdir)
                     raw = FailureRecord("data-access-failure", evidence, round_no)

@@ -121,7 +121,8 @@ def _convert(key: str, hint: Any, value: Any) -> Any:
     """``value`` checked against the type hint of config key ``key``.
 
     ``Optional[X]`` takes null or an X; a bool is not a number. An int
-    converts to a float and a list to a tuple; a dict is copied.
+    converts to a float and a list to a tuple of its elements, each checked
+    against the hint's element type; a dict is copied.
     """
     if get_origin(hint) is Union:
         if value is None:
@@ -131,8 +132,10 @@ def _convert(key: str, hint: Any, value: Any) -> Any:
     accepted, name = _JSON_KINDS[kind]
     if isinstance(value, bool) or not isinstance(value, accepted):
         raise ValidationError(f"config key {key} must be {name}: got {value!r}")
+    if kind is tuple:
+        return tuple(_convert(key, get_args(hint)[0], item) for item in value)
     try:
-        return kind(value) if kind in (float, tuple, dict) else value
+        return kind(value) if kind in (float, dict) else value
     except OverflowError:
         raise ValidationError(f"config key {key} is out of range: {value!r}") from None
 
@@ -419,10 +422,8 @@ def stage_analyze(
             except EmptyQueryError:
                 pass  # no key terms: nothing retrieved
         documents = [{"id": d.id, "text": d.text} for d in retrieval.documents]
-        doc_entity_ids = [
+        for doc in documents:
             ctx.store.record("document", doc, "retrieval", "retrieved context")
-            for doc in documents
-        ]
 
         sections: Dict[str, Any] = {}
         merged: Dict[str, Any] = {}
@@ -441,10 +442,6 @@ def stage_analyze(
                     provenance[key] = {"role": role, "provider_calls": answer.calls}
 
         report = assemble_report(merged, provenance=provenance)
-        report_id = ctx.store.record("report", report.to_json(), "task-analysis",
-                                     "assembled report")
-        for doc_id in doc_entity_ids:
-            ctx.store.link_entities(report_id, doc_id, "cites")
         ctx.write("report.json", report.to_json())
         ctx.write("retrieval_trace.json",
                   {"trace": retrieval.trace.to_json(), "documents": retrieval.document_ids})
@@ -522,7 +519,7 @@ def _prediction_files(workdir: str) -> List[str]:
 def _prediction_validator(truth: ExpressionMatrix):
     """Validator closure: the run's predictions, read and aligned to ``truth``."""
 
-    def check(result: ExecutionResult, workdir: str) -> ExpressionMatrix:
+    def check(workdir: str) -> ExpressionMatrix:
         try:
             _prediction_files(workdir)
             return align_predictions(read_predictions(workdir), truth)
@@ -606,16 +603,12 @@ def stage_evaluate(
     ctx: RunContext,
 ) -> ValidationReport:
     """Score predictions, aligned to the bundle's row and column ids, with the
-    config's ``evaluation`` section; records the evaluator's result, which
-    ``critique_ref`` names, and writes ``metrics.json`` into the run directory.
+    config's ``evaluation`` section; writes ``metrics.json`` into the run
+    directory.
     """
     with ctx.stage("evaluate"):
         report = validate_predictions(
             predictions, bundle.matrix, bundle.control_rows, ctx.config.evaluation)
-        failing = sorted(name for name, ok in report.verdict.items() if not ok)
-        report.critique_ref = ctx.store.record(
-            "result", {"metrics": report.metrics.to_json(), "failing": failing},
-            "evaluator", "final scoring")
         ctx.write("metrics.json", {**report.to_json(), "passed": report.passed})
     return report
 

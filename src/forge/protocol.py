@@ -284,29 +284,18 @@ class KnowledgeEntity:
             raise ValidationError("round must be a non-negative integer")
 
 
-@dataclass
-class Relation:
-    """Directed, typed edge between two stored entities."""
-
-    source: str
-    target: str
-    label: str
-
-
 class MemoryStore:
-    """Insertion-ordered store of immutable entities and relations.
+    """Insertion-ordered store of immutable entities.
 
-    Entities and relations are kept as the lines :func:`save_store` writes,
-    so a stored entity can never be mutated by reference, and an entity
-    whose body or provenance does not encode (NaN, a non-JSON type) is
-    refused. Ids are caller-chosen but must be fresh; :meth:`new_id` hands
-    out deterministic per-kind counters, which every stored counter-styled
-    id moves past.
+    Entities are kept as the lines :func:`save_store` writes, so a stored
+    entity can never be mutated by reference, and an entity whose body or
+    provenance does not encode (NaN, a non-JSON type) is refused. Ids are
+    caller-chosen but must be fresh; :meth:`new_id` hands out deterministic
+    per-kind counters, which every stored counter-styled id moves past.
     """
 
     def __init__(self):
         self._entities: Dict[str, bytes] = {}
-        self._relations: List[bytes] = []
         self._counters: Dict[str, int] = {}
 
     def __len__(self) -> int:
@@ -344,20 +333,6 @@ class MemoryStore:
     def get_entity(self, entity_id: str) -> KnowledgeEntity:
         return _entity(decode_json(self._entities[entity_id]))
 
-    def link_entities(self, source: str, target: str, label: str) -> Relation:
-        if source not in self._entities:
-            raise ValidationError(f"relation source {source!r} not stored")
-        if target not in self._entities:
-            raise ValidationError(f"relation target {target!r} not stored")
-        if not label:
-            raise ValidationError("relation label must be non-empty")
-        self._relations.append(_line({"source": source, "target": target, "label": label}))
-        return Relation(source, target, label)
-
-    @property
-    def relations(self) -> Tuple[Relation, ...]:
-        return tuple(Relation(**decode_json(line)) for line in self._relations)
-
     def query_entities(self, kind: Optional[str] = None) -> List[KnowledgeEntity]:
         """Entities in insertion order, only those of ``kind`` when given."""
         entities = (_entity(decode_json(line)) for line in self._entities.values())
@@ -390,16 +365,15 @@ def writing(path: str) -> Iterator[None]:
 
 
 def save_store(store: MemoryStore, directory: str) -> None:
-    """Persist a store as ``entities/<id>.json`` plus ``relations.jsonl``,
-    writing the lines it holds; a failed write is a :class:`LoadError`."""
+    """Persist a store as ``entities/<id>.json``, writing the lines it holds;
+    a failed write is a :class:`LoadError`."""
     ent_dir = os.path.join(directory, "entities")
     with writing(ent_dir):
         os.makedirs(ent_dir, exist_ok=True)
-    files = [(os.path.join(ent_dir, f"{eid}.json"), line) for eid, line in store._entities.items()]
-    files.append((os.path.join(directory, "relations.jsonl"), b"".join(store._relations)))
-    for path, data in files:
+    for eid, line in store._entities.items():
+        path = os.path.join(ent_dir, f"{eid}.json")
         with writing(path), open(path, "wb") as fh:
-            fh.write(data)
+            fh.write(line)
 
 
 def read_text(path: str) -> str:
@@ -436,13 +410,6 @@ def parse_json(text: str, source: str) -> Any:
         raise LoadError(f"{source} is not valid JSON: {exc}") from exc
 
 
-def _stored_document(text: str, source: str, keys: Tuple[str, ...]) -> Dict[str, Any]:
-    doc = parse_json(text, source)
-    if not isinstance(doc, dict) or not all(key in doc for key in keys):
-        raise LoadError(f"{source} must be a JSON object with {', '.join(keys)}")
-    return doc
-
-
 def load_store(directory: str) -> MemoryStore:
     """Rebuild a store persisted by :func:`save_store`."""
     ent_dir = os.path.join(directory, "entities")
@@ -453,7 +420,9 @@ def load_store(directory: str) -> MemoryStore:
         if not name.endswith(".json"):
             continue
         path = os.path.join(ent_dir, name)
-        doc = _stored_document(read_text(path), path, ("id", "kind", "body"))
+        doc = parse_json(read_text(path), path)
+        if not isinstance(doc, dict) or not all(key in doc for key in ("id", "kind", "body")):
+            raise LoadError(f"{path} must be a JSON object with id, kind, body")
         if not all(isinstance(doc.get(key, 0), int) for key in ("seq", "round")):
             raise LoadError(f"{path}: seq and round must be integers")
         docs.append(doc)
@@ -461,11 +430,4 @@ def load_store(directory: str) -> MemoryStore:
     store = MemoryStore()
     for doc in docs:
         store.put_entity(_entity(doc))
-    rel_path = os.path.join(directory, "relations.jsonl")
-    if os.path.exists(rel_path):
-        for n, line in enumerate(read_text(rel_path).split("\n"), start=1):
-            if not line.strip():
-                continue
-            doc = _stored_document(line, f"{rel_path}:{n}", ("source", "target", "label"))
-            store.link_entities(doc["source"], doc["target"], doc["label"])
     return store

@@ -144,7 +144,7 @@ def test_run_full_pipeline(runner, workdir):
     for name in (
         "config.json", "events.jsonl", "report.json", "retrieval_trace.json",
         "plan.json", "discussion_trace.json", "metrics.json", "summary.json",
-        "usage.json", "relations.jsonl",
+        "usage.json",
     ):
         assert (out / name).exists(), name
     assert (out / "artifact" / "main.py").exists()
@@ -302,7 +302,7 @@ def test_sandbox_is_removed_however_execute_ends(
     monkeypatch.setattr(forge.pipeline, "refinement_loop", spy)
     if outcome == "validator-crash":
         def crashing(truth):
-            def check(result, workdir):
+            def check(workdir):
                 raise RuntimeError("validator crashed")
             return check
 
@@ -672,7 +672,7 @@ def test_usage_json_is_read_off_the_event_stream(runner, workdir):
     [
         ("retrieval", "bogus", 1, "retrieval.bogus"),
         ("generation", "temperature", "hot", "generation.temperature"),
-        ("discussion", "lambdas", ["a", 0.5, 0.5], "'discussion'"),
+        ("discussion", "lambdas", ["a", 0.5, 0.5], "discussion.lambdas must be a number"),
         ("execution", "r_max", "x", "execution.r_max"),
         ("evaluation", "de_k", "many", "evaluation.de_k"),
         ("retreival", "l_max", 2, "retreival"),  # unknown top-level key
@@ -690,6 +690,14 @@ def test_usage_json_is_read_off_the_event_stream(runner, workdir):
         ("generation", "max_tokens", "x", "generation.max_tokens must be an integer"),
         ("generation", "model", 5, "generation.model must be a string"),
         ("retrieval", "l_max", True, "retrieval.l_max must be an integer"),
+        pytest.param("discussion", "lambdas", [True, False, False],
+                     "discussion.lambdas must be a number: got True",
+                     id="discussion-lambdas-bools"),
+        pytest.param("discussion", "lambdas", [0.3, 0.4, "0.3"],
+                     "discussion.lambdas must be a number: got '0.3'",
+                     id="discussion-lambdas-string"),
+        pytest.param("discussion", "lambdas", [10**400, 0, 0],
+                     "discussion.lambdas is out of range", id="discussion-lambdas-beyond-float"),
         pytest.param("discussion", "tau", 10**400, "discussion.tau is out of range",
                      id="discussion-tau-beyond-float"),
         # an id no metric reports, not one that fails every verdict
@@ -895,6 +903,25 @@ def test_readme_config_block_is_the_defaults():
     assert json.loads(block) == defaults
 
 
+def test_readme_run_directory_table_matches_a_run(runner, workdir):
+    # Every path the README's run-directory table names is in a golden run,
+    # and every top-level entry of the run is in the table.
+    readme = (Path(__file__).parents[1] / "README.md").read_text(encoding="utf-8")
+    table = readme.split("A run directory holds:", 1)[1].split("\n\n", 2)[1]
+    rows = [line.split("|")[1] for line in table.splitlines()[2:]]
+    paths = [p.rstrip("/") for row in rows for p in row.split("`")[1::2]]
+    assert "metrics.json" in paths and "entities" in paths
+    fixture = golden_fixture(workdir / "fixture.json")
+    cfg = write_config(workdir / "config.json", **profile(fixture))
+    out = workdir / "out"
+    result = run_cli(runner, ["run", "--task", workdir / "task.txt", "--bundle",
+                              workdir / "bundle", "--out", out, "--config", cfg])
+    assert result.exit_code == 0, everything(result)
+    assert [p for p in paths if not (out / p).exists()] == []
+    tops = {p.split("/")[0] for p in paths}
+    assert sorted(set(os.listdir(out)) - tops) == []
+
+
 def test_execute_requires_plan(runner, workdir):
     cfg = write_config(workdir / "config.json", **profile())
     result = run_cli(
@@ -1009,16 +1036,23 @@ def test_stages_record_their_agents_outputs(workdir):
                  str(out), corpus_path=str(corpus))
     store = load_store(str(out))
     retrieved = json.loads((out / "retrieval_trace.json").read_text())["documents"]
-    documents = {e.body["id"]: e.id for e in store.query_entities(kind="document")}
-    assert retrieved and sorted(documents) == sorted(retrieved)
-    # analyze: one section per role citing the retrieved documents, then the report
-    *sections, report = store.query_entities(kind="report")
+    assert retrieved
+    # what the agents wrote, and nothing a run file already holds
+    assert [e.kind for e in store.query_entities()] == (
+        ["dataset"] + ["document"] * len(retrieved) + ["report"] * len(ANALYSIS_ROLES)
+        + ["proposal"] * 8 + ["artifact"])
+    assert [e.body["id"] for e in store.query_entities(kind="document")] == retrieved
+    # analyze: one section per role, each citing the retrieved documents
+    sections = store.query_entities(kind="report")
     assert [(e.body["role"], e.provenance["agent"]) for e in sections] == [
         (role, role) for role in ANALYSIS_ROLES]
     assert all(e.provenance["citations"] == retrieved for e in sections)
-    assert report.body == json.loads((out / "report.json").read_text())
-    assert [(r.source, r.target) for r in store.relations if r.label == "cites"] == [
-        (report.id, documents[doc_id]) for doc_id in retrieved]
+    metrics = json.loads((out / "metrics.json").read_text())
+    products = [json.loads((out / name).read_text()) for name in ("report.json", "plan.json")]
+    assert not [e.id for e in store.query_entities()
+                if e.body in products + [metrics["metrics"]]]
+    assert "critique_ref" not in metrics and metrics["verdict"]["pcc"] is False
+    assert not (out / "relations.jsonl").exists()
     # design: every critic score, peer score and confidence is in the trace
     discussion = json.loads((out / "discussion_trace.json").read_text())
     members = discussion["experts"][:-1]
@@ -1029,13 +1063,6 @@ def test_stages_record_their_agents_outputs(workdir):
     scores = sum(len(rnd["critic_scores"]) + sum(map(len, rnd["peer_scores"].values()))
                  for rnd in discussion["rounds"])
     assert scores == discussion_replies(2, 4).count("SCORE: 0.9")
-    # evaluate: the evaluator's result, the store's only one, is the critique
-    # metrics.json points to
-    metrics = json.loads((out / "metrics.json").read_text())
-    [critique] = store.query_entities(kind="result")
-    assert critique.id == metrics["critique_ref"] == "result-0001"
-    assert critique.provenance["agent"] == "evaluator"
-    assert critique.body == {"metrics": metrics["metrics"], "failing": ["pcc"]}
 
 
 # A document without a row in embeddings.tsv is embedded at embed_dim (64).

@@ -474,7 +474,7 @@ def test_discussion_stores_round_stamped_entities():
     assert [p.round for p in proposals[:2]] == [0, 0]
     # scores and confidences live in the trace only
     assert store.query_entities(kind="result") == []
-    assert [e.kind for e in store.query_entities()] == ["proposal"] * 8 + ["plan"]
+    assert [e.kind for e in store.query_entities()] == ["proposal"] * 8
 
 
 def test_discussion_underflow_carries_partial_trace():

@@ -618,7 +618,6 @@ def test_validate_predictions_de_variants():
     assert report.metrics.get("mse_de") == pytest.approx(0.5)
     assert report.metrics.get("mse") == pytest.approx(3.5)
     assert report.verdict == {"mse_de": True, "mse": False}
-    assert report.critique_ref is None
 
     # without a control group (or with no perturbed rows) the DE variants are skipped
     for rows in ([], [0, 1, 2]):
@@ -827,7 +826,7 @@ def test_loop_rollback_prefers_furthest_milestone(tmp_path):
     print_only = reply("print('quiet success')")
     provider = ScriptedChatProvider([print_only, CRASH_REPLY, CRASH_REPLY])
 
-    def validator(result, workdir):
+    def validator(workdir):
         if not os.path.exists(os.path.join(workdir, "predictions.tsv")):
             raise ValidationError("predictions.tsv missing")
 
@@ -849,7 +848,7 @@ def test_loop_validator_complaint_then_fix(tmp_path):
     print_only = reply("print('no file')")
     provider = ScriptedChatProvider([print_only, writes])
 
-    def validator(result, workdir):
+    def validator(workdir):
         if not os.path.exists(os.path.join(workdir, "predictions.tsv")):
             raise ValidationError("predictions.tsv missing")
 
@@ -867,7 +866,7 @@ def test_loop_keeps_what_the_validator_accepted(tmp_path):
     accepted = object()
     _, result, trace = refinement_loop(
         make_plan(), provider, r_max=0,
-        validator=lambda result, workdir: accepted, workdir_root=str(tmp_path),
+        validator=lambda workdir: accepted, workdir_root=str(tmp_path),
     )
     assert result.output is accepted
     assert trace.revisions[0].result.output is accepted
@@ -966,7 +965,7 @@ def test_loop_repeated_validator_complaint_upgrades(tmp_path):
     print_only = reply("print('still no file')")
     provider = ScriptedChatProvider([print_only, print_only])
 
-    def validator(result, workdir):
+    def validator(workdir):
         raise ValidationError("predictions.tsv missing")
 
     with pytest.raises(LoopError) as excinfo:

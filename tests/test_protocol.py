@@ -381,28 +381,18 @@ def test_store_reads_back_what_a_reload_reads(tmp_path):
     assert load_store(str(tmp_path)).get_entity(eid) == store.get_entity(eid)
 
 
-def test_store_relations_and_queries():
+def test_store_queries_by_kind():
     store = MemoryStore()
     for n in range(3):
         store.put_entity(
             KnowledgeEntity(id=f"document-{n}", kind="document", body=f"d{n}")
         )
     store.put_entity(KnowledgeEntity(id="report-1", kind="report", body="r"))
-    store.link_entities("report-1", "document-0", "cites")
-    store.link_entities("report-1", "document-2", "cites")
-    assert [(r.source, r.target, r.label) for r in store.relations] == [
-        ("report-1", "document-0", "cites"),
-        ("report-1", "document-2", "cites"),
-    ]
     assert [e.id for e in store.query_entities(kind="document")] == [
         "document-0",
         "document-1",
         "document-2",
     ]
-    with pytest.raises(Exception):
-        store.link_entities("report-1", "missing", "cites")
-    with pytest.raises(Exception):
-        store.link_entities("report-1", "document-0", "")
 
 
 def test_store_persistence_round_trip(tmp_path):
@@ -421,15 +411,15 @@ def test_store_persistence_round_trip(tmp_path):
     store.put_entity(
         KnowledgeEntity(id=b, kind="report", body="text", provenance={"agent": "refiner"})
     )
-    store.link_entities(b, a, "describes")
 
     save_store(store, str(tmp_path))
+    # an older store's relations.jsonl is never read
+    (tmp_path / "relations.jsonl").write_bytes(b'{"source":"report-0001"\n')
     loaded = load_store(str(tmp_path))
 
     assert len(loaded) == len(store)
     for eid in (a, b):
         assert loaded.get_entity(eid) == store.get_entity(eid)
-    assert loaded.relations == store.relations
     # counters resume past persisted ids
     assert loaded.new_id("dataset") == "dataset-0002"
 
@@ -441,9 +431,6 @@ def test_store_persistence_round_trip(tmp_path):
     }
     second = {p.name: p.read_bytes() for p in (again / "entities").iterdir()}
     assert first == second
-    assert (tmp_path / "relations.jsonl").read_bytes() == (
-        again / "relations.jsonl"
-    ).read_bytes()
 
 
 def test_load_store_requires_entities_dir(tmp_path):
@@ -455,25 +442,20 @@ _ENTITY = b'{"id":"report-0001","kind":"report","body":"r","provenance":{},"roun
 
 
 @pytest.mark.parametrize(
-    "entity, relations, match",
+    "entity, match",
     [
-        (b'{"id":"report-0001","body":"caf\xe9"}\n', b"", "cannot read"),
-        (b"[1, 2]\n", b"", "must be a JSON object with id, kind, body"),
-        (b'{"id":"report-0001","kind":"report"}\n', b"", "must be a JSON object with id, kind, body"),
-        (b"{\n", b"", "is not valid JSON"),
-        (_ENTITY.replace(b'"round":0', b'"round":"x"'), b"", "seq and round must be integers"),
-        (_ENTITY.replace(b'"seq":1', b'"seq":"1"'), b"", "seq and round must be integers"),
-        (_ENTITY, b'{"source":"report-0001"\n', r"relations\.jsonl:1 is not valid JSON"),
-        (_ENTITY, b'\n"report-0001"\n', r"relations\.jsonl:2 must be a JSON object"),
-        (_ENTITY, b'{"source":"report-0001","target":"report-0001","label":"x"}\n\xff\n',
-         "cannot read"),
+        (b'{"id":"report-0001","body":"caf\xe9"}\n', "cannot read"),
+        (b"[1, 2]\n", "must be a JSON object with id, kind, body"),
+        (b'{"id":"report-0001","kind":"report"}\n', "must be a JSON object with id, kind, body"),
+        (b"{\n", "is not valid JSON"),
+        (_ENTITY.replace(b'"round":0', b'"round":"x"'), "seq and round must be integers"),
+        (_ENTITY.replace(b'"seq":1', b'"seq":"1"'), "seq and round must be integers"),
     ],
     ids=["latin-1-entity", "list-entity", "entity-missing-kind", "truncated-entity",
-         "string-round", "string-seq", "truncated-relation", "string-relation", "non-utf8-relations"],
+         "string-round", "string-seq"],
 )
-def test_load_store_bad_files_are_load_errors(tmp_path, entity, relations, match):
+def test_load_store_bad_files_are_load_errors(tmp_path, entity, match):
     (tmp_path / "entities").mkdir()
     (tmp_path / "entities" / "report-0001.json").write_bytes(entity)
-    (tmp_path / "relations.jsonl").write_bytes(relations)
     with pytest.raises(LoadError, match=match):
         load_store(str(tmp_path))
