@@ -194,9 +194,7 @@ def corpus_group() -> None:
 
 @_command(corpus_group, "index", click.argument("corpus_dir", type=_DIR))
 def cmd_corpus_index(config, corpus_dir):
-    """Embed every document and write embeddings.tsv into the corpus."""
-    if not os.path.isdir(corpus_dir):
-        raise LoadError(f"corpus directory not found: {corpus_dir}")
+    """Embed every document into embeddings.npz; an old embeddings.tsv alone exits 1."""
     _, embedder = build_providers(config, require_fixture=False)
     try:
         corpus = load_corpus(corpus_dir, embedder)

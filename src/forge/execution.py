@@ -685,7 +685,7 @@ def refinement_loop(
 ) -> Tuple[CodeArtifact, ExecutionResult, LoopTrace]:
     """Generate, run, and iteratively patch until success or the cap.
 
-    Revision n runs in ``workdir_root/rev-n``; the caller owns the root.
+    Revision n runs in ``workdir_root/rev-n`` (removed once n fails); the caller owns the root.
     Success means exit 0 on the completed path plus a passing validator,
     when one is given. The validator, called with the revision's working
     directory, returns what it accepted, which becomes the result's
@@ -721,6 +721,8 @@ def refinement_loop(
             milestone = _MILESTONE_TIMEOUT if timed_out else _MILESTONE_CRASH
         failure = None if raw is None else _escalate(raw, previous_raw)
         previous_raw = raw
+        if failure is not None:  # its evidence is text now; free the disk its copies hold
+            shutil.rmtree(workdir, ignore_errors=True)
         trace.revisions.append(
             RevisionRecord(
                 revision=artifact.revision,

@@ -11,7 +11,7 @@ from __future__ import annotations
 import contextlib
 import os
 from collections import Counter
-from typing import Any, Dict, List, Sequence, Tuple
+from typing import Any, BinaryIO, Dict, Iterator, List, Sequence, Tuple
 
 import numpy as np
 from scipy import io as spio
@@ -22,19 +22,20 @@ from .metrics import ExpressionMatrix, Matrix
 from .protocol import canonical_json, parse_json, read_text, writing
 
 
-def write_text(path: str, text: str) -> None:
-    """Write ``text`` to ``path``, replacing it atomically; a failed write is
-    a :class:`LoadError` naming ``path``.
+@contextlib.contextmanager
+def replacing(path: str) -> Iterator[BinaryIO]:
+    """A binary file open for writing that replaces ``path`` atomically when
+    the block ends; a failed write is a :class:`LoadError` naming ``path``.
 
-    The text goes to a temporary file beside ``path`` that is then renamed
-    over it, so a failure part-way leaves the previous file whole and no
+    The file is a temporary one beside ``path`` that is then renamed over
+    it, so a failure part-way leaves the previous file whole and no
     temporary file behind.
     """
     tmp = f"{path}.{os.getpid()}.tmp"
     with writing(path):
         try:
-            with open(tmp, "w", encoding="utf-8") as fh:
-                fh.write(text)
+            with open(tmp, "wb") as fh:
+                yield fh
             os.replace(tmp, path)
         except BaseException:
             with contextlib.suppress(FileNotFoundError):
@@ -43,8 +44,9 @@ def write_text(path: str, text: str) -> None:
 
 
 def write_json(path: str, doc: Any) -> None:
-    """Write ``doc`` as canonical JSON through :func:`write_text`."""
-    write_text(path, canonical_json(doc) + "\n")
+    """Write ``doc`` as canonical JSON through :func:`replacing`."""
+    with replacing(path) as fh:
+        fh.write((canonical_json(doc) + "\n").encode("utf-8"))
 
 
 def read_json(path: str) -> Any:
@@ -56,12 +58,6 @@ def read_id_list(path: str) -> List[str]:
     if not ids:
         raise LoadError(f"{path} lists no identifiers")
     return ids
-
-
-def write_id_list(path: str, ids: Sequence[str]) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        for i in ids:
-            fh.write(str(i) + "\n")
 
 
 def read_matrix(path: str) -> Matrix:
@@ -99,12 +95,6 @@ def _canonical_csr(coo) -> sparse.csr_array:
     csr = sparse.csr_array((coo.data, col, indptr.astype(index)), shape=coo.shape)
     csr.sum_duplicates()
     return csr.astype(np.float64, copy=False)
-
-
-def write_matrix_market(path: str, values: Matrix) -> None:
-    if not sparse.issparse(values):
-        values = np.asarray(values, dtype=np.float64)
-    spio.mmwrite(path, sparse.coo_matrix(values))
 
 
 def find_matrix_file(directory: str, stem: str) -> str:
@@ -164,13 +154,6 @@ def read_predictions(path: str) -> ExpressionMatrix:
             f"prediction columns file lists {len(col_ids)} ids for {values.shape[1]} columns"
         )
     return ExpressionMatrix(values, row_ids=tuple(row_ids), column_ids=tuple(col_ids))
-
-
-def write_predictions(directory: str, matrix: ExpressionMatrix) -> None:
-    os.makedirs(directory, exist_ok=True)
-    write_matrix_market(os.path.join(directory, PREDICTIONS_STEM + ".mtx"), matrix.values)
-    write_id_list(os.path.join(directory, PREDICTIONS_ROWS), matrix.row_ids)
-    write_id_list(os.path.join(directory, PREDICTIONS_COLS), matrix.column_ids)
 
 
 def _positions(ids: Sequence[str], source: str) -> Dict[str, int]:

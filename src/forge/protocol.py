@@ -366,10 +366,11 @@ def writing(path: str) -> Iterator[None]:
 
 def save_store(store: MemoryStore, directory: str) -> None:
     """Persist a store as ``entities/<id>.json``, writing the lines it holds;
-    a failed write is a :class:`LoadError`."""
+    an empty store writes nothing. A failed write is a :class:`LoadError`."""
     ent_dir = os.path.join(directory, "entities")
-    with writing(ent_dir):
-        os.makedirs(ent_dir, exist_ok=True)
+    if store._entities:
+        with writing(ent_dir):
+            os.makedirs(ent_dir, exist_ok=True)
     for eid, line in store._entities.items():
         path = os.path.join(ent_dir, f"{eid}.json")
         with writing(path), open(path, "wb") as fh:
@@ -411,12 +412,11 @@ def parse_json(text: str, source: str) -> Any:
 
 
 def load_store(directory: str) -> MemoryStore:
-    """Rebuild a store persisted by :func:`save_store`."""
+    """Rebuild a store persisted by :func:`save_store`; no ``entities/`` is an empty store."""
     ent_dir = os.path.join(directory, "entities")
-    if not os.path.isdir(ent_dir):
-        raise LoadError(f"no entities directory under {directory}")
+    names = sorted(os.listdir(ent_dir)) if os.path.isdir(ent_dir) else []
     docs = []
-    for name in sorted(os.listdir(ent_dir)):
+    for name in names:
         if not name.endswith(".json"):
             continue
         path = os.path.join(ent_dir, name)

@@ -11,8 +11,8 @@ and a hard layer cap.
 
 Corpus layout on disk: one ``<id>.txt`` body per document, a
 ``citations.tsv`` edge list (from-id TAB to-id), and an optional
-``embeddings.tsv`` (id followed by whitespace-separated reals) that spares
-the embedder at load time.
+``embeddings.npz`` index (unicode ``ids``, a float64 ``vectors`` row per id)
+that spares the embedder at load time; an old ``embeddings.tsv`` is refused.
 """
 
 from __future__ import annotations
@@ -21,6 +21,7 @@ import logging
 import math
 import os
 import re
+import zipfile
 from collections import Counter
 from dataclasses import asdict, dataclass, field
 from typing import Dict, Iterable, List, Optional, Sequence, Set, Tuple
@@ -28,7 +29,7 @@ from typing import Dict, Iterable, List, Optional, Sequence, Set, Tuple
 import numpy as np
 
 from .errors import EmptyQueryError, LoadError, ValidationError
-from .matrixio import read_text, write_text
+from .matrixio import read_text, replacing
 from .providers import Embedder, unit_vector
 
 log = logging.getLogger(__name__)
@@ -173,6 +174,22 @@ class Corpus:
         return list(self._docs.values())
 
 
+def _read_index(path: str) -> Dict[str, np.ndarray]:
+    """Each id's row of the index at ``path``; a malformed index is a LoadError naming it."""
+    try:
+        if not zipfile.is_zipfile(path):
+            raise ValueError("not a zip archive")
+        with np.load(path, allow_pickle=False) as archive:
+            ids, vectors = archive["ids"], archive["vectors"]
+        if ids.ndim != 1 or ids.dtype.kind != "U" or len(set(ids.tolist())) != len(ids):
+            raise ValueError("'ids' must be a 1-D unicode array of distinct ids")
+        if vectors.ndim != 2 or vectors.dtype != np.float64 or len(vectors) != len(ids):
+            raise ValueError("'vectors' must be a 2-D float64 array with one row per id")
+    except (OSError, EOFError, KeyError, ValueError, zipfile.BadZipFile) as exc:
+        raise LoadError(f"cannot read {path}: {exc}") from exc
+    return dict(zip(ids.tolist(), vectors))
+
+
 def load_corpus(directory: str, embedder: Embedder) -> Corpus:
     """Read a corpus directory; embeds bodies lacking a precomputed row."""
     if not os.path.isdir(directory):
@@ -181,17 +198,13 @@ def load_corpus(directory: str, embedder: Embedder) -> Corpus:
     if not names:
         return Corpus([])
 
-    precomputed: Dict[str, np.ndarray] = {}
-    emb_path = os.path.join(directory, "embeddings.tsv")
-    if os.path.exists(emb_path):
-        for line in read_text(emb_path).split("\n"):
-            parts = line.split()
-            if len(parts) < 2:
-                continue
-            try:
-                precomputed[parts[0]] = np.array(list(map(float, parts[1:])))
-            except ValueError as exc:
-                raise LoadError(f"bad embeddings line for {parts[0]!r}: {exc}") from exc
+    index = os.path.join(directory, "embeddings.npz")
+    text_index = os.path.join(directory, "embeddings.tsv")
+    if os.path.exists(text_index) and not os.path.exists(index):
+        # Re-embedding every document instead would bill an HTTP embedder.
+        raise LoadError(f"{text_index} is a text index, which forge no longer reads: "
+                        f"delete it and run `forge corpus index {directory}` again")
+    precomputed = _read_index(index) if os.path.exists(index) else {}
 
     citations: Dict[str, List[str]] = {}
     cit_path = os.path.join(directory, "citations.tsv")
@@ -223,11 +236,15 @@ def load_corpus(directory: str, embedder: Embedder) -> Corpus:
 
 
 def write_embeddings(corpus: Corpus, directory: str) -> str:
-    """Persist every document embedding as embeddings.tsv for fast reload,
+    """Persist every document embedding as embeddings.npz for fast reload,
     replacing an earlier index whole or not at all."""
-    path = os.path.join(directory, "embeddings.tsv")
-    write_text(path, "".join(f"{doc.id}\t{' '.join(f'{v:.17g}' for v in doc.embedding)}\n"
-                             for doc in corpus.documents()))
+    docs = corpus.documents()
+    if len({doc.embedding.size for doc in docs}) > 1:
+        raise ValidationError("cannot index embeddings of differing dimensions")
+    path = os.path.join(directory, "embeddings.npz")
+    with replacing(path) as fh:
+        np.savez(fh, ids=np.array([doc.id for doc in docs], dtype=str),
+                 vectors=np.stack([doc.embedding for doc in docs]) if docs else np.zeros((0, 0)))
     return path
 
 

@@ -10,6 +10,8 @@ from typing import Dict, List, Optional, Sequence
 
 import numpy as np
 import pytest
+from scipy import io as spio
+from scipy import sparse
 
 from forge.task_analysis import AnalysisReport, assemble_report
 
@@ -74,6 +76,16 @@ def write_bundle(
 @pytest.fixture
 def bundle_dir(tmp_path: Path) -> Path:
     return write_bundle(tmp_path / "bundle")
+
+
+def write_predictions(directory: Path, matrix) -> Path:
+    """An ExpressionMatrix as ``predictions.mtx`` plus its row and column id
+    files, the files a revision leaves for the validator."""
+    directory.mkdir(parents=True, exist_ok=True)
+    spio.mmwrite(str(directory / "predictions.mtx"), sparse.coo_matrix(matrix.values))
+    for name, ids in (("rows", matrix.row_ids), ("cols", matrix.column_ids)):
+        (directory / f"predictions_{name}.tsv").write_text("".join(f"{i}\n" for i in ids))
+    return directory
 
 
 def write_corpus(

@@ -13,6 +13,8 @@ from pathlib import Path
 import numpy as np
 import pytest
 from click.testing import CliRunner
+from scipy import io as spio
+from scipy import sparse
 
 from conftest import (
     ANALYSIS_REPLIES,
@@ -185,7 +187,7 @@ def test_mtx_run_scores_like_tsv_run(runner, tmp_path):
         bundle = write_bundle(base / "bundle", matrix, cells, genes)
         if ext == ".mtx":
             (bundle / "matrix.tsv").unlink()
-            forge.matrixio.write_matrix_market(str(bundle / "matrix.mtx"), matrix)
+            spio.mmwrite(str(bundle / "matrix.mtx"), sparse.coo_matrix(matrix))
         (base / "task.txt").write_text(TASK_TEXT)
         fixture = golden_fixture(base / "fixture.json", artifact=REVERSED_COLUMNS_REPLY)
         cfg = write_config(base / "config.json", **profile(fixture))
@@ -856,11 +858,11 @@ def test_full_disk_exits_1(workdir, fsize, victim):
 
 
 def test_full_disk_keeps_the_corpus_index(runner, tmp_path):
-    # One document's row fits in 2,000 bytes; three documents' rows do not.
+    # One document's index (1,038 bytes) fits in 2,000 bytes; three documents' (2,102) do not.
     corpus = write_corpus(tmp_path / "corpus", {"doc-a": "Perturbation atlases."})
     cfg = write_config(tmp_path / "config.json", **profile())
     assert run_cli(runner, ["corpus", "index", corpus, "--config", cfg]).exit_code == 0
-    index = corpus / "embeddings.tsv"
+    index = corpus / "embeddings.npz"
     before = index.read_bytes()
     write_corpus(corpus, {"doc-b": "Linear baselines.", "doc-c": "Control means."})
     done = forge_in_child(["corpus", "index", corpus, "--config", cfg], 2000)
@@ -958,10 +960,10 @@ def test_corpus_index_is_idempotent(runner, tmp_path):
     result = run_cli(runner, ["corpus", "index", corpus, "--config", cfg])
     assert result.exit_code == 0, everything(result)
     assert "indexed 2 documents" in result.output
-    first = (corpus / "embeddings.tsv").read_bytes()
+    first = (corpus / "embeddings.npz").read_bytes()
     result = run_cli(runner, ["corpus", "index", corpus, "--config", cfg])
     assert result.exit_code == 0
-    assert (corpus / "embeddings.tsv").read_bytes() == first
+    assert (corpus / "embeddings.npz").read_bytes() == first
 
 
 def test_corpus_index_missing_dir_exits_1(runner, tmp_path):
@@ -993,7 +995,72 @@ def test_corpus_index_bad_fixture_embedding_exits_1(runner, tmp_path, vector):
     assert result.exit_code == 1, everything(result)
     assert isinstance(result.exception, SystemExit)  # not an escaped exception
     assert f"fixture {fixture}: embedding override for 'fine text'" in everything(result)
-    assert not (corpus / "embeddings.tsv").exists()
+    assert not (corpus / "embeddings.npz").exists()
+
+
+def test_text_index_alone_exits_1(runner, workdir):
+    # The text index of older versions is neither read nor replaced by
+    # embedding every document again, which an HTTP embedder bills for.
+    corpus = write_corpus(workdir / "corpus", {"doc-a": "Mean-shift baselines."})
+    (corpus / "embeddings.tsv").write_text("doc-a\t1 0 0\n")
+    cfg = write_config(workdir / "config.json", **profile(golden_fixture(workdir / "fx.json")))
+    out = workdir / "out"
+    for args in (["run", "--task", workdir / "task.txt", "--bundle", workdir / "bundle",
+                  "--corpus", corpus, "--out", out], ["corpus", "index", corpus]):
+        result = run_cli(runner, [*args, "--config", cfg])
+        assert result.exit_code == 1, everything(result)
+        assert everything(result).startswith(
+            f"error: {corpus / 'embeddings.tsv'} is a text index, which forge no longer reads: "
+            f"delete it and run `forge corpus index {corpus}` again\n")
+    assert json.loads((out / "usage.json").read_text())["records"] == []  # fixture unconsumed
+    assert sorted(os.listdir(corpus)) == ["doc-a.txt", "embeddings.tsv"]
+
+
+@pytest.mark.parametrize("arrays, reason", [
+    (None, "not a zip archive"),
+    ({"ids": np.array(["doc-a"])}, "'vectors is not a file in the archive'"),
+    ({"ids": np.array(["doc-a"], dtype=object), "vectors": np.ones((1, 4))},
+     "Object arrays cannot be loaded when allow_pickle=False"),
+    ({"ids": np.array([b"doc-a"]), "vectors": np.ones((1, 4))},
+     "'ids' must be a 1-D unicode array of distinct ids"),
+    ({"ids": np.array([["doc-a"]]), "vectors": np.ones((1, 4))},
+     "'ids' must be a 1-D unicode array of distinct ids"),
+    ({"ids": np.array(["doc-a", "doc-a"]), "vectors": np.ones((2, 4))},
+     "'ids' must be a 1-D unicode array of distinct ids"),
+    ({"ids": np.array(["doc-a"]), "vectors": np.ones((1, 4), dtype=np.float32)},
+     "'vectors' must be a 2-D float64 array with one row per id"),
+    ({"ids": np.array(["doc-a"]), "vectors": np.ones(4)},
+     "'vectors' must be a 2-D float64 array with one row per id"),
+    ({"ids": np.array(["doc-a"]), "vectors": np.ones((2, 4))},
+     "'vectors' must be a 2-D float64 array with one row per id"),
+], ids=["not-zip", "no-vectors", "object-ids", "bytes-ids", "2-d-ids", "repeated-id",
+        "float32-vectors", "1-d-vectors", "extra-row"])
+def test_corrupt_index_exits_1(runner, tmp_path, arrays, reason):
+    corpus = write_corpus(tmp_path / "corpus", {"doc-a": "fine text"})
+    index = corpus / "embeddings.npz"
+    if arrays is None:
+        index.write_text("doc-a\t1 0 0 0\n")
+    else:
+        np.savez(index, **arrays)
+    before = index.read_bytes()
+    cfg = write_config(tmp_path / "config.json", **profile())
+    result = run_cli(runner, ["corpus", "index", corpus, "--config", cfg])
+    assert result.exit_code == 1, everything(result)
+    assert isinstance(result.exception, SystemExit)  # not an escaped exception
+    assert everything(result).startswith(f"error: cannot read {index}: {reason}\n")
+    assert index.read_bytes() == before
+
+
+def test_corpus_index_of_differing_dimensions_exits_1(runner, tmp_path):
+    # doc-a's row is 3-d; doc-b, which has none, is embedded at 64.
+    corpus = write_corpus(tmp_path / "corpus", {"doc-a": "fine text", "doc-b": "more text"})
+    np.savez(corpus / "embeddings.npz", ids=np.array(["doc-a"]), vectors=np.ones((1, 3)))
+    before = (corpus / "embeddings.npz").read_bytes()
+    cfg = write_config(tmp_path / "config.json", **profile())
+    result = run_cli(runner, ["corpus", "index", corpus, "--config", cfg])
+    assert result.exit_code == 1, everything(result)
+    assert everything(result).startswith("error: cannot index embeddings of differing dimensions\n")
+    assert (corpus / "embeddings.npz").read_bytes() == before
 
 
 def test_analyze_with_indexed_corpus(runner, workdir):
@@ -1065,7 +1132,7 @@ def test_stages_record_their_agents_outputs(workdir):
     assert scores == discussion_replies(2, 4).count("SCORE: 0.9")
 
 
-# A document without a row in embeddings.tsv is embedded at embed_dim (64).
+# A document without a row in embeddings.npz is embedded at embed_dim (64).
 @pytest.mark.parametrize("rows", [
     pytest.param({"doc-b": [1.0, 0.0, 0.0]}, id="mixed"),
     pytest.param({"doc-a": [0.0, 1.0, 0.0], "doc-b": [1.0, 0.0, 0.0]}, id="not-embed-dim"),
@@ -1076,9 +1143,8 @@ def test_run_with_corpus_of_wrong_dimension_exits_1(runner, workdir, rows):
         {"doc-a": "Mean-shift baselines for perturbation prediction.",
          "doc-b": "Expression profiles of knockout cells."},
     )
-    (corpus / "embeddings.tsv").write_text(
-        "".join(f"{d}\t{' '.join(map(str, v))}\n" for d, v in rows.items())
-    )
+    np.savez(corpus / "embeddings.npz", ids=np.array(list(rows)),
+             vectors=np.array(list(rows.values())))
     fixture = golden_fixture(workdir / "fixture.json")
     cfg = write_config(workdir / "config.json", **profile(fixture))
     result = run_cli(

@@ -11,7 +11,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from conftest import LAUNCHER
+from conftest import LAUNCHER, write_predictions
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy import sparse
@@ -50,7 +50,6 @@ from forge.matrixio import (
     canonical_json,
     read_predictions,
     write_json,
-    write_predictions,
 )
 from forge.metrics import ExpressionMatrix, MetricReport
 from forge.pipeline import _prediction_validator
@@ -588,7 +587,7 @@ def test_validate_predictions_roundtrip(tmp_path):
         row_ids=("r4", "r3", "r2", "r1"),
         column_ids=("g3", "g2", "g1"),
     )
-    write_predictions(str(tmp_path / "artifact"), perm)
+    write_predictions(tmp_path / "artifact", perm)
     aligned = align_predictions(read_predictions(str(tmp_path / "artifact")), truth)
     report = validate_predictions(
         aligned, truth, params=EvaluationParams(thresholds={"mse": 1e-9, "pcc": 0.999}))
@@ -819,6 +818,18 @@ def test_loop_exhaustion_rolls_back_to_latest_crash(tmp_path):
         "error-recovery-failure",
         "error-recovery-failure",
     ]
+
+
+def test_loop_removes_each_failed_revision(tmp_path):
+    # A failed revision's evidence is text, so only an accepted revision's
+    # directory, which the stage reads its predictions from, outlives the loop.
+    with pytest.raises(LoopError):
+        refinement_loop(make_plan(), ScriptedChatProvider([CRASH_REPLY] * 4), r_max=3,
+                        workdir_root=str(tmp_path / "exhausted"))
+    assert os.listdir(tmp_path / "exhausted") == []
+    refinement_loop(make_plan(), ScriptedChatProvider([CRASH_REPLY, GOOD_REPLY]), r_max=3,
+                    workdir_root=str(tmp_path / "patched"))
+    assert os.listdir(tmp_path / "patched") == ["rev-1"]
 
 
 def test_loop_rollback_prefers_furthest_milestone(tmp_path):

@@ -8,7 +8,7 @@ import sys
 
 import numpy as np
 import pytest
-from conftest import LAUNCHER
+from conftest import LAUNCHER, write_predictions
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy import io as spio
@@ -22,7 +22,6 @@ from forge.matrixio import (
     read_matrix,
     read_predictions,
     read_table,
-    write_predictions,
 )
 from forge.metrics import ExpressionMatrix
 from forge.protocol import EVENT, NOTIFICATION, REQUEST, RESPONSE, decode_message
@@ -45,7 +44,7 @@ def _load_corpus_of(path):
         ("fixture.json", load_fixture),
         ("d1.txt", _load_corpus_of),
         ("citations.tsv", _load_corpus_of),
-        ("embeddings.tsv", _load_corpus_of),
+        ("embeddings.npz", _load_corpus_of),
     ],
 )
 def test_non_utf8_file_is_a_load_error(tmp_path, name, reader):
@@ -154,7 +153,7 @@ def test_csr_predictions_round_trip(tmp_path):
         row_ids=tuple(f"c{i}" for i in range(30)),
         column_ids=tuple(f"g{j}" for j in range(12)),
     )
-    write_predictions(str(tmp_path), written)
+    write_predictions(tmp_path, written)
     read = read_predictions(str(tmp_path / "predictions.mtx"))
     assert sparse.issparse(read.values) and read.values.has_canonical_format
     assert np.array_equal(read.values.toarray(), dense)

@@ -7,7 +7,7 @@ import pytest
 
 from conftest import write_corpus
 from forge.errors import EmptyQueryError, LoadError, ValidationError
-from forge.providers import ScriptedEmbedder
+from forge.providers import ScriptedEmbedder, unit_vector
 from forge.retrieval import (
     MAX_KEY_TERMS,
     Corpus,
@@ -175,16 +175,19 @@ def test_load_corpus_round_trip(tmp_path):
     assert np.linalg.norm(corpus.get("d2").embedding) == pytest.approx(1.0)
 
     write_embeddings(corpus, str(directory))
+    with np.load(directory / "embeddings.npz", allow_pickle=False) as index:
+        assert index["ids"].tolist() == ["d1", "d2"]
+        assert np.array_equal(index["vectors"], [d.embedding for d in corpus.documents()])
 
     class ForbiddenEmbedder(ScriptedEmbedder):
         def embed(self, texts):
-            raise AssertionError("embedder must not run with embeddings.tsv present")
+            raise AssertionError("embedder must not run with embeddings.npz present")
 
     reloaded = load_corpus(str(directory), ForbiddenEmbedder(dim=16))
     for doc_id in ("d1", "d2"):
-        assert reloaded.get(doc_id).embedding == pytest.approx(
-            corpus.get(doc_id).embedding, abs=1e-12
-        )
+        # each stored row passes unit_vector again, as every embedding does
+        assert np.array_equal(reloaded.get(doc_id).embedding,
+                              unit_vector(corpus.get(doc_id).embedding, doc_id))
 
 
 def test_load_corpus_error_paths(tmp_path):
@@ -195,8 +198,11 @@ def test_load_corpus_error_paths(tmp_path):
     with pytest.raises(LoadError):
         load_corpus(str(directory), ScriptedEmbedder())
     (directory / "citations.tsv").unlink()
-    (directory / "embeddings.tsv").write_text("d1 0.5 not-a-number\n")
-    with pytest.raises(LoadError, match="bad embeddings line for 'd1'"):
+    (directory / "embeddings.npz").write_text("d1 0.5 0.5\n")
+    with pytest.raises(LoadError, match="embeddings.npz: not a zip archive"):
+        load_corpus(str(directory), ScriptedEmbedder())
+    (directory / "embeddings.npz").rename(directory / "embeddings.tsv")
+    with pytest.raises(LoadError, match="embeddings.tsv is a text index"):
         load_corpus(str(directory), ScriptedEmbedder())
     (directory / "embeddings.tsv").unlink()
     (directory / "empty.txt").write_text("   ")

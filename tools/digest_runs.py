@@ -44,8 +44,9 @@ stdout) and the ``perfbench/checks.tree_digest`` of the run directory on
 each side (for ``stage-commands``, of the four output directories), and
 exits 1 when any pair differs. Under a scenario that differs it lists the
 files, by path relative to the run directory, that only one side wrote or
-whose sha256 differs: first one count per change mark and top-level file or
-directory (``removed  entities/  301``), then the first 20 paths.
+whose sha256 differs, and the empty directories only one side left: first
+one count per change mark and top-level file or directory
+(``removed  entities/  301``), then the first 20 paths.
 """
 
 from __future__ import annotations
@@ -214,7 +215,9 @@ def worker(checkout: str) -> None:
 
     def record(outcome: str, run_dir: str) -> dict:
         hashes = {}
-        for base, _, files in os.walk(run_dir):
+        for base, dirs, files in os.walk(run_dir):
+            if base != run_dir and not (dirs or files):  # tree_digest sees no empty directory
+                hashes[os.path.relpath(base, run_dir) + "/"] = "empty directory"
             for name in files:
                 path = os.path.join(base, name)
                 with open(path, "rb") as fh:
