@@ -113,12 +113,14 @@ from .execution import (
     ExecutionResult,
     FailureRecord,
     LoopTrace,
+    ScoringView,
     ValidationReport,
     classify_failure,
     generate_code,
     parse_artifact,
     refinement_loop,
     run_sandbox,
+    scoring_view,
     validate_predictions,
 )
 from .pipeline import (

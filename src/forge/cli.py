@@ -17,6 +17,7 @@ import click
 
 from . import __version__
 from .consensus import ResearchPlan
+from .execution import scoring_view
 from .errors import (
     DependencyError,
     LoadError,
@@ -163,9 +164,9 @@ def cmd_execute(config, plan_path, bundle_path, out_dir):
     """Execution stage: generate code, run it, refine until it works."""
     _require(plan_path, "design")
     plan = ResearchPlan.from_json(read_json(plan_path))
-    bundle = load_bundle(bundle_path)
+    view = scoring_view(load_bundle(bundle_path), config.evaluation)
     with open_run(config, out_dir) as ctx:
-        artifact, _, trace = stage_execute(plan, bundle, ctx)
+        artifact, _, trace = stage_execute(plan, view, ctx)
     click.echo(f"predictions written: {os.path.join(ctx.out_dir, 'predictions')}")
     click.echo(f"  refinements={trace.refinements} revision={artifact.revision}")
 
@@ -178,10 +179,10 @@ def cmd_execute(config, plan_path, bundle_path, out_dir):
 def cmd_evaluate(config, predictions_path, bundle_path, out_dir):
     """Evaluation stage: score a prediction file against the bundle."""
     _require(predictions_path, "execute")
-    bundle = load_bundle(bundle_path)
-    predictions = align_predictions(read_predictions(predictions_path), bundle.matrix)
+    view = scoring_view(load_bundle(bundle_path), config.evaluation)
+    predictions = align_predictions(read_predictions(predictions_path), view.truth)
     with open_run(config, out_dir, require_fixture=False) as ctx:
-        validation = stage_evaluate(predictions, bundle, ctx)
+        validation = stage_evaluate(predictions, view, ctx)
     click.echo(f"metrics written: {os.path.join(out_dir, 'metrics.json')}")
     _echo_metrics(validation.metrics.to_json())
     click.echo(f"  passed={validation.passed}")

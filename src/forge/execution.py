@@ -30,7 +30,7 @@ import threading
 import time
 from dataclasses import asdict, dataclass, field
 from pathlib import Path, PurePosixPath
-from typing import IO, Any, Callable, Dict, List, Optional, Sequence, Tuple, Union
+from typing import IO, Any, Callable, Dict, List, Optional, Tuple, Union
 
 import numpy as np
 
@@ -53,7 +53,7 @@ from .metrics import (
 )
 from .protocol import MemoryStore, canonical_json
 from .providers import ChatProvider, ReplyError, ask
-from .task_analysis import load_template
+from .task_analysis import CONTROL_LABEL, DatasetBundle, load_template
 
 EXIT_COMPLETED = "completed"
 EXIT_TIMEOUT = "timeout"
@@ -539,8 +539,7 @@ class ValidationReport:
 @dataclass
 class EvaluationParams:
     """The ``evaluation`` config section: the DE-gene count and fold-change
-    pseudocount of :func:`validate_predictions`, and pass/fail bounds by
-    metric id."""
+    pseudocount of :func:`scoring_view`, and pass/fail bounds by metric id."""
 
     de_k: int = DEFAULT_DE_K
     pseudo: float = DEFAULT_DE_PSEUDO
@@ -578,44 +577,47 @@ def apply_thresholds(
     return verdict
 
 
-def validate_predictions(
-    predictions: ExpressionMatrix,
-    truth: ExpressionMatrix,
-    control_rows: Sequence[int] = (),
-    params: Optional[EvaluationParams] = None,
-) -> ValidationReport:
-    """Score predictions against truth and judge them by the ``evaluation``
-    section ``params`` (default :class:`EvaluationParams`).
+@dataclass(frozen=True)
+class ScoringView:
+    """What a revision is given and what it is scored against, decided once
+    per run by :func:`scoring_view` before the first provider call."""
 
-    ``predictions`` must already follow the truth's row and column ids
-    (:func:`forge.matrixio.align_predictions` puts them in that order).
-    The DE-restricted variants run over the top-``de_k`` genes by |log2
-    fold change| of the pooled perturbed rows (every row not in
-    ``control_rows``) against the control rows, ties broken by gene index.
-    Without both groups they are skipped. Every control row must lie in
-    ``[0, n)``; repeats and order among them do not matter.
-    """
-    params = params or EvaluationParams()
+    inputs: Dict[str, str]  # sandbox name -> bundle file staged into each revision
+    truth: ExpressionMatrix  # what the predictions are aligned to and scored against
+    de_genes: Optional[List[int]]  # the truth's DE genes; None without both groups
+    thresholds: Dict[str, float]
+
+
+def scoring_view(bundle: DatasetBundle, evaluation: EvaluationParams) -> ScoringView:
+    """Each revision is given the bundle's four files and is scored against
+    its whole matrix, whose DE genes are the top-``de_k`` by |log2 fold
+    change| of the pooled perturbed rows against the controls (ties by gene
+    index), or none without both groups. A matrix whose fold changes are
+    undefined at ``evaluation.pseudo`` is a :class:`ValidationError`."""
+    truth = bundle.matrix
+    control = np.array([lab == CONTROL_LABEL for lab in bundle.perturbations], dtype=bool)
+    de_genes = None
+    if control.any() and not control.all():
+        try:
+            de_genes = select_de_genes(truth.values, k=min(evaluation.de_k, truth.shape[1]),
+                                       pseudo=evaluation.pseudo, control=control)
+        except ValidationError as exc:
+            raise ValidationError(f"cannot rank the DE genes of {next(iter(bundle.files.values()))}"
+                                  f" at evaluation.pseudo = {evaluation.pseudo!r}: {exc}") from None
+    return ScoringView(dict(bundle.files), truth, de_genes, dict(evaluation.thresholds))
+
+
+def validate_predictions(predictions: ExpressionMatrix, view: ScoringView) -> ValidationReport:
+    """Score predictions, already in the truth's row and column order
+    (:func:`forge.matrixio.align_predictions` puts them there), by ``view``:
+    the DE-restricted variants run over its DE genes, skipped when it has
+    none, and its thresholds give the verdict."""
+    truth = view.truth
     if (predictions.row_ids, predictions.column_ids) != (truth.row_ids, truth.column_ids):
         raise ValidationError("predictions are not in the truth's row and column order")
-    n = truth.shape[0]
-    bad = [r for r in control_rows if not 0 <= r < n]
-    if bad:
-        raise ValidationError(f"control row {bad[0]} out of range [0, {n})")
-    is_control = np.zeros(n, dtype=bool)
-    is_control[list(control_rows)] = True
-    de_genes = None
-    if is_control.any() and not is_control.all():
-        de_genes = select_de_genes(
-            truth.values,
-            k=min(int(params.de_k), truth.shape[1]),
-            pseudo=float(params.pseudo),
-            control=is_control,
-        )
-    metrics = metric_report(truth, predictions, de_genes=de_genes)
-    thresholds = dict(params.thresholds)
-    verdict = apply_thresholds(metrics, thresholds)
-    return ValidationReport(metrics=metrics, thresholds=thresholds, verdict=verdict)
+    metrics = metric_report(truth, predictions, de_genes=view.de_genes)
+    thresholds = dict(view.thresholds)
+    return ValidationReport(metrics, thresholds, apply_thresholds(metrics, thresholds))
 
 
 # ----------------------------------------------------------------------

@@ -36,14 +36,15 @@ from .execution import (
     ExecutionParams,
     ExecutionResult,
     LoopTrace,
+    ScoringView,
     ValidationReport,
     refinement_loop,
+    scoring_view,
     validate_predictions,
 )
 from .matrixio import (
     PREDICTIONS_STEM,
     align_predictions,
-    find_matrix_file,
     read_json,
     read_predictions,
     write_json,
@@ -486,20 +487,6 @@ def stage_design(
 # Stage: execute
 # ----------------------------------------------------------------------
 
-_BUNDLE_FILES = ("obs.tsv", "var.tsv", "manifest.json")
-
-
-def _bundle_inputs(bundle_path: str) -> Dict[str, str]:
-    inputs: Dict[str, str] = {}
-    matrix = find_matrix_file(bundle_path, "matrix")
-    inputs[os.path.basename(matrix)] = matrix
-    for name in _BUNDLE_FILES:
-        source = os.path.join(bundle_path, name)
-        if os.path.exists(source):
-            inputs[name] = source
-    return inputs
-
-
 _NOT_REGULAR = {stat.S_IFLNK: "a symlink", stat.S_IFDIR: "a directory", stat.S_IFIFO: "a FIFO"}
 
 
@@ -530,19 +517,18 @@ def _prediction_validator(truth: ExpressionMatrix):
 
 
 def stage_execute(
-    plan: ResearchPlan,
-    bundle: DatasetBundle,
-    ctx: RunContext,
+    plan: ResearchPlan, view: ScoringView, ctx: RunContext
 ) -> Tuple[CodeArtifact, ExecutionResult, LoopTrace]:
     """Generate code from the plan and drive the refinement loop.
 
     Revisions run in a temporary directory this stage removes however it
-    ends. The returned result's ``output`` holds the run's predictions, read
-    once and aligned to the bundle by the loop's validator. Writes
-    ``artifact/``, ``sandbox_logs/loop.json`` and ``predictions/`` (the
-    accepted revision's files, moved) into the run directory. When the loop
-    exhausts its budget the loop trace and the rollback artifact are written
-    before the :class:`LoopError` propagates: they are the run's outcome.
+    ends, each given the view's inputs. The returned result's ``output``
+    holds the run's predictions, read once and aligned to the view's truth
+    by the loop's validator. Writes ``artifact/``, ``sandbox_logs/loop.json``
+    and ``predictions/`` (the accepted revision's files, moved) into the run
+    directory. When the loop exhausts its budget the loop trace and the
+    rollback artifact are written before the :class:`LoopError` propagates:
+    they are the run's outcome.
     """
     with ctx.stage("execute"), tempfile.TemporaryDirectory(prefix="forge-sandbox-") as sandbox:
         try:
@@ -551,8 +537,8 @@ def stage_execute(
                 ctx.chat,
                 r_max=ctx.config.execution.r_max,
                 limits=ctx.config.execution,
-                inputs=_bundle_inputs(bundle.path),
-                validator=_prediction_validator(bundle.matrix),
+                inputs=view.inputs,
+                validator=_prediction_validator(view.truth),
                 workdir_root=sandbox,
                 store=ctx.store,
             )
@@ -598,17 +584,12 @@ def persist_loop_trace(trace: LoopTrace, ctx: RunContext) -> None:
 
 
 def stage_evaluate(
-    predictions: ExpressionMatrix,
-    bundle: DatasetBundle,
-    ctx: RunContext,
+    predictions: ExpressionMatrix, view: ScoringView, ctx: RunContext
 ) -> ValidationReport:
-    """Score predictions, aligned to the bundle's row and column ids, with the
-    config's ``evaluation`` section; writes ``metrics.json`` into the run
-    directory.
-    """
+    """Score predictions, aligned to the view's truth, by the view; writes
+    ``metrics.json`` into the run directory."""
     with ctx.stage("evaluate"):
-        report = validate_predictions(
-            predictions, bundle.matrix, bundle.control_rows, ctx.config.evaluation)
+        report = validate_predictions(predictions, view)
         ctx.write("metrics.json", {**report.to_json(), "passed": report.passed})
     return report
 
@@ -638,18 +619,21 @@ def run_pipeline(
 ) -> Dict[str, Any]:
     """The four stages in order, persisting every output into ``out_dir``.
 
+    The bundle's scoring view is built before the run directory exists, so
+    a bundle the ``evaluation`` section cannot score spends no provider call.
     Returns a summary dict of the headline numbers (also on disk).
     """
     task_text = read_task(task_path)
     bundle = load_bundle(bundle_path)
+    view = scoring_view(bundle, config.evaluation)
     with open_run(config, out_dir) as ctx:
         corpus = (
             load_corpus(corpus_path, ctx.embedder) if corpus_path is not None else None
         )
         report, retrieval = stage_analyze(task_text, bundle, ctx, corpus)
         plan, _ = stage_design(report, ctx)
-        _, result, loop_trace = stage_execute(plan, bundle, ctx)
-        validation = stage_evaluate(result.output, bundle, ctx)
+        _, result, loop_trace = stage_execute(plan, view, ctx)
+        validation = stage_evaluate(result.output, view, ctx)
         summary = {
             "rounds_used": plan.rounds_used,
             "refinements": loop_trace.refinements,

@@ -23,7 +23,7 @@ from collections import Counter
 from dataclasses import asdict, dataclass, field
 from importlib import resources
 from string import Template
-from typing import Any, Dict, Iterable, List, Optional, Sequence, Tuple
+from typing import Any, Dict, Iterable, Optional, Sequence, Tuple
 
 import numpy as np
 from scipy import sparse
@@ -83,16 +83,12 @@ TASK_DEFINITION_KEYS = ("input", "output", "task_type")
 
 @dataclass
 class DatasetBundle:
-    """Loaded bundle: matrix, per-row perturbation labels and manifest."""
+    """Loaded bundle: matrix, per-row perturbation labels, manifest and files."""
 
     matrix: ExpressionMatrix
     perturbations: Tuple[str, ...]
     manifest: Dict[str, str]
-    path: str = ""
-
-    @property
-    def control_rows(self) -> List[int]:
-        return [i for i, lab in enumerate(self.perturbations) if lab == CONTROL_LABEL]
+    files: Dict[str, str]
 
 
 def load_bundle(path: str) -> DatasetBundle:
@@ -100,7 +96,8 @@ def load_bundle(path: str) -> DatasetBundle:
 
     Expects matrix.mtx (or matrix.tsv), obs.tsv with a `perturbation`
     column, var.tsv with a `feature_id` column, and manifest.json naming
-    modality, organism, and dataset name.
+    modality, organism, and dataset name. ``files`` maps each file's name
+    to its path, the matrix file's first.
     """
     if not os.path.isdir(path):
         raise LoadError(f"bundle directory not found: {path}")
@@ -119,7 +116,8 @@ def load_bundle(path: str) -> DatasetBundle:
         if not manifest.get(key):
             raise ValidationError(f"manifest field {key!r} must be non-empty")
 
-    values = read_matrix(find_matrix_file(path, "matrix"))
+    matrix_path = find_matrix_file(path, "matrix")
+    values = read_matrix(matrix_path)
 
     obs_path = os.path.join(path, "obs.tsv")
     var_path = os.path.join(path, "var.tsv")
@@ -154,7 +152,8 @@ def load_bundle(path: str) -> DatasetBundle:
         raise ValidationError("duplicate feature ids in var.tsv")
 
     matrix = ExpressionMatrix(values, row_ids=tuple(row_ids), column_ids=tuple(col_ids))
-    return DatasetBundle(matrix=matrix, perturbations=labels, manifest=dict(manifest), path=path)
+    files = {os.path.basename(p): p for p in (matrix_path, obs_path, var_path, manifest_path)}
+    return DatasetBundle(matrix=matrix, perturbations=labels, manifest=dict(manifest), files=files)
 
 
 @dataclass

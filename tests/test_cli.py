@@ -18,12 +18,15 @@ from scipy import sparse
 
 from conftest import (
     ANALYSIS_REPLIES,
+    BUNDLE_MATRIX,
     IDENTITY_ARTIFACT_REPLY,
+    PLAN_JSON,
     discussion_replies,
     golden_fixture,
     write_bundle,
     write_config,
     write_corpus,
+    write_predictions,
 )
 import forge
 import forge.matrixio
@@ -944,6 +947,28 @@ def test_evaluate_requires_predictions(runner, workdir):
     )
     assert result.exit_code == 1
     assert "run `forge execute` first" in everything(result)
+
+
+@pytest.mark.parametrize("command", ["run", "execute", "evaluate"])
+def test_unrankable_bundle_exits_1_before_the_run(runner, workdir, command):
+    # Every value is negative, so no gene has a log fold change at the
+    # default pseudocount: the scoring view refuses the bundle before the
+    # run directory exists, and no reply of the fixture is spent.
+    bundle = write_bundle(workdir / "negative", matrix=BUNDLE_MATRIX - 10.0)
+    cfg = write_config(workdir / "config.json", **profile(golden_fixture(workdir / "fx.json")))
+    (workdir / "plan.json").write_text(json.dumps({
+        "sections": json.loads(PLAN_JSON), "weights_at_finalization": {"a": 1.0},
+        "rounds_used": 1}))
+    write_predictions(workdir / "predictions", load_bundle(str(bundle)).matrix)
+    given = {"run": ["--task", workdir / "task.txt"], "execute": ["--plan", workdir / "plan.json"],
+             "evaluate": ["--predictions", workdir / "predictions"]}[command]
+    out = workdir / "out"
+    result = run_cli(runner, [command, *given, "--bundle", bundle, "--out", out, "--config", cfg])
+    assert result.exit_code == 1, everything(result)
+    assert result.output.splitlines() == [
+        f"error: cannot rank the DE genes of {bundle / 'matrix.tsv'} at evaluation.pseudo"
+        " = 1e-06: log fold change requires positive shifted means"]
+    assert not out.exists()  # so no events.jsonl either
 
 
 # ---------------------------------------------------------------------------

@@ -3,6 +3,7 @@
 import json
 import math
 import os
+import re
 import subprocess
 import sys
 import textwrap
@@ -11,9 +12,10 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from conftest import LAUNCHER, write_predictions
+from conftest import BUNDLE_MATRIX, LAUNCHER, write_bundle, write_predictions
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy import io as spio
 from scipy import sparse
 
 import forge
@@ -43,6 +45,7 @@ from forge.execution import (
     refinement_loop,
     render_artifact,
     run_sandbox,
+    scoring_view,
     validate_predictions,
 )
 from forge.matrixio import (
@@ -55,6 +58,7 @@ from forge.metrics import ExpressionMatrix, MetricReport
 from forge.pipeline import _prediction_validator
 from forge.protocol import MemoryStore
 from forge.providers import ScriptedChatProvider
+from forge.task_analysis import DatasetBundle, load_bundle
 
 
 def make_plan():
@@ -576,6 +580,13 @@ def test_apply_thresholds_directions():
     assert apply_thresholds(report, {"mse_de": 1.0}) == {"mse_de": False}
 
 
+def _view(truth, labels=None, **evaluation):
+    """The scoring view of an in-memory bundle over ``truth``: every row is a
+    perturbed row unless ``labels`` says otherwise."""
+    bundle = DatasetBundle(truth, tuple(labels or ["KO_A"] * truth.shape[0]), {}, {})
+    return scoring_view(bundle, EvaluationParams(**evaluation))
+
+
 def test_validate_predictions_roundtrip(tmp_path):
     rng = np.random.default_rng(0)
     values = rng.normal(size=(4, 3))
@@ -589,70 +600,79 @@ def test_validate_predictions_roundtrip(tmp_path):
     )
     write_predictions(tmp_path / "artifact", perm)
     aligned = align_predictions(read_predictions(str(tmp_path / "artifact")), truth)
-    report = validate_predictions(
-        aligned, truth, params=EvaluationParams(thresholds={"mse": 1e-9, "pcc": 0.999}))
+    report = validate_predictions(aligned, _view(truth, thresholds={"mse": 1e-9, "pcc": 0.999}))
     assert report.metrics.get("mse") == pytest.approx(0.0, abs=1e-12)
     assert report.passed
     doc = report.to_json()
     assert doc["verdict"] == {"mse": True, "pcc": True}
 
 
+# Row "c" is the control. Pooled perturbed means (a, b) against it give
+# |log2 FC| of 2.17 (g1), 3 (g2), 2.17 (g3) and 1.42 (g4): the top 2 are
+# g2 and g1, the g1/g3 tie going to the lower index. Contrasting all rows
+# with the control would pick g1 and g3 instead.
+DE_TRUTH = ExpressionMatrix(
+    [[1.0, 8.0, 1.0, 4.0], [8.0, 1.0, 8.0, 1.0], [1.0, 1.0, 1.0, 2.0]],
+    row_ids=("c", "a", "b"), column_ids=("g1", "g2", "g3", "g4"),
+)
+DE_LABELS = ("control", "KO_A", "KO_B")
+
+
 def test_validate_predictions_de_variants():
-    # Row "c" is the control. Pooled perturbed means (a, b) against it give
-    # |log2 FC| of 2.17 (g1), 3 (g2), 2.17 (g3) and 1.42 (g4): the top 2 are
-    # g2 and g1, the g1/g3 tie going to the lower index. Contrasting all
-    # rows with the control would pick g1 and g3 instead.
-    truth = ExpressionMatrix(
-        [[1.0, 8.0, 1.0, 4.0], [8.0, 1.0, 8.0, 1.0], [1.0, 1.0, 1.0, 2.0]],
-        row_ids=("c", "a", "b"), column_ids=("g1", "g2", "g3", "g4"),
-    )
     # a distinct error per gene, so mse_de names the DE set: {g1, g2} -> 0.5
     pred = ExpressionMatrix(
-        truth.values + np.array([1.0, 0.0, 3.0, 2.0]),
-        row_ids=truth.row_ids, column_ids=truth.column_ids,
+        DE_TRUTH.values + np.array([1.0, 0.0, 3.0, 2.0]),
+        row_ids=DE_TRUTH.row_ids, column_ids=DE_TRUTH.column_ids,
     )
-    report = validate_predictions(
-        pred, truth, control_rows=[0],
-        params=EvaluationParams(de_k=2, thresholds={"mse_de": 0.5, "mse": 0.5}))
+    view = _view(DE_TRUTH, DE_LABELS, de_k=2, thresholds={"mse_de": 0.5, "mse": 0.5})
+    assert view.de_genes == [1, 0]
+    report = validate_predictions(pred, view)
     assert report.metrics.get("mse_de") == pytest.approx(0.5)
     assert report.metrics.get("mse") == pytest.approx(3.5)
     assert report.verdict == {"mse_de": True, "mse": False}
 
-    # without a control group (or with no perturbed rows) the DE variants are skipped
-    for rows in ([], [0, 1, 2]):
-        skipped = validate_predictions(pred, truth, control_rows=rows)
+    # without a control group (or with no perturbed rows) there are no DE
+    # genes, and the DE variants are skipped
+    for labels in (["KO_A", "KO_B", "KO_A"], ["control"] * 3):
+        view = _view(DE_TRUTH, labels)
+        assert view.de_genes is None
+        skipped = validate_predictions(pred, view)
         assert "mse_de" not in skipped.metrics
         assert skipped.metrics.get("mse") == pytest.approx(3.5)
 
 
-def _de_fixture():
-    rng = np.random.default_rng(5)
-    truth = ExpressionMatrix(
-        rng.gamma(2.0, 1.0, size=(9, 6)),
-        row_ids=tuple(f"c{i}" for i in range(9)),
-        column_ids=tuple(f"g{j}" for j in range(6)),
-    )
-    pred = ExpressionMatrix(
-        truth.values + rng.normal(size=(9, 6)),
-        row_ids=truth.row_ids, column_ids=truth.column_ids,
-    )
-    return truth, pred
+def test_scoring_view_clamps_de_k_to_the_gene_count():
+    view = _view(DE_TRUTH, DE_LABELS, de_k=10)
+    assert view.de_genes == [1, 0, 2, 3]
+    assert view.de_genes == _view(DE_TRUTH, DE_LABELS, de_k=4).de_genes
 
 
-@pytest.mark.parametrize("rows, bad", [([0, 9], 9), ([1, -1], -1)])
-def test_validate_predictions_rejects_control_rows_out_of_range(rows, bad):
-    truth, pred = _de_fixture()
-    with pytest.raises(ValidationError, match=rf"control row {bad} out of range \[0, 9\)"):
-        validate_predictions(pred, truth, control_rows=rows)
+@pytest.mark.parametrize("ext", [".tsv", ".mtx"])
+def test_scoring_view_stages_the_bundle_files(tmp_path, ext):
+    bundle_dir = write_bundle(tmp_path / "bundle")
+    if ext == ".mtx":
+        spio.mmwrite(str(bundle_dir / "matrix.mtx"), sparse.coo_matrix(BUNDLE_MATRIX))
+        (bundle_dir / "matrix.tsv").unlink()
+    bundle = load_bundle(str(bundle_dir))
+    view = scoring_view(bundle, EvaluationParams(thresholds={"mse": 1.0}))
+    names = ["matrix" + ext, "obs.tsv", "var.tsv", "manifest.json"]
+    assert view.inputs == {name: str(bundle_dir / name) for name in names}
+    assert list(view.inputs) == names
+    assert view.truth is bundle.matrix
+    assert view.thresholds == {"mse": 1.0}
+    assert view.de_genes is not None
 
 
-def test_validate_predictions_control_rows_order_and_repeats():
-    truth, pred = _de_fixture()
-    params = EvaluationParams(de_k=3)
-    want = validate_predictions(pred, truth, control_rows=[1, 4, 7], params=params)
-    got = validate_predictions(pred, truth, control_rows=[7, 1, 4, 1, 7], params=params)
-    assert "mse_de" in want.metrics
-    assert got.metrics.to_json() == want.metrics.to_json()
+def test_scoring_view_names_the_matrix_of_an_unrankable_bundle(tmp_path):
+    bundle_dir = write_bundle(tmp_path / "bundle", matrix=BUNDLE_MATRIX - 10.0)
+    bundle = load_bundle(str(bundle_dir))
+    message = re.escape(f"cannot rank the DE genes of {bundle_dir / 'matrix.tsv'} at"
+                        " evaluation.pseudo = 1e-06: log fold change requires positive"
+                        " shifted means")
+    with pytest.raises(ValidationError, match=message):
+        scoring_view(bundle, EvaluationParams())
+    # without a control group there is nothing to rank
+    assert _view(bundle.matrix).de_genes is None
 
 
 def test_align_predictions_reorders_by_id():
@@ -721,10 +741,11 @@ def test_validate_predictions_rejects_unaligned_matrix():
     )
     other_row = ExpressionMatrix([[1.0, 2.0]], row_ids=("other",), column_ids=("g1", "g2"))
     swapped = ExpressionMatrix([[2.0, 1.0]], row_ids=("r1",), column_ids=("g2", "g1"))
+    view = _view(truth)
     for unaligned in (other_row, swapped):
         with pytest.raises(ValidationError, match="not in the truth's row and column order"):
-            validate_predictions(unaligned, truth)
-    assert validate_predictions(align_predictions(swapped, truth), truth).metrics.get("mse") == 0.0
+            validate_predictions(unaligned, view)
+    assert validate_predictions(align_predictions(swapped, truth), view).metrics.get("mse") == 0.0
 
 
 def test_write_json_failure_keeps_previous_file(tmp_path):

@@ -215,15 +215,15 @@ def test_read_matrix_equals_scipy_csr(tmp_path, text):
     assert fresh.has_canonical_format
 
 
-# Loads a bundle, reads and aligns predictions and scores them against
-# the bundle, then prints how far its peak RSS rose over the peak it had
-# after the imports. scipy's .mtx reader holds a text buffer per thread,
-# several MiB each, so it reads with one thread: the bound is on what forge
-# keeps, not on the host's core count.
+# Loads a bundle and builds its scoring view, reads and aligns predictions
+# and scores them by the view, then prints how far its peak RSS rose over
+# the peak it had after the imports. scipy's .mtx reader holds a text buffer
+# per thread, several MiB each, so it reads with one thread: the bound is on
+# what forge keeps, not on the host's core count.
 _MEMORY_PROBE = """
 import resource, sys
 import scipy.io._fast_matrix_market
-from forge.execution import validate_predictions
+from forge.execution import EvaluationParams, scoring_view, validate_predictions
 from forge.matrixio import align_predictions, read_predictions
 from forge.task_analysis import load_bundle
 
@@ -233,9 +233,9 @@ def peak():
     return resource.getrusage(resource.RUSAGE_SELF).ru_maxrss * 1024
 
 before = peak()
-bundle = load_bundle(sys.argv[1])
-predictions = align_predictions(read_predictions(sys.argv[2]), bundle.matrix)
-validate_predictions(predictions, bundle.matrix, control_rows=bundle.control_rows)
+view = scoring_view(load_bundle(sys.argv[1]), EvaluationParams())
+predictions = align_predictions(read_predictions(sys.argv[2]), view.truth)
+validate_predictions(predictions, view)
 print(peak() - before)
 """
 

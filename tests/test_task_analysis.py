@@ -45,9 +45,10 @@ def test_load_bundle_happy_path(bundle_dir):
     assert bundle.matrix.row_ids == ("c1", "c2", "c3", "c4")
     assert bundle.matrix.column_ids == ("g1", "g2", "g3")
     assert bundle.perturbations == ("control", "control", "KO_A", "KO_A")
-    assert bundle.control_rows == [0, 1]
     assert bundle.manifest["modality"] == "RNA"
-    assert bundle.path == str(bundle_dir)
+    names = ["matrix.tsv", "obs.tsv", "var.tsv", "manifest.json"]
+    assert bundle.files == {name: str(bundle_dir / name) for name in names}
+    assert list(bundle.files) == names
 
 
 def test_load_bundle_synthesizes_row_ids(tmp_path):
@@ -121,7 +122,7 @@ def test_split_holdout_duplicates_controls(bundle_dir):
     assert split.test_indices == (0, 1, 2, 3)
     assert split.held_out_perturbations == ("KO_A",)
     # control rows appear on both sides; held-out rows only in test
-    controls = set(bundle.control_rows)
+    controls = {i for i, lab in enumerate(bundle.perturbations) if lab == "control"}
     assert controls <= set(split.train_indices)
     assert controls <= set(split.test_indices)
     held_rows = {i for i, lab in enumerate(bundle.perturbations) if lab == "KO_A"}

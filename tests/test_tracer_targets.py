@@ -36,6 +36,11 @@ def test_function_target_resolves(module, attr):
     assert callable(getattr(importlib.import_module(module), attr))
 
 
+def test_prediction_validator_takes_only_the_truth():
+    # The tracer wraps the factory as ``traced_factory(truth)``.
+    assert list(inspect.signature(pipeline._prediction_validator).parameters) == ["truth"]
+
+
 @pytest.mark.parametrize(
     "owner, attr",
     [

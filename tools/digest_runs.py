@@ -33,6 +33,8 @@ the seed-1 inputs of ``perfbench/gen.py``. The scenarios:
   and the patch succeeds;
 - ``schema-failure``: the first analysis agent fails its retry too;
 - ``design-failure``: the fixture ends after 12 of the 24 design replies;
+- ``negative-values``: the golden run on a bundle whose every value is
+  negative, which the default DE ranking cannot score;
 - ``pipeline-20k`` and ``deliberation``: the benchmark workloads, seed 1;
 - ``stage-commands``: ``forge analyze``, ``design``, ``execute`` and
   ``evaluate`` in turn, each a ``python -m forge.cli`` child with its own
@@ -102,7 +104,7 @@ CORPUS_TERMS = {
 
 
 def _scripted(name: str, completions, corpus=None, r_max: int = 2, thresholds=None,
-              wall_seconds: float = 30.0):
+              wall_seconds: float = 30.0, matrix=None):
     """Inputs of one conftest-built scenario: (task, bundle, config, corpus)."""
     from conftest import write_bundle, write_config, write_corpus
 
@@ -120,13 +122,13 @@ def _scripted(name: str, completions, corpus=None, r_max: int = 2, thresholds=No
         # hash-derived embeddings score near 0: a floor under -1 admits them
         retrieval={"relevance_eps": -1.0} if corpus else {},
     )
-    return (str(base / "task.txt"), str(write_bundle(base / "bundle")), str(config),
+    return (str(base / "task.txt"), str(write_bundle(base / "bundle", matrix)), str(config),
             str(write_corpus(base / "corpus", corpus)) if corpus else None)
 
 
 def scenarios():
     """(name, inputs) for every scenario, building the inputs as it goes."""
-    from conftest import ANALYSIS_REPLIES, IDENTITY_ARTIFACT_REPLY, discussion_replies
+    from conftest import ANALYSIS_REPLIES, BUNDLE_MATRIX, IDENTITY_ARTIFACT_REPLY, discussion_replies
 
     analysis = list(ANALYSIS_REPLIES)
     design = discussion_replies(2, 4)
@@ -151,6 +153,7 @@ def scenarios():
         "invalid-output", analysis + design + [SHORT_REPLY, IDENTITY_ARTIFACT_REPLY])
     yield "schema-failure", _scripted("schema-failure", ["nope", "still nope"])
     yield "design-failure", _scripted("design-failure", analysis + design[:12])
+    yield "negative-values", _scripted("negative-values", golden, matrix=BUNDLE_MATRIX - 10.0)
 
     import gen
     from workloads import WORKLOADS
