@@ -47,4 +47,6 @@ with tempfile.TemporaryDirectory() as tmp:
     again = load_store(tmp)
     print("\nstore round-trip:", [e.id for e in again.query_entities()],
           "provenance:", again.get_entity(proposal_id).provenance)
-    print("next proposal id after reload:", again.new_id("proposal"))
+    # ids come from record's per-kind counters, which resume after a reload
+    print("next proposal id after reload:", again.record(
+        "proposal", {"text": "add a pathway prior"}, "biology-expert", "discussion", round=2))

@@ -110,7 +110,26 @@ def _echo_metrics(metrics: Dict[str, Any]) -> None:
         click.echo(f"  {name}={metrics[name]}")
 
 
-@click.group()
+class _Main(click.Group):
+    """The ``forge`` group. A command line that does not parse is bad input,
+    so it exits 1, not click's 2, which forge gives provider failures."""
+
+    def make_context(self, *args: Any, **kwargs: Any) -> click.Context:
+        return _usage_exits_1(super().make_context, *args, **kwargs)
+
+    def invoke(self, ctx: click.Context) -> Any:  # parses the subcommand's arguments
+        return _usage_exits_1(super().invoke, ctx)
+
+
+def _usage_exits_1(call: Callable[..., Any], *args: Any, **kwargs: Any) -> Any:
+    try:
+        return call(*args, **kwargs)
+    except click.UsageError as exc:
+        exc.exit_code = 1
+        raise
+
+
+@click.group(cls=_Main)
 @click.version_option(version=__version__, prog_name="forge")
 def main() -> None:
     """Autonomous analysis, planning, execution, and scoring of
@@ -197,11 +216,7 @@ def corpus_group() -> None:
 def cmd_corpus_index(config, corpus_dir):
     """Embed every document into embeddings.npz; an old embeddings.tsv alone exits 1."""
     _, embedder = build_providers(config, require_fixture=False)
-    try:
-        corpus = load_corpus(corpus_dir, embedder)
-    except OSError as exc:
-        name = getattr(exc, "filename", None) or corpus_dir
-        raise LoadError(f"unreadable document {name}: {exc}") from exc
+    corpus = load_corpus(corpus_dir, embedder)
     path = write_embeddings(corpus, corpus_dir)
     click.echo(f"indexed {len(corpus)} documents -> {path}")
 

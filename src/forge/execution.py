@@ -28,7 +28,7 @@ import sys
 import tempfile
 import threading
 import time
-from dataclasses import asdict, dataclass, field
+from dataclasses import asdict, dataclass, field, replace
 from pathlib import Path, PurePosixPath
 from typing import IO, Any, Callable, Dict, List, Optional, Tuple, Union
 
@@ -677,15 +677,16 @@ Validator = Callable[[str], Any]
 def refinement_loop(
     plan: ResearchPlan,
     provider: ChatProvider,
-    r_max: int = 10,
     limits: Optional[ExecutionParams] = None,
     inputs: Optional[InputSpec] = None,
     *,
+    r_max: Optional[int] = None,
     validator: Optional[Validator] = None,
     workdir_root: str,
     store: Optional[MemoryStore] = None,
 ) -> Tuple[CodeArtifact, ExecutionResult, LoopTrace]:
-    """Generate, run, and iteratively patch until success or the cap.
+    """Generate, run, and patch until success or ``limits.r_max`` refinements,
+    which ``r_max`` overrides when given.
 
     Revision n runs in ``workdir_root/rev-n`` (removed once n fails); the caller owns the root.
     Success means exit 0 on the completed path plus a passing validator,
@@ -697,13 +698,14 @@ def refinement_loop(
     rollback artifact: the revision with the highest milestone, latest
     revision winning ties.
     """
-    if r_max < 0:
-        raise ValidationError("r_max must be non-negative")
+    limits = limits or ExecutionParams()
+    if r_max is not None:
+        limits = replace(limits, r_max=r_max)  # re-runs ExecutionParams' checks
     artifact = generate_code(plan, provider, store=store)
     trace = LoopTrace()
     previous_raw: Optional[FailureRecord] = None
 
-    for round_no in range(r_max + 1):
+    for round_no in range(limits.r_max + 1):
         workdir = os.path.join(workdir_root, f"rev-{round_no}")
         result = run_sandbox(artifact, limits, inputs, workdir=workdir)
 
@@ -739,7 +741,7 @@ def refinement_loop(
             trace.refinements = round_no
             trace.succeeded = True
             return artifact, result, trace
-        if round_no == r_max:
+        if round_no == limits.r_max:
             break
         prompt = load_template("patch-code").substitute(
             files=render_artifact(artifact),
@@ -750,11 +752,11 @@ def refinement_loop(
         artifact = _request_artifact(
             prompt, provider, artifact.revision + 1, store, f"patch for {failure.category}")
 
-    trace.refinements = r_max
+    trace.refinements = limits.r_max
     best = max(trace.revisions, key=lambda rec: (rec.milestone, rec.revision))
     trace.rollback_revision = best.revision
     raise LoopError(
-        f"refinement loop exhausted after {r_max} refinements; "
+        f"refinement loop exhausted after {limits.r_max} refinements; "
         f"rolling back to revision {best.revision}",
         trace=trace,
         rollback=best.artifact,

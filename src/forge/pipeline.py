@@ -29,7 +29,7 @@ from .consensus import (
     run_discussion,
     select_experts,
 )
-from .errors import DiscussionError, EmptyQueryError, LoadError, LoopError, ValidationError
+from .errors import DiscussionError, LoadError, LoopError, ValidationError
 from .execution import (
     CodeArtifact,
     EvaluationParams,
@@ -78,6 +78,7 @@ from .retrieval import (
 )
 from .task_analysis import (
     ANALYSIS_ROLES,
+    REPORT_ROLES,
     AnalysisReport,
     DatasetBundle,
     DatasetProfile,
@@ -414,14 +415,12 @@ def stage_analyze(
             documents=[], trace=RetrievalTrace(stop_reason="no-documents", stop_layer=0)
         )
         if corpus is not None and len(corpus) > 0:
-            try:
-                q0 = construct_initial_query(
-                    task_text, _bundle_meta_text(bundle, profile), ctx.embedder,
-                    stats=corpus.stats,
-                )
-                retrieval = retrieve(q0, corpus, ctx.config.retrieval, ctx.embedder)
-            except EmptyQueryError:
-                pass  # no key terms: nothing retrieved
+            # The meta text always names the modality and the data kind, so q0 has terms.
+            q0 = construct_initial_query(
+                task_text, _bundle_meta_text(bundle, profile), ctx.embedder,
+                stats=corpus.stats,
+            )
+            retrieval = retrieve(q0, corpus, ctx.config.retrieval, ctx.embedder)
         documents = [{"id": d.id, "text": d.text} for d in retrieval.documents]
         for doc in documents:
             ctx.store.record("document", doc, "retrieval", "retrieved context")
@@ -437,7 +436,7 @@ def stage_analyze(
             ctx.store.record("report", {"role": role, "section": answer.value}, role,
                              "task-analysis stage output", citations=citations)
             sections[role] = answer.value
-            if role in ("dataset-analyst", "refiner"):
+            if role in REPORT_ROLES:
                 for key, value in answer.value.items():
                     merged[key] = value
                     provenance[key] = {"role": role, "provider_calls": answer.calls}
@@ -535,7 +534,6 @@ def stage_execute(
             artifact, result, trace = refinement_loop(
                 plan,
                 ctx.chat,
-                r_max=ctx.config.execution.r_max,
                 limits=ctx.config.execution,
                 inputs=view.inputs,
                 validator=_prediction_validator(view.truth),

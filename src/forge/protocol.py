@@ -289,9 +289,9 @@ class MemoryStore:
 
     Entities are kept as the lines :func:`save_store` writes, so a stored
     entity can never be mutated by reference, and an entity whose body or
-    provenance does not encode (NaN, a non-JSON type) is refused. Ids are
-    caller-chosen but must be fresh; :meth:`new_id` hands out deterministic
-    per-kind counters, which every stored counter-styled id moves past.
+    provenance does not encode (NaN, a non-JSON type) is refused. :meth:`record`
+    allocates ids from per-kind counters; a fresh counter-styled id stored
+    through :meth:`put_entity` moves its kind's counter past it.
     """
 
     def __init__(self):
@@ -300,12 +300,6 @@ class MemoryStore:
 
     def __len__(self) -> int:
         return len(self._entities)
-
-    def new_id(self, kind: str) -> str:
-        if kind not in ENTITY_KINDS:
-            raise ValidationError(f"unknown entity kind: {kind!r}")
-        self._counters[kind] = self._counters.get(kind, 0) + 1
-        return f"{kind}-{self._counters[kind]:04d}"
 
     def record(self, kind: str, body: Any, agent: str, reasoning: str, round: int = 0,
                **provenance: Any) -> str:

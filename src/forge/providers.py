@@ -26,7 +26,6 @@ from __future__ import annotations
 
 import hashlib
 import math
-import threading
 import time
 from dataclasses import dataclass
 from importlib import resources
@@ -234,28 +233,20 @@ class ScriptedChatProvider(ChatProvider):
 
     def __init__(self, replies: Sequence[str]):
         self._replies = list(replies)
-        self._cursor = 0
-        self._lock = threading.Lock()
         self.calls: List[Tuple[ChatTurn, ...]] = []
 
     @property
-    def consumed(self) -> int:
-        return self._cursor
-
-    @property
     def remaining(self) -> int:
-        return len(self._replies) - self._cursor
+        return len(self._replies) - len(self.calls)
 
     def complete(self, turns: Sequence[ChatTurn]) -> Tuple[str, Usage]:
         _check_turns(turns)
-        with self._lock:
-            if self._cursor >= len(self._replies):
-                raise FixtureUnderflowError(
-                    f"scripted fixture exhausted after {len(self._replies)} replies"
-                )
-            reply = self._replies[self._cursor]
-            self._cursor += 1
-            self.calls.append(tuple(turns))
+        if not self.remaining:
+            raise FixtureUnderflowError(
+                f"scripted fixture exhausted after {len(self._replies)} replies"
+            )
+        reply = self._replies[len(self.calls)]
+        self.calls.append(tuple(turns))
         return reply, synthesize_usage(turns, reply)
 
 

@@ -191,10 +191,14 @@ def _read_index(path: str) -> Dict[str, np.ndarray]:
 
 
 def load_corpus(directory: str, embedder: Embedder) -> Corpus:
-    """Read a corpus directory; embeds bodies lacking a precomputed row."""
+    """Read a corpus directory; embeds bodies lacking a precomputed row.
+    A directory or file that cannot be read is a :class:`LoadError`."""
     if not os.path.isdir(directory):
         raise LoadError(f"corpus directory not found: {directory}")
-    names = sorted(n for n in os.listdir(directory) if n.endswith(".txt"))
+    try:
+        names = sorted(n for n in os.listdir(directory) if n.endswith(".txt"))
+    except OSError as exc:
+        raise LoadError(f"cannot list corpus directory {directory}: {exc}") from exc
     if not names:
         return Corpus([])
 
@@ -250,17 +254,14 @@ def write_embeddings(corpus: Corpus, directory: str) -> str:
 
 @dataclass
 class QueryState:
-    """Evolving retrieval query: unit vector, ordered terms, layer count."""
+    """Evolving retrieval query: unit vector and ordered terms."""
 
     vector: np.ndarray
     terms: Tuple[str, ...]
-    layer: int = 0
 
     def __post_init__(self):
         self.vector = unit_vector(self.vector, "query vector")
         self.terms = tuple(self.terms)
-        if self.layer < 0:
-            raise ValidationError("layer must be non-negative")
 
 
 @dataclass(frozen=True)
@@ -295,7 +296,7 @@ def construct_initial_query(
     stats: Optional[CorpusStats] = None,
 ) -> QueryState:
     """Union of key terms from the task and the dataset description,
-    embedded as one space-joined string. Layer starts at 0."""
+    embedded as one space-joined string."""
     terms: List[str] = []
     for source in (task_text, dataset_meta):
         try:
@@ -308,7 +309,7 @@ def construct_initial_query(
     if not terms:
         raise EmptyQueryError("neither task text nor dataset meta yields terms")
     vector = embedder.embed_one(" ".join(terms))
-    return QueryState(vector=vector, terms=tuple(terms), layer=0)
+    return QueryState(vector=vector, terms=tuple(terms))
 
 
 def _checked_embedding(query: QueryState, doc: Document) -> np.ndarray:
@@ -361,7 +362,7 @@ def update_query(
                 terms.append(term)
     if len(terms) > term_window:
         terms = terms[-term_window:]
-    return QueryState(vector=vector, terms=tuple(terms), layer=query.layer + 1)
+    return QueryState(vector=vector, terms=tuple(terms))
 
 
 def overlap(a: QueryState, b: QueryState, embedder: Embedder) -> float:

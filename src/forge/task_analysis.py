@@ -43,14 +43,7 @@ from .providers import Answer, ChatProvider, ReplyError, ask
 CONTROL_LABEL = "control"
 MODALITIES = ("RNA", "ATAC", "protein")
 
-ANALYSIS_ROLES = (
-    "dataset-analyst",
-    "problem-investigator",
-    "baseline-assessor",
-    "refiner",
-)
-
-# Required top-level keys of each role's JSON reply.
+# Each analysis role, in run order, and the required top-level keys of its JSON reply.
 ROLE_SCHEMAS: Dict[str, Tuple[str, ...]] = {
     "dataset-analyst": (
         "introduction",
@@ -62,21 +55,15 @@ ROLE_SCHEMAS: Dict[str, Tuple[str, ...]] = {
     "baseline-assessor": ("candidate_baselines", "limitations"),
     "refiner": ("task_definition", "baseline_models", "constraints", "evaluation"),
 }
+ANALYSIS_ROLES = tuple(ROLE_SCHEMAS)
 
 ROLE_DEPENDENCIES: Dict[str, Tuple[str, ...]] = {
     "refiner": ("dataset-analyst", "problem-investigator", "baseline-assessor"),
 }
 
-REPORT_SECTIONS = (
-    "introduction",
-    "data_properties",
-    "quality_assessment",
-    "recommendations",
-    "task_definition",
-    "baseline_models",
-    "constraints",
-    "evaluation",
-)
+# The roles whose replies make up the report, and its sections in order.
+REPORT_ROLES = ("dataset-analyst", "refiner")
+REPORT_SECTIONS = tuple(key for role in REPORT_ROLES for key in ROLE_SCHEMAS[role])
 
 TASK_DEFINITION_KEYS = ("input", "output", "task_type")
 

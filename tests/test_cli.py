@@ -29,7 +29,9 @@ from conftest import (
     write_predictions,
 )
 import forge
+import forge.cli
 import forge.matrixio
+import forge.retrieval
 from forge.cli import main
 from forge.errors import LoadError
 from forge.protocol import EventStream, canonical_json, load_store
@@ -1009,6 +1011,30 @@ def test_corpus_index_unreadable_document_exits_1(runner, tmp_path):
     assert "error:" in everything(result)
 
 
+@pytest.mark.parametrize("command", ["run", "corpus-index"])
+def test_unlistable_corpus_exits_1(runner, workdir, monkeypatch, command):
+    # Root ignores permission bits, so the listing itself is made to fail.
+    corpus = write_corpus(workdir / "corpus", {"doc-a": "Mean-shift baselines."})
+    listdir = os.listdir
+
+    def refuse(path="."):
+        if os.fspath(path) == str(corpus):
+            raise PermissionError(13, "Permission denied", str(corpus))
+        return listdir(path)
+
+    monkeypatch.setattr(forge.retrieval.os, "listdir", refuse)
+    cfg = write_config(workdir / "config.json", **profile(golden_fixture(workdir / "fx.json")))
+    args = {"run": ["run", "--task", workdir / "task.txt", "--bundle", workdir / "bundle",
+                    "--corpus", corpus, "--out", workdir / "out"],
+            "corpus-index": ["corpus", "index", corpus]}[command]
+    result = run_cli(runner, [*args, "--config", cfg])
+    assert result.exit_code == 1, everything(result)
+    assert isinstance(result.exception, SystemExit)
+    assert result.stderr.splitlines() == [
+        f"error: cannot list corpus directory {corpus}: "
+        f"[Errno 13] Permission denied: '{corpus}'"]
+
+
 @pytest.mark.parametrize("vector", [["a"], [[1, 2]], 5, [], [0, 0]],
                          ids=["string", "nested", "scalar", "empty", "zero"])
 def test_corpus_index_bad_fixture_embedding_exits_1(runner, tmp_path, vector):
@@ -1201,6 +1227,36 @@ def test_seed_and_fixture_flags_override_config(runner, workdir):
     saved = json.loads((out / "config.json").read_text())
     assert saved["seed"] == 7
     assert saved["provider"]["fixture"] == str(fx_a)
+
+
+@pytest.mark.parametrize("args", [
+    [], ["run"], ["run", "--task", "task.txt", "--seed", "abc"], ["bogus"], ["--bogus"],
+    ["corpus", "bogus"], ["corpus", "index"],
+], ids=["no-command", "missing-option", "bad-int", "unknown-command", "unknown-option",
+        "unknown-subcommand", "missing-argument"])
+def test_a_command_line_that_does_not_parse_exits_1(runner, args):
+    # Exit 2 is the provider-failure code, so click's usage errors exit 1.
+    result = run_cli(runner, args)
+    assert result.exit_code == 1, everything(result)
+    assert isinstance(result.exception, SystemExit)
+    assert "Usage:" in result.stderr
+
+
+def test_help_and_interrupt_keep_their_exit_codes(runner, workdir, monkeypatch):
+    for args in (["--help"], ["run", "--help"], ["corpus", "--help"]):
+        result = run_cli(runner, args)
+        assert result.exit_code == 0, everything(result)
+        assert result.output.startswith("Usage:")
+
+    def interrupt(*args):
+        raise KeyboardInterrupt
+
+    monkeypatch.setattr(forge.cli, "run_pipeline", interrupt)
+    cfg = write_config(workdir / "config.json", **profile(golden_fixture(workdir / "fx.json")))
+    result = run_cli(runner, ["run", "--task", workdir / "task.txt", "--bundle",
+                              workdir / "bundle", "--out", workdir / "out", "--config", cfg])
+    assert result.exit_code == 1
+    assert "Aborted!" in result.stderr
 
 
 def test_version_flag(runner):

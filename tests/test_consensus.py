@@ -451,7 +451,7 @@ def test_discussion_score_retry_and_neutral_fallback():
         make_report(), DiscussionParams(t_max=1), provider, experts=_panel(1)
     )
     assert trace.rounds[0].critic_scores == {"a": 0.9}
-    assert provider.consumed == 3
+    assert len(provider.calls) == 3
 
     provider = ScriptedChatProvider([PLAN_JSON, "no score", "still none"])
     _, trace = run_discussion(

@@ -182,7 +182,7 @@ def test_unparseable_entrypoint_is_retried(entrypoint):
     bad = reply("print('ok')", entrypoint=entrypoint)
     provider = ScriptedChatProvider([bad, GOOD_REPLY])
     assert generate_code(make_plan(), provider).entrypoint == "python main.py"
-    assert provider.consumed == 2
+    assert len(provider.calls) == 2
     assert "does not parse" in provider.calls[1][2].text
     with pytest.raises(GenerationError, match="does not parse"):
         generate_code(make_plan(), ScriptedChatProvider([bad, bad]))
@@ -1017,6 +1017,25 @@ def test_loop_r_max_zero_single_run(tmp_path):
     assert len(excinfo.value.trace.revisions) == 1
     with pytest.raises(ValidationError):
         refinement_loop(make_plan(), provider, r_max=-1, workdir_root=str(tmp_path))
+
+
+def test_loop_budget_is_limits_r_max(tmp_path):
+    provider = ScriptedChatProvider([CRASH_REPLY] * 6)
+    with pytest.raises(LoopError) as excinfo:
+        refinement_loop(make_plan(), provider, limits=ExecutionParams(r_max=1),
+                        workdir_root=str(tmp_path / "limits"))
+    assert "exhausted after 1 refinements" in str(excinfo.value)
+    assert len(excinfo.value.trace.revisions) == 2
+    assert provider.remaining == 4
+    # r_max= overrides limits.r_max, through ExecutionParams' own check
+    provider = ScriptedChatProvider([CRASH_REPLY] * 6)
+    with pytest.raises(LoopError) as excinfo:
+        refinement_loop(make_plan(), provider, limits=ExecutionParams(r_max=1), r_max=2,
+                        workdir_root=str(tmp_path / "override"))
+    assert len(excinfo.value.trace.revisions) == 3
+    with pytest.raises(ValidationError, match="r_max must be non-negative"):
+        refinement_loop(make_plan(), provider, limits=ExecutionParams(r_max=1), r_max=-1,
+                        workdir_root=str(tmp_path / "negative"))
 
 
 def test_loop_stores_each_revision_artifact_only(tmp_path):

@@ -327,9 +327,12 @@ def test_entity_validation():
 
 def test_store_counter_ids():
     store = MemoryStore()
-    assert store.new_id("proposal") == "proposal-0001"
-    assert store.new_id("proposal") == "proposal-0002"
-    assert store.new_id("result") == "result-0001"
+    assert store.record("proposal", "p1", "expert", "proposed") == "proposal-0001"
+    assert store.record("proposal", "p2", "expert", "proposed") == "proposal-0002"
+    assert store.record("result", 0.5, "critic", "scored") == "result-0001"
+    # a counter-styled id stored directly moves its kind's counter past it
+    store.put_entity(KnowledgeEntity(id="proposal-0007", kind="proposal", body="p7"))
+    assert store.record("proposal", "p8", "expert", "proposed") == "proposal-0008"
 
 
 def test_store_record_stamps_ids_provenance_and_round():
@@ -397,20 +400,8 @@ def test_store_queries_by_kind():
 
 def test_store_persistence_round_trip(tmp_path):
     store = MemoryStore()
-    a = store.new_id("dataset")
-    store.put_entity(
-        KnowledgeEntity(
-            id=a,
-            kind="dataset",
-            body={"cells": 4},
-            provenance={"agent": "loader", "confidence": 0.5},
-            round=0,
-        )
-    )
-    b = store.new_id("report")
-    store.put_entity(
-        KnowledgeEntity(id=b, kind="report", body="text", provenance={"agent": "refiner"})
-    )
+    a = store.record("dataset", {"cells": 4}, "loader", "profiled", confidence=0.5)
+    b = store.record("report", "text", "refiner", "drafted")
 
     save_store(store, str(tmp_path))
     # an older store's relations.jsonl is never read
@@ -420,9 +411,6 @@ def test_store_persistence_round_trip(tmp_path):
     assert len(loaded) == len(store)
     for eid in (a, b):
         assert loaded.get_entity(eid) == store.get_entity(eid)
-    # counters resume past persisted ids
-    assert loaded.new_id("dataset") == "dataset-0002"
-
     # a second save is byte-identical
     again = tmp_path / "again"
     save_store(loaded, str(again))
@@ -431,6 +419,8 @@ def test_store_persistence_round_trip(tmp_path):
     }
     second = {p.name: p.read_bytes() for p in (again / "entities").iterdir()}
     assert first == second
+    # counters resume past persisted ids
+    assert loaded.record("dataset", {"cells": 5}, "loader", "profiled") == "dataset-0002"
 
 
 def test_load_store_without_entities_dir_is_empty(tmp_path):

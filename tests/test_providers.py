@@ -133,7 +133,7 @@ def test_scripted_chat_replays_in_order():
     assert reply == "first"
     assert usage == synthesize_usage(turns, "first")
     assert provider.complete(turns)[0] == "second"
-    assert (provider.consumed, provider.remaining) == (2, 0)
+    assert (len(provider.calls), provider.remaining) == (2, 0)
     assert len(provider.calls) == 2 and provider.calls[0][0].text == "go"
 
 
@@ -181,7 +181,7 @@ def test_ask_accepts_first_reply_in_one_call():
     provider = ScriptedChatProvider(["42"])
     answer = ask(provider, "a number?", _digits, _retry)
     assert answer == (42, 1)
-    assert provider.consumed == 1
+    assert len(provider.calls) == 1
 
 
 def test_ask_retries_once_with_the_reason():
@@ -208,7 +208,7 @@ def test_ask_reprompts_an_empty_reply_without_its_turn():
     provider = ScriptedChatProvider(["", ""])
     with pytest.raises(ReplyError) as excinfo:
         ask(provider, "a number?", _digits, _retry)
-    assert excinfo.value.reply == "" and provider.consumed == 2
+    assert excinfo.value.reply == "" and len(provider.calls) == 2
 
 
 def test_ask_raises_the_second_rejection_with_its_reply():
@@ -216,7 +216,7 @@ def test_ask_raises_the_second_rejection_with_its_reply():
     with pytest.raises(ReplyError, match="'more' is not a number") as excinfo:
         ask(provider, "a number?", _digits, _retry)
     assert excinfo.value.reply == "more"
-    assert provider.consumed == 2
+    assert len(provider.calls) == 2
 
 
 # ---------------------------------------------------------------------------

@@ -233,7 +233,6 @@ def test_construct_initial_query_unions_terms():
         "rna",
         "single-cell",
     )
-    assert q.layer == 0
     expected = embedder.embed_one(" ".join(q.terms))
     assert q.vector == pytest.approx(expected)
 
@@ -347,19 +346,17 @@ def test_top_unseen_with_few_or_no_unseen_documents():
 
 
 def test_update_query_blends_and_windows():
-    q = QueryState(vector=[1.0, 0.0], terms=("seed",), layer=0)
+    q = QueryState(vector=[1.0, 0.0], terms=("seed",))
     doc = Document(id="d", text="fresh words", embedding=[0.0, 1.0])
     updated = update_query(q, [doc], alpha=0.7)
     expected = np.array([0.7, 0.3]) / math.sqrt(0.58)
     assert updated.vector == pytest.approx(expected)
     assert updated.terms == ("seed", "fresh", "words")
-    assert updated.layer == 1
 
-    # empty layer: vector untouched, layer still advances
+    # empty layer: vector and terms untouched
     idle = update_query(q, [], alpha=0.7)
     assert idle.vector == pytest.approx(q.vector)
     assert idle.terms == q.terms
-    assert idle.layer == 1
 
     # the window keeps only the most recent terms
     trimmed = update_query(q, [doc], alpha=0.7, term_window=2)
