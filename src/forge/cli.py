@@ -20,7 +20,6 @@ from .consensus import ResearchPlan
 from .execution import scoring_view
 from .errors import (
     DependencyError,
-    LoadError,
     ProviderError,
     SandboxError,
     ValidationError,
@@ -50,8 +49,6 @@ def _die(code: int, exc: Exception) -> None:
 def _resolve_config(
     config_path: Optional[str], seed: Optional[int], fixture: Optional[str]
 ) -> RunConfig:
-    if config_path is not None and not os.path.exists(config_path):
-        raise LoadError(f"config file not found: {config_path}")
     overrides: Dict[str, Any] = {}
     if seed is not None:
         overrides["seed"] = seed

@@ -291,16 +291,22 @@ class RoundTrace:
 
 @dataclass
 class DiscussionTrace:
-    """Round-by-round record of a full discussion."""
+    """Round-by-round record of a full discussion; its outcome is computed from the rounds."""
 
     experts: List[str]
     rounds: List[RoundTrace] = field(default_factory=list)
-    rounds_used: int = 0
-    converged: bool = False
     reason: str = ""
 
+    @property
+    def rounds_used(self) -> int:
+        return len(self.rounds)
+
+    @property
+    def converged(self) -> bool:
+        return bool(self.rounds) and self.rounds[-1].converged
+
     def to_json(self) -> Dict[str, Any]:
-        return asdict(self)
+        return {**asdict(self), "rounds_used": self.rounds_used, "converged": self.converged}
 
 
 @dataclass
@@ -513,9 +519,7 @@ def run_discussion(
                     reason=reason,
                 )
             )
-            trace.rounds_used = round_no
             if done:
-                trace.converged = True
                 final_reason = "converged"
                 break
             if round_no == params.t_max:

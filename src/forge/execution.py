@@ -640,7 +640,15 @@ class RevisionRecord:
     artifact: CodeArtifact
     result: ExecutionResult
     failure: Optional[FailureRecord]
-    milestone: int
+
+    @property
+    def milestone(self) -> int:
+        if self.failure is None:
+            return _MILESTONE_SUCCESS
+        if self.result.succeeded:  # exit 0, output rejected
+            return _MILESTONE_EXIT0_INVALID
+        timed_out = self.result.exit_path == EXIT_TIMEOUT
+        return _MILESTONE_TIMEOUT if timed_out else _MILESTONE_CRASH
 
     def to_json(self) -> Dict[str, Any]:
         return {
@@ -655,12 +663,24 @@ class RevisionRecord:
 
 @dataclass
 class LoopTrace:
-    """Everything the refinement loop did, in order."""
+    """Everything the refinement loop did, in order; its outcome is computed from it."""
 
     revisions: List[RevisionRecord] = field(default_factory=list)
-    refinements: int = 0
-    succeeded: bool = False
-    rollback_revision: Optional[int] = None
+
+    @property
+    def refinements(self) -> int:
+        return max(len(self.revisions) - 1, 0)
+
+    @property
+    def succeeded(self) -> bool:
+        return bool(self.revisions) and self.revisions[-1].failure is None
+
+    @property
+    def rollback_revision(self) -> Optional[int]:
+        """The furthest revision of a failed loop, the latest among equals."""
+        if self.succeeded or not self.revisions:
+            return None
+        return max(self.revisions, key=lambda rec: (rec.milestone, rec.revision)).revision
 
     def to_json(self) -> Dict[str, Any]:
         return {
@@ -710,19 +730,14 @@ def refinement_loop(
         result = run_sandbox(artifact, limits, inputs, workdir=workdir)
 
         raw: Optional[FailureRecord] = None
-        if result.succeeded:
-            milestone = _MILESTONE_SUCCESS
-            if validator is not None:
-                try:
-                    result.output = validator(result.workdir)
-                except ValidationError as exc:
-                    evidence = _scrub(str(exc), result.workdir)
-                    raw = FailureRecord("data-access-failure", evidence, round_no)
-                    milestone = _MILESTONE_EXIT0_INVALID
-        else:
+        if not result.succeeded:
             raw = classify_failure(result, round_no=round_no)
-            timed_out = result.exit_path == EXIT_TIMEOUT
-            milestone = _MILESTONE_TIMEOUT if timed_out else _MILESTONE_CRASH
+        elif validator is not None:
+            try:
+                result.output = validator(result.workdir)
+            except ValidationError as exc:
+                evidence = _scrub(str(exc), result.workdir)
+                raw = FailureRecord("data-access-failure", evidence, round_no)
         failure = None if raw is None else _escalate(raw, previous_raw)
         previous_raw = raw
         if failure is not None:  # its evidence is text now; free the disk its copies hold
@@ -733,13 +748,10 @@ def refinement_loop(
                 artifact=artifact,
                 result=result,
                 failure=failure,
-                milestone=milestone,
             )
         )
 
         if failure is None:
-            trace.refinements = round_no
-            trace.succeeded = True
             return artifact, result, trace
         if round_no == limits.r_max:
             break
@@ -752,9 +764,7 @@ def refinement_loop(
         artifact = _request_artifact(
             prompt, provider, artifact.revision + 1, store, f"patch for {failure.category}")
 
-    trace.refinements = limits.r_max
-    best = max(trace.revisions, key=lambda rec: (rec.milestone, rec.revision))
-    trace.rollback_revision = best.revision
+    best = trace.revisions[trace.rollback_revision]  # record n holds revision n
     raise LoopError(
         f"refinement loop exhausted after {limits.r_max} refinements; "
         f"rolling back to revision {best.revision}",

@@ -140,8 +140,6 @@ def read_predictions(path: str) -> ExpressionMatrix:
     else:
         directory = os.path.dirname(path) or "."
         matrix_path = path
-        if not os.path.exists(matrix_path):
-            raise LoadError(f"prediction file not found: {matrix_path}")
     values = read_matrix(matrix_path)
     row_ids = read_id_list(os.path.join(directory, PREDICTIONS_ROWS))
     col_ids = read_id_list(os.path.join(directory, PREDICTIONS_COLS))

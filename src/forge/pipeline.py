@@ -54,6 +54,7 @@ from .protocol import (
     Envelope,
     EventStream,
     MemoryStore,
+    read_text,
     save_store,
     writing,
 )
@@ -412,7 +413,7 @@ def stage_analyze(
         ctx.store.record("dataset", profile.to_json(), "data-parser", "bundle profile")
 
         retrieval = RetrievalResult(
-            documents=[], trace=RetrievalTrace(stop_reason="no-documents", stop_layer=0)
+            documents=[], trace=RetrievalTrace(stop_reason="no-documents")
         )
         if corpus is not None and len(corpus) > 0:
             # The meta text always names the modality and the data kind, so q0 has terms.
@@ -599,10 +600,7 @@ def stage_evaluate(
 
 def read_task(path: str) -> str:
     """The task file's text; a missing, unreadable or blank file is an error."""
-    try:
-        text = Path(path).read_text(encoding="utf-8")
-    except (OSError, UnicodeDecodeError) as exc:
-        raise LoadError(f"cannot read task file {path}: {exc}") from exc
+    text = read_text(path)
     if not text.strip():
         raise ValidationError(f"task file {path} is empty")
     return text

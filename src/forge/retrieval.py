@@ -454,10 +454,14 @@ class LayerTrace:
 class RetrievalTrace:
     layers: List[LayerTrace] = field(default_factory=list)
     stop_reason: str = ""
-    stop_layer: int = 0
+
+    @property
+    def stop_layer(self) -> int:
+        """The layer the walk stopped after: every reason stops after a whole layer."""
+        return len(self.layers)
 
     def to_json(self) -> Dict[str, object]:
-        return asdict(self)
+        return {**asdict(self), "stop_layer": self.stop_layer}
 
 
 @dataclass
@@ -487,12 +491,10 @@ def retrieve(
     query above tau, first checked after layer 2), then on a sub-floor best
     score, then on the layer cap. Only the first triggered reason is recorded.
     """
-    trace = RetrievalTrace()
     if len(corpus) == 0:
-        trace.stop_reason = "no-documents"
-        trace.stop_layer = 0
-        return RetrievalResult(documents=[], trace=trace)
+        return RetrievalResult(documents=[], trace=RetrievalTrace(stop_reason="no-documents"))
 
+    trace = RetrievalTrace()
     docs = corpus.documents()
     matrix = np.stack([_checked_embedding(q0, d) for d in docs])
     collected: List[Document] = []
@@ -538,15 +540,12 @@ def retrieve(
 
         if overlap_val is not None and overlap_val > params.overlap_tau:
             trace.stop_reason = "overlap"
-            trace.stop_layer = t
             break
         if max_score is None or max_score < params.relevance_eps:
             trace.stop_reason = "relevance-floor"
-            trace.stop_layer = t
             break
         if t == params.l_max:
             trace.stop_reason = "layer-cap"
-            trace.stop_layer = t
             break
         query = updated
         prev_layer_docs = layer_docs

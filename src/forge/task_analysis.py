@@ -89,8 +89,6 @@ def load_bundle(path: str) -> DatasetBundle:
     if not os.path.isdir(path):
         raise LoadError(f"bundle directory not found: {path}")
     manifest_path = os.path.join(path, "manifest.json")
-    if not os.path.exists(manifest_path):
-        raise LoadError(f"bundle manifest missing: {manifest_path}")
     manifest = read_json(manifest_path)
     if not isinstance(manifest, dict):
         raise ValidationError("manifest must be a JSON object")
@@ -108,10 +106,6 @@ def load_bundle(path: str) -> DatasetBundle:
 
     obs_path = os.path.join(path, "obs.tsv")
     var_path = os.path.join(path, "var.tsv")
-    if not os.path.exists(obs_path):
-        raise LoadError(f"cell table missing: {obs_path}")
-    if not os.path.exists(var_path):
-        raise LoadError(f"feature table missing: {var_path}")
     obs_header, cells = read_table(obs_path)
     var_header, features = read_table(var_path)
 

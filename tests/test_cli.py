@@ -472,21 +472,28 @@ def test_empty_task_exits_1(runner, workdir):
     assert result.exit_code == 1
 
 
-def test_missing_task_exits_1(runner, workdir):
-    fixture = golden_fixture(workdir / "fixture.json")
-    cfg = write_config(workdir / "config.json", **profile(fixture))
-    missing = workdir / "missing.txt"
+@pytest.mark.parametrize("name, as_dir", [
+    pytest.param(name, as_dir, id=f"{Path(name).name}-{'directory' if as_dir else 'missing'}")
+    for name, as_dir in [("task.txt", False), ("config.json", False)] + [
+        (f"bundle/{table}", as_dir)
+        for table in ("manifest.json", "obs.tsv", "var.tsv") for as_dir in (False, True)]
+])
+def test_unreadable_input_exits_1(runner, workdir, name, as_dir):
+    # Every input file is read through one path, so each fault reads the same.
+    cfg = write_config(workdir / "config.json", **profile())
+    path = workdir / name
+    path.unlink()
+    if as_dir:
+        path.mkdir()
     result = run_cli(
         runner,
-        ["run", "--task", missing, "--bundle", workdir / "bundle",
+        ["run", "--task", workdir / "task.txt", "--bundle", workdir / "bundle",
          "--out", workdir / "out", "--config", cfg],
     )
     assert result.exit_code == 1
     assert isinstance(result.exception, SystemExit)
-    assert "cannot read task file" in everything(result)
-    with pytest.raises(LoadError, match="missing.txt"):
-        run_pipeline(str(missing), str(workdir / "bundle"), load_config(str(cfg)),
-                     str(workdir / "lib"))
+    assert f"error: cannot read {path}: " in everything(result)
+    assert not (workdir / "out").exists()
 
 
 def test_second_run_into_same_out_is_refused(runner, workdir):
@@ -516,17 +523,6 @@ def test_non_utf8_bundle_table_exits_1(runner, workdir):
     assert result.exit_code == 1
     assert isinstance(result.exception, SystemExit)
     assert "error:" in everything(result) and "obs.tsv" in everything(result)
-
-
-def test_missing_config_exits_1(runner, workdir):
-    result = run_cli(
-        runner,
-        ["analyze", "--task", workdir / "task.txt", "--bundle",
-         workdir / "bundle", "--out", workdir / "out",
-         "--config", workdir / "nope.json"],
-    )
-    assert result.exit_code == 1
-    assert "config file not found" in everything(result)
 
 
 def test_fixture_underflow_exits_2(runner, workdir):

@@ -514,4 +514,9 @@ def test_discussion_trace_serializes():
     assert doc["experts"] == ["a", "b", "critic"]
     assert len(doc["rounds"]) == 4
     assert doc["rounds"][3]["converged"] is True
+    assert (doc["rounds_used"], doc["converged"]) == (4, True)
     assert json.loads(json.dumps(doc)) == doc
+    empty = DiscussionTrace(experts=["a", "critic"])
+    assert (empty.rounds_used, empty.converged) == (0, False)
+    assert empty.to_json() == {"experts": ["a", "critic"], "rounds": [], "reason": "",
+                               "rounds_used": 0, "converged": False}

@@ -29,6 +29,8 @@ from forge.errors import (
 )
 from forge.execution import (
     ENV_ALLOW_LIST,
+    EXIT_COMPLETED,
+    EXIT_TIMEOUT,
     MAX_WALL_SECONDS,
     CodeArtifact,
     EvaluationParams,
@@ -36,6 +38,7 @@ from forge.execution import (
     ExecutionResult,
     FailureRecord,
     LoopTrace,
+    RevisionRecord,
     _ArtifactParseError,
     _escalate,
     apply_thresholds,
@@ -891,6 +894,31 @@ def test_loop_validator_complaint_then_fix(tmp_path):
     assert trace.succeeded and trace.refinements == 1
     assert trace.revisions[0].milestone == 2
     assert trace.revisions[1].milestone == 3
+
+
+def _revision(n, exit_code=0, exit_path=EXIT_COMPLETED, rejected=False):
+    """A hand-built loop record of revision ``n``; ``rejected`` marks an
+    exit-0 run whose output the validator turned down."""
+    result = ExecutionResult(exit_code, "", "", 0.0, [], exit_path)
+    failure = classify_failure(result, n)
+    if rejected:
+        failure = FailureRecord("data-access-failure", "rejected", n)
+    artifact = CodeArtifact({"main.py": ""}, "python main.py", revision=n)
+    return RevisionRecord(n, artifact, result, failure)
+
+
+def test_loop_trace_reads_its_outcome_off_the_revisions():
+    invalid, crash = _revision(0, rejected=True), _revision(1, exit_code=1)
+    timeout, success = _revision(2, -9, EXIT_TIMEOUT), _revision(3)
+    assert [r.milestone for r in (timeout, crash, invalid, success)] == [0, 1, 2, 3]
+    done = LoopTrace([invalid, crash, timeout, success])
+    assert (done.succeeded, done.refinements, done.rollback_revision) == (True, 3, None)
+    assert done.to_json()["succeeded"] is True and done.to_json()["refinements"] == 3
+    failed = LoopTrace([crash, timeout, _revision(4, exit_code=1)])
+    assert (failed.succeeded, failed.refinements, failed.rollback_revision) == (False, 2, 4)
+    assert LoopTrace([timeout, invalid, crash]).rollback_revision == 0
+    empty = LoopTrace()
+    assert (empty.succeeded, empty.refinements, empty.rollback_revision) == (False, 0, None)
 
 
 def test_loop_keeps_what_the_validator_accepted(tmp_path):

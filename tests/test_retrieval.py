@@ -447,8 +447,7 @@ def test_retrieve_relevance_floor_at_layer_one():
     assert result.documents == []
     trace = result.trace
     assert trace.stop_reason == "relevance-floor"
-    assert trace.stop_layer == 1
-    assert len(trace.layers) == 1
+    assert trace.stop_layer == len(trace.layers) == 1
     first = trace.layers[0]
     assert first.mode == "bfs"
     assert first.doc_ids == ["far1", "far2"]
@@ -472,7 +471,7 @@ def test_retrieve_overlap_stop_after_layer_two():
     result = retrieve(q0, corpus, params, embedder)
     trace = result.trace
     assert trace.stop_reason == "overlap"
-    assert trace.stop_layer == 2
+    assert trace.stop_layer == len(trace.layers) == 2
     assert result.document_ids == ["a", "b"]
     assert [l.mode for l in trace.layers] == ["bfs", "dfs"]
     assert trace.layers[0].doc_ids == ["a"]
@@ -507,8 +506,7 @@ def test_retrieve_layer_cap_at_ten():
     result = retrieve(q0, corpus, params, embedder)
     trace = result.trace
     assert trace.stop_reason == "layer-cap"
-    assert trace.stop_layer == 10
-    assert len(trace.layers) == 10
+    assert trace.stop_layer == len(trace.layers) == 10
     assert result.document_ids == [f"c{n:02d}" for n in range(1, 11)]
     assert [l.mode for l in trace.layers] == ["bfs", "dfs"] * 5
     for layer in trace.layers:
@@ -523,8 +521,8 @@ def test_retrieve_empty_corpus():
     result = retrieve(q0, Corpus([]), RetrievalParams(), ScriptedEmbedder(dim=2))
     assert result.documents == []
     assert result.trace.stop_reason == "no-documents"
-    assert result.trace.stop_layer == 0
-    assert result.trace.layers == []
+    assert result.trace.stop_layer == len(result.trace.layers) == 0
+    assert result.trace.to_json() == {"layers": [], "stop_reason": "no-documents", "stop_layer": 0}
 
 
 def test_retrieve_is_deterministic():

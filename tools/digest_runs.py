@@ -12,6 +12,8 @@ the seed-1 inputs of ``perfbench/gen.py``. The scenarios:
 
 - ``golden`` and ``golden-corpus``: the scripted golden run, without and
   with a small corpus;
+- ``relevance-floor``: ``golden-corpus`` at the default relevance floor,
+  which the first layer's best score misses, so the walk stops there;
 - ``corpus-terms``: the golden run with a corpus whose documents hold the
   task's terms in upper case, hyphenated, as possessives and inside longer
   words, so the query's term order rests on exact token counts;
@@ -23,6 +25,8 @@ the seed-1 inputs of ``perfbench/gen.py``. The scenarios:
   analysis reply and before the first score, each re-prompted;
 - ``patched``: revision 0 crashes and the patch succeeds;
 - ``exhausted``: every revision crashes and the loop rolls back;
+- ``rollback-furthest``: revision 0 exits 0 with predictions the validator
+  rejects, revision 1 crashes, and the loop rolls back to revision 0;
 - ``timeout``: revision 0 prints a line and sleeps past a 1 s wall limit,
   and the patch succeeds;
 - ``chatty``: revision 0 prints more than the 65,536 bytes the sandbox
@@ -104,8 +108,9 @@ CORPUS_TERMS = {
 
 
 def _scripted(name: str, completions, corpus=None, r_max: int = 2, thresholds=None,
-              wall_seconds: float = 30.0, matrix=None):
-    """Inputs of one conftest-built scenario: (task, bundle, config, corpus)."""
+              wall_seconds: float = 30.0, matrix=None, admit_all: bool = True):
+    """Inputs of one conftest-built scenario: (task, bundle, config, corpus).
+    With a corpus, ``admit_all`` lowers the relevance floor under every score."""
     from conftest import write_bundle, write_config, write_corpus
 
     base = Path(ROOT, "inputs", name)
@@ -120,7 +125,7 @@ def _scripted(name: str, completions, corpus=None, r_max: int = 2, thresholds=No
         execution={"r_max": r_max, "wall_seconds": wall_seconds},
         evaluation={"thresholds": thresholds or {}},
         # hash-derived embeddings score near 0: a floor under -1 admits them
-        retrieval={"relevance_eps": -1.0} if corpus else {},
+        retrieval={"relevance_eps": -1.0} if corpus and admit_all else {},
     )
     return (str(base / "task.txt"), str(write_bundle(base / "bundle", matrix)), str(config),
             str(write_corpus(base / "corpus", corpus)) if corpus else None)
@@ -135,6 +140,7 @@ def scenarios():
     golden = analysis + design + [IDENTITY_ARTIFACT_REPLY]
     yield "golden", _scripted("golden", golden)
     yield "golden-corpus", _scripted("golden-corpus", golden, corpus=CORPUS)
+    yield "relevance-floor", _scripted("relevance-floor", golden, corpus=CORPUS, admit_all=False)
     yield "corpus-terms", _scripted("corpus-terms", golden, corpus=CORPUS_TERMS)
     yield "thresholds", _scripted(
         "thresholds", golden, thresholds={"mse": 0.5, "pcc": 2.0, "mse_de": -1.0})
@@ -146,6 +152,8 @@ def scenarios():
     patched = analysis + design + [CRASH_REPLY, IDENTITY_ARTIFACT_REPLY]
     yield "patched", _scripted("patched", patched)
     yield "exhausted", _scripted("exhausted", analysis + design + [CRASH_REPLY] * 2, r_max=1)
+    yield "rollback-furthest", _scripted(
+        "rollback-furthest", analysis + design + [SHORT_REPLY, CRASH_REPLY], r_max=1)
     yield "timeout", _scripted(
         "timeout", analysis + design + [SLEEPY_REPLY, IDENTITY_ARTIFACT_REPLY], wall_seconds=1.0)
     yield "chatty", _scripted("chatty", analysis + design + [CHATTY_REPLY, IDENTITY_ARTIFACT_REPLY])
@@ -277,7 +285,7 @@ def main() -> int:
         same = parent == change
         mismatches += not same
         old, new = parent.pop("sha256"), change.pop("sha256", {})
-        print(f"{name:15s} {'same' if same else 'DIFFERENT':9s} parent {parent}  change {change}")
+        print(f"{name:17s} {'same' if same else 'DIFFERENT':9s} parent {parent}  change {change}")
         marks = changed_files(old, new)
         for line in change_counts(marks) + marks[:20]:
             print(f"    {line}")
