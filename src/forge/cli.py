@@ -57,7 +57,7 @@ def _resolve_config(
     return load_config(config_path, overrides)
 
 
-_FILE, _DIR = click.Path(dir_okay=False), click.Path(file_okay=False)
+_FILE, _DIR = click.Path(), click.Path(file_okay=False)
 _TASK = click.option("--task", "task_path", required=True, type=_FILE)
 _BUNDLE = click.option("--bundle", "bundle_path", required=True, type=_DIR)
 _CORPUS = click.option("--corpus", "corpus_path", default=None, type=_DIR)
@@ -189,7 +189,7 @@ def cmd_execute(config, plan_path, bundle_path, out_dir):
 
 @_command(
     main, "evaluate",
-    click.option("--predictions", "predictions_path", required=True, type=click.Path()),
+    click.option("--predictions", "predictions_path", required=True, type=_FILE),
     _BUNDLE, _OUT,
 )
 def cmd_evaluate(config, predictions_path, bundle_path, out_dir):

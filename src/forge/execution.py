@@ -51,7 +51,7 @@ from .metrics import (
     metric_report,
     select_de_genes,
 )
-from .protocol import MemoryStore, canonical_json
+from .protocol import MemoryStore, canonical_json, replacing, writing
 from .providers import ChatProvider, ReplyError, ask
 from .task_analysis import CONTROL_LABEL, DatasetBundle, load_template
 
@@ -157,11 +157,10 @@ class CodeArtifact:
         return asdict(self)
 
     def write_files(self, root: Union[str, Path]) -> None:
-        """Write each file under ``root``, making directories as needed."""
+        """Write each file under ``root`` through :func:`replacing`."""
         for rel, content in sorted(self.files.items()):
-            dest = Path(root, rel)
-            dest.parent.mkdir(parents=True, exist_ok=True)
-            dest.write_text(content, encoding="utf-8")
+            with replacing(os.path.join(root, rel)) as fh:
+                fh.write(content.encode("utf-8"))
 
 
 def _check_relative(path: str) -> None:
@@ -408,16 +407,18 @@ def run_sandbox(
     """
     limits = limits or ExecutionParams()
     root = Path(workdir)
-    root.mkdir(parents=True, exist_ok=True)
+    with writing(workdir):
+        root.mkdir(parents=True, exist_ok=True)
     artifact.write_files(root)
     for rel, source in (inputs or {}).items():
         _check_relative(rel)
         dest = root / rel
-        dest.parent.mkdir(parents=True, exist_ok=True)
-        if os.path.isfile(source):
-            shutil.copy(source, dest)
-        else:
+        with writing(str(dest.parent)):
+            dest.parent.mkdir(parents=True, exist_ok=True)
+        if not os.path.isfile(source):
             raise LoadError(f"sandbox input {rel!r} is not a file: {source}")
+        with writing(str(dest)):
+            shutil.copy(source, dest)
 
     before = set(_walk_files(root))
     env = {k: os.environ[k] for k in ENV_ALLOW_LIST if k in os.environ}

@@ -8,10 +8,9 @@ keys, compact separators) so identical values serialize to identical bytes.
 
 from __future__ import annotations
 
-import contextlib
 import os
 from collections import Counter
-from typing import Any, BinaryIO, Dict, Iterator, List, Sequence, Tuple
+from typing import Any, Dict, List, Sequence, Tuple
 
 import numpy as np
 from scipy import io as spio
@@ -19,28 +18,7 @@ from scipy import sparse
 
 from .errors import LoadError, ValidationError
 from .metrics import ExpressionMatrix, Matrix
-from .protocol import canonical_json, parse_json, read_text, writing
-
-
-@contextlib.contextmanager
-def replacing(path: str) -> Iterator[BinaryIO]:
-    """A binary file open for writing that replaces ``path`` atomically when
-    the block ends; a failed write is a :class:`LoadError` naming ``path``.
-
-    The file is a temporary one beside ``path`` that is then renamed over
-    it, so a failure part-way leaves the previous file whole and no
-    temporary file behind.
-    """
-    tmp = f"{path}.{os.getpid()}.tmp"
-    with writing(path):
-        try:
-            with open(tmp, "wb") as fh:
-                yield fh
-            os.replace(tmp, path)
-        except BaseException:
-            with contextlib.suppress(FileNotFoundError):
-                os.unlink(tmp)
-            raise
+from .protocol import cannot, canonical_json, parse_json, read_text, replacing
 
 
 def write_json(path: str, doc: Any) -> None:
@@ -63,18 +41,15 @@ def read_id_list(path: str) -> List[str]:
 def read_matrix(path: str) -> Matrix:
     """float64 values of a .mtx (MatrixMarket) or .tsv file: CSR for a
     coordinate .mtx, a dense array for an array .mtx or a .tsv."""
-    if not os.path.exists(path):
-        raise LoadError(f"matrix file not found: {path}")
     try:
         if path.endswith(".mtx"):
             mat = spio.mmread(path)
             if sparse.issparse(mat):
                 return _canonical_csr(mat)
             return np.asarray(mat, dtype=np.float64)
-        arr = np.loadtxt(path, dtype=np.float64, ndmin=2)
-        return arr
-    except LoadError:
-        raise
+        return np.loadtxt(path, dtype=np.float64, ndmin=2)
+    except OSError as exc:
+        raise cannot("read", path, exc) from exc
     except Exception as exc:
         raise LoadError(f"cannot parse matrix {path}: {exc}") from exc
 

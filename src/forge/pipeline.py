@@ -324,12 +324,8 @@ class RunContext:
         mark("stage.complete")
 
     def write(self, rel: str, doc: Any) -> None:
-        """Write ``doc`` as JSON at ``rel`` in the run directory, making its
-        parent directories; the one writer of a run's JSON files."""
-        path = Path(self.out_dir, rel)
-        with writing(str(path)):
-            path.parent.mkdir(parents=True, exist_ok=True)
-        write_json(str(path), doc)
+        """Write ``doc`` as JSON at ``rel`` in the run directory."""
+        write_json(os.path.join(self.out_dir, rel), doc)
 
     def __enter__(self) -> "RunContext":
         return self
@@ -354,8 +350,6 @@ def open_run(
     path = Path(out_dir)
     if (path / "events.jsonl").exists():
         raise ValidationError(f"{out_dir} already holds a run; use a new output directory")
-    with writing(out_dir):
-        path.mkdir(parents=True, exist_ok=True)
     stream = EventStream(str(path / "events.jsonl"))
     chat_inner, embedder = build_providers(config, require_fixture=require_fixture)
     ctx = RunContext(config=config, out_dir=str(path),
@@ -553,9 +547,7 @@ def stage_execute(
 
 def persist_artifact(artifact: CodeArtifact, ctx: RunContext) -> None:
     """Write the artifact's files plus a manifest under ``artifact/``."""
-    root = os.path.join(ctx.out_dir, "artifact")
-    with writing(root):
-        artifact.write_files(root)
+    artifact.write_files(os.path.join(ctx.out_dir, "artifact"))
     ctx.write("artifact/manifest.json", artifact.to_json())
 
 

@@ -24,9 +24,9 @@ from __future__ import annotations
 import json
 import math
 import os
-from contextlib import contextmanager
+from contextlib import contextmanager, suppress
 from dataclasses import dataclass, field, replace
-from typing import Any, Dict, Iterator, List, Optional, Tuple
+from typing import Any, BinaryIO, Dict, Iterator, List, Optional, Tuple
 
 from .errors import (
     ConflictError,
@@ -349,25 +349,48 @@ def _line(doc: Any) -> bytes:
     return (canonical_json(doc) + "\n").encode("utf-8")
 
 
+def cannot(verb: str, path: str, exc: Exception) -> LoadError:
+    """``cannot <verb> <path>: <reason>``; an ``OSError``'s reason is its
+    ``strerror``, as its full text names the path again."""
+    return LoadError(f"cannot {verb} {path}: {getattr(exc, 'strerror', None) or exc}")
+
+
 @contextmanager
 def writing(path: str) -> Iterator[None]:
     """An ``OSError`` from writing ``path`` as a :class:`LoadError` naming it."""
     try:
         yield
     except OSError as exc:
-        raise LoadError(f"cannot write {path}: {exc}") from exc
+        raise cannot("write", path, exc) from exc
+
+
+@contextmanager
+def replacing(path: str) -> Iterator[BinaryIO]:
+    """A binary file open for writing that, after its directory is made,
+    replaces ``path`` whole when the block ends: forge's one writer of a file
+    from memory. It is a temporary file renamed over ``path``, so a failure
+    leaves the previous file and no temporary one behind; a failed write is
+    a :class:`LoadError` naming the directory or ``path``."""
+    parent = os.path.dirname(path) or "."
+    with writing(parent):
+        os.makedirs(parent, exist_ok=True)
+    tmp = f"{path}.{os.getpid()}.tmp"
+    with writing(path):
+        try:
+            with open(tmp, "wb") as fh:
+                yield fh
+            os.replace(tmp, path)
+        except BaseException:
+            with suppress(FileNotFoundError):
+                os.unlink(tmp)
+            raise
 
 
 def save_store(store: MemoryStore, directory: str) -> None:
-    """Persist a store as ``entities/<id>.json``, writing the lines it holds;
-    an empty store writes nothing. A failed write is a :class:`LoadError`."""
-    ent_dir = os.path.join(directory, "entities")
-    if store._entities:
-        with writing(ent_dir):
-            os.makedirs(ent_dir, exist_ok=True)
+    """Persist a store as ``entities/<id>.json``, writing the lines it holds
+    through :func:`replacing`; an empty store writes nothing."""
     for eid, line in store._entities.items():
-        path = os.path.join(ent_dir, f"{eid}.json")
-        with writing(path), open(path, "wb") as fh:
+        with replacing(os.path.join(directory, "entities", f"{eid}.json")) as fh:
             fh.write(line)
 
 
@@ -377,7 +400,7 @@ def read_text(path: str) -> str:
         with open(path, "r", encoding="utf-8") as fh:
             return fh.read()
     except (OSError, UnicodeDecodeError) as exc:
-        raise LoadError(f"cannot read {path}: {exc}") from exc
+        raise cannot("read", path, exc) from exc
 
 
 def _finite(text: str) -> float:

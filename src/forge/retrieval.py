@@ -29,7 +29,7 @@ from typing import Dict, Iterable, List, Optional, Sequence, Set, Tuple
 import numpy as np
 
 from .errors import EmptyQueryError, LoadError, ValidationError
-from .matrixio import read_text, replacing
+from .protocol import read_text, replacing
 from .providers import Embedder, unit_vector
 
 log = logging.getLogger(__name__)

@@ -474,9 +474,11 @@ def test_empty_task_exits_1(runner, workdir):
 
 @pytest.mark.parametrize("name, as_dir", [
     pytest.param(name, as_dir, id=f"{Path(name).name}-{'directory' if as_dir else 'missing'}")
-    for name, as_dir in [("task.txt", False), ("config.json", False)] + [
-        (f"bundle/{table}", as_dir)
-        for table in ("manifest.json", "obs.tsv", "var.tsv") for as_dir in (False, True)]
+    for name, as_dir in [
+        (name, as_dir)
+        for name in ("task.txt", "config.json", "bundle/manifest.json", "bundle/obs.tsv",
+                     "bundle/var.tsv")
+        for as_dir in (False, True)] + [("bundle/matrix.tsv", True)]
 ])
 def test_unreadable_input_exits_1(runner, workdir, name, as_dir):
     # Every input file is read through one path, so each fault reads the same.
@@ -493,6 +495,7 @@ def test_unreadable_input_exits_1(runner, workdir, name, as_dir):
     assert result.exit_code == 1
     assert isinstance(result.exception, SystemExit)
     assert f"error: cannot read {path}: " in everything(result)
+    assert result.stderr.count(str(path)) == 1
     assert not (workdir / "out").exists()
 
 

@@ -298,6 +298,22 @@ def test_sandbox_missing_input_is_a_load_error(tmp_path):
                     workdir=str(tmp_path / "run2"))
 
 
+@pytest.mark.parametrize("workdir, rel, blocked", [
+    ("file/run", "data.tsv", "file/run"),
+    ("run", "main.py/data.tsv", "run/main.py"),
+], ids=["workdir-below-a-file", "input-below-an-artifact-file"])
+def test_sandbox_staging_failure_is_a_load_error(tmp_path, workdir, rel, blocked):
+    # A directory staging cannot make is a LoadError naming it, not a bare OSError.
+    (tmp_path / "file").write_text("")
+    source = tmp_path / "data.tsv"
+    source.write_text("1\n")
+    with pytest.raises(LoadError) as info:
+        run_sandbox(art("print(1)"), inputs={rel: str(source)}, workdir=str(tmp_path / workdir))
+    message = str(info.value)
+    assert message.startswith(f"cannot write {tmp_path / blocked}: ")
+    assert message.count(str(tmp_path)) == 1
+
+
 def test_sandbox_env_allow_list(tmp_path, monkeypatch):
     monkeypatch.setenv("FORGE_TEST_SECRET", "leak-me")
     artifact = art("import os\nprint(sorted(os.environ))")

@@ -28,6 +28,7 @@ from forge.protocol import (
     encode_message,
     load_store,
     read_events,
+    replacing,
     save_store,
 )
 
@@ -448,3 +449,33 @@ def test_load_store_bad_files_are_load_errors(tmp_path, entity, match):
     (tmp_path / "entities" / "report-0001.json").write_bytes(entity)
     with pytest.raises(LoadError, match=match):
         load_store(str(tmp_path))
+
+
+# ---------------------------------------------------------------------------
+# the one writer
+
+
+def _replace(path, fail):
+    with replacing(str(path)) as fh:
+        fh.write(b"new")
+        if fail:
+            raise RuntimeError("the block failed")
+
+
+@pytest.mark.parametrize("rel, fail, error, content", [
+    ("new/dirs/entity.json", False, None, b"new"),
+    ("file/entity.json", False, "cannot write {tmp}/file: File exists", None),
+    ("entity.json", True, "the block failed", b"old"),
+], ids=["makes-missing-parents", "parent-is-a-file", "block-raises"])
+def test_replacing_writes_the_file_whole_or_not_at_all(tmp_path, rel, fail, error, content):
+    (tmp_path / "file").write_bytes(b"")
+    (tmp_path / "entity.json").write_bytes(b"old")
+    path = tmp_path / rel
+    if error is None:
+        _replace(path, fail)
+    else:
+        with pytest.raises((LoadError, RuntimeError)) as info:
+            _replace(path, fail)
+        assert str(info.value) == error.format(tmp=tmp_path)
+    assert (path.read_bytes() if path.exists() else None) == content
+    assert not list(tmp_path.rglob("*.tmp"))

@@ -18,7 +18,7 @@ the seed-1 inputs of ``perfbench/gen.py``. The scenarios:
   task's terms in upper case, hyphenated, as possessives and inside longer
   words, so the query's term order rests on exact token counts;
 - ``thresholds``: the golden run judged by thresholds it partly fails, so
-  the evaluator's ``failing`` list is pinned;
+  the per-metric ``verdict`` in ``metrics.json`` is pinned;
 - ``retries``: one analysis, one score and one artifact reply rejected,
   each accepted on its corrective re-prompt;
 - ``empty-reply``: the golden run with an empty reply before the first
