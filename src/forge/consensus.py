@@ -32,11 +32,10 @@ import numpy as np
 
 from .errors import (
     DiscussionError,
-    LoadError,
     ProviderError,
     ValidationError,
 )
-from .protocol import MemoryStore, canonical_json, parse_json, read_text
+from .protocol import MemoryStore, build_record, canonical_json, parse_json, read_text
 from .providers import (
     ChatProvider,
     ChatTurn,
@@ -45,7 +44,7 @@ from .providers import (
     ask,
     extract_score,
 )
-from .task_analysis import AnalysisReport, load_template, parse_json_reply
+from .task_analysis import EMPTY_VALUES, AnalysisReport, load_template, parse_json_reply
 
 CRITIC_ID = "critic"
 
@@ -98,14 +97,7 @@ def load_registry(path: Optional[str] = None) -> List[ExpertRole]:
     seen = set()
     for entry in entries:
         doc = parse_json(read_text(str(entry)), str(entry))
-        if not isinstance(doc, dict):
-            raise LoadError(f"{entry} must hold a JSON object")
-        role = ExpertRole(
-            id=doc.get("id", ""),
-            name=doc.get("name", ""),
-            description=doc.get("description", ""),
-            template=doc.get("template", ""),
-        )
+        role = build_record(f"role file {entry}", ExpertRole, doc)
         if role.id in seen:
             raise ValidationError(f"duplicate expert role id: {role.id}")
         seen.add(role.id)
@@ -335,14 +327,7 @@ class ResearchPlan:
     @classmethod
     def from_json(cls, doc: Any) -> "ResearchPlan":
         """A plan read back from ``plan.json``; a malformed one is a :class:`LoadError`."""
-        kinds = (("sections", dict), ("weights_at_finalization", dict), ("rounds_used", int))
-        if not isinstance(doc, dict) or any(not isinstance(doc.get(k), t) for k, t in kinds):
-            raise LoadError("plan must be a JSON object with sections and "
-                            "weights_at_finalization objects and an integer rounds_used")
-        weights = doc["weights_at_finalization"]
-        if any(isinstance(w, bool) or not isinstance(w, (int, float)) for w in weights.values()):
-            raise LoadError("plan weights must be numbers")
-        return cls(dict(doc["sections"]), dict(weights), doc["rounds_used"])
+        return build_record("plan", cls, doc)
 
 
 def _parse_score(reply: str) -> float:
@@ -414,7 +399,7 @@ def finalize_plan(
             if doc is None:
                 continue
             value = doc.get(section)
-            if value in (None, "", [], {}):
+            if value in EMPTY_VALUES:
                 continue
             rendered = value if isinstance(value, str) else canonical_json(value)
             contributions.append((expert_id, weight, rendered))
@@ -533,7 +518,7 @@ def run_discussion(
         trace.reason = "provider-failure"
         raise DiscussionError(
             f"provider failed after {trace.rounds_used} completed rounds: {exc}",
-            trace=trace.to_json(),
+            trace=trace,
         ) from exc
 
     trace.reason = final_reason

@@ -71,7 +71,8 @@ class GenerationError(ProviderError):
 class DiscussionError(ProviderError):
     """The expert discussion lost its provider mid-flight.
 
-    ``trace`` preserves the rounds completed before the failure.
+    ``trace`` is the :class:`DiscussionTrace` of the rounds completed before
+    the failure.
     """
 
     def __init__(self, message: str, trace):

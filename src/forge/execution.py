@@ -551,11 +551,9 @@ class EvaluationParams:
             raise ValidationError("de_k must be at least 1")
         if not self.pseudo >= 0:
             raise ValidationError("pseudo must be non-negative")
-        for metric, bound in self.thresholds.items():
+        for metric in self.thresholds:
             if metric not in METRIC_IDS:
                 raise ValidationError(f"unknown metric {metric!r} in thresholds")
-            if isinstance(bound, bool) or not isinstance(bound, (int, float)):
-                raise ValidationError(f"thresholds.{metric} must be a number")
 
 
 # Metrics where smaller is better; everything else passes by meeting a floor.

@@ -18,13 +18,13 @@ from scipy import sparse
 
 from .errors import LoadError, ValidationError
 from .metrics import ExpressionMatrix, Matrix
-from .protocol import cannot, canonical_json, parse_json, read_text, replacing
+from .protocol import cannot, json_line, parse_json, read_text, replacing
 
 
 def write_json(path: str, doc: Any) -> None:
-    """Write ``doc`` as canonical JSON through :func:`replacing`."""
+    """Write ``doc`` as its :func:`json_line` through :func:`replacing`."""
     with replacing(path) as fh:
-        fh.write((canonical_json(doc) + "\n").encode("utf-8"))
+        fh.write(json_line(doc))
 
 
 def read_json(path: str) -> Any:
@@ -40,8 +40,11 @@ def read_id_list(path: str) -> List[str]:
 
 def read_matrix(path: str) -> Matrix:
     """float64 values of a .mtx (MatrixMarket) or .tsv file: CSR for a
-    coordinate .mtx, a dense array for an array .mtx or a .tsv."""
+    coordinate .mtx, a dense array for an array .mtx or a .tsv. A file that
+    cannot be opened is ``cannot read <path>``, one that does not parse
+    ``cannot parse matrix <path>``."""
     try:
+        open(path, "rb").close()  # each parser words a missing file its own way
         if path.endswith(".mtx"):
             mat = spio.mmread(path)
             if sparse.issparse(mat):

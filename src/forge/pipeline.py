@@ -15,11 +15,9 @@ import shutil
 import stat
 import tempfile
 from contextlib import contextmanager
-from dataclasses import asdict, dataclass, field, is_dataclass
+from dataclasses import asdict, dataclass, field
 from pathlib import Path
-from typing import (
-    Any, Dict, Iterator, List, Optional, Tuple, Union, get_args, get_origin, get_type_hints,
-)
+from typing import Any, Dict, Iterator, List, Optional, Tuple
 
 from .consensus import (
     DiscussionParams,
@@ -54,6 +52,7 @@ from .protocol import (
     Envelope,
     EventStream,
     MemoryStore,
+    build_record,
     read_text,
     save_store,
     writing,
@@ -110,61 +109,6 @@ def _deep_merge(base: Dict[str, Any], override: Dict[str, Any]) -> Dict[str, Any
     return merged
 
 
-# What each config type hint accepts, and its name in error messages.
-_JSON_KINDS = {
-    float: ((int, float), "a number"),
-    int: (int, "an integer"),
-    str: (str, "a string"),
-    tuple: ((list, tuple), "a JSON list"),
-    dict: (dict, "a JSON object"),
-}
-
-
-def _convert(key: str, hint: Any, value: Any) -> Any:
-    """``value`` checked against the type hint of config key ``key``.
-
-    ``Optional[X]`` takes null or an X; a bool is not a number. An int
-    converts to a float and a list to a tuple of its elements, each checked
-    against the hint's element type; a dict is copied.
-    """
-    if get_origin(hint) is Union:
-        if value is None:
-            return None
-        hint = next(arg for arg in get_args(hint) if arg is not type(None))
-    kind = get_origin(hint) or hint
-    accepted, name = _JSON_KINDS[kind]
-    if isinstance(value, bool) or not isinstance(value, accepted):
-        raise ValidationError(f"config key {key} must be {name}: got {value!r}")
-    if kind is tuple:
-        return tuple(_convert(key, get_args(hint)[0], item) for item in value)
-    try:
-        return kind(value) if kind in (float, dict) else value
-    except OverflowError:
-        raise ValidationError(f"config key {key} is out of range: {value!r}") from None
-
-
-def _build_section(name: str, cls: type, doc: Any) -> Any:
-    """Config section ``name`` (``""``: the whole config) as its dataclass,
-    which defines its keys, their defaults and its checks.
-
-    A key whose hint is a dataclass is built as a section of its own; any
-    other value is checked by :func:`_convert`. An unknown key or a value
-    the dataclass rejects raises :class:`ValidationError` naming it.
-    """
-    hints = get_type_hints(cls)
-    kwargs: Dict[str, Any] = {}
-    for key, value in _convert(name, dict, doc).items():
-        path = f"{name}.{key}" if name else key
-        if key not in hints:
-            raise ValidationError(f"unknown config key {path}")
-        build = _build_section if is_dataclass(hints[key]) else _convert
-        kwargs[key] = build(path, hints[key], value)
-    try:
-        return cls(**kwargs)
-    except (ValidationError, TypeError, ValueError) as exc:
-        raise ValidationError(f"bad config section {name!r}: {exc}" if name else str(exc)) from exc
-
-
 @dataclass
 class RunConfig:
     """Resolved knobs for one pipeline run: the whole config file's shape."""
@@ -196,14 +140,10 @@ def load_config(
     The file and the overrides are both shaped like :class:`RunConfig`;
     every key they leave unset takes its dataclass default.
     """
-    profile: Dict[str, Any] = {}
-    if path is not None:
-        profile = read_json(path)
-        if not isinstance(profile, dict):
-            raise ValidationError("config file must hold a JSON object")
-    if overrides:
+    profile = {} if path is None else read_json(path)
+    if overrides and isinstance(profile, dict):  # build_record refuses any other file
         profile = _deep_merge(profile, overrides)
-    return _build_section("", RunConfig, profile)
+    return build_record("config", RunConfig, profile)
 
 
 # ----------------------------------------------------------------------
@@ -400,7 +340,8 @@ def stage_analyze(
 ) -> Tuple[AnalysisReport, RetrievalResult]:
     """Profile the bundle, retrieve context, run the four analysis agents.
 
-    Writes ``report.json`` and ``retrieval_trace.json`` into the run directory.
+    Writes ``retrieval_trace.json`` into the run directory before the agents
+    run, so a failed analysis still records the walk, then ``report.json``.
     """
     with ctx.stage("analyze"):
         profile = profile_dataset(bundle)
@@ -416,6 +357,8 @@ def stage_analyze(
                 stats=corpus.stats,
             )
             retrieval = retrieve(q0, corpus, ctx.config.retrieval, ctx.embedder)
+        ctx.write("retrieval_trace.json",
+                  {"trace": retrieval.trace.to_json(), "documents": retrieval.document_ids})
         documents = [{"id": d.id, "text": d.text} for d in retrieval.documents]
         for doc in documents:
             ctx.store.record("document", doc, "retrieval", "retrieved context")
@@ -438,8 +381,6 @@ def stage_analyze(
 
         report = assemble_report(merged, provenance=provenance)
         ctx.write("report.json", report.to_json())
-        ctx.write("retrieval_trace.json",
-                  {"trace": retrieval.trace.to_json(), "documents": retrieval.document_ids})
     return report, retrieval
 
 
@@ -470,7 +411,7 @@ def stage_design(
                 store=ctx.store,
             )
         except DiscussionError as exc:
-            ctx.write("discussion_trace.json", exc.trace)
+            ctx.write("discussion_trace.json", exc.trace.to_json())
             raise
         ctx.write("plan.json", plan.to_json())
         ctx.write("discussion_trace.json", trace.to_json())

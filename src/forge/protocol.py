@@ -25,8 +25,11 @@ import json
 import math
 import os
 from contextlib import contextmanager, suppress
-from dataclasses import dataclass, field, replace
-from typing import Any, BinaryIO, Dict, Iterator, List, Optional, Tuple
+from dataclasses import MISSING, dataclass, field, fields, is_dataclass, replace
+from typing import (
+    Any, BinaryIO, Dict, Iterator, List, Optional, Tuple, Union, get_args, get_origin,
+    get_type_hints,
+)
 
 from .errors import (
     ConflictError,
@@ -316,7 +319,7 @@ class MemoryStore:
         if entity.id in self._entities:
             raise ConflictError(f"entity id {entity.id!r} already stored")
         try:
-            self._entities[entity.id] = _line({"seq": len(self._entities) + 1, **vars(entity)})
+            self._entities[entity.id] = json_line({"seq": len(self._entities) + 1, **vars(entity)})
         except (TypeError, ValueError) as exc:
             raise ValidationError(f"entity {entity.id!r} not encodable: {exc}") from exc
         kind, _, tail = entity.id.rpartition("-")
@@ -333,6 +336,13 @@ class MemoryStore:
         return [ent for ent in entities if kind is None or ent.kind == kind]
 
 
+@dataclass
+class _StoredEntity(KnowledgeEntity):
+    """An entity as :func:`save_store` writes it, with its place in the store."""
+
+    seq: int = 0
+
+
 def _entity(doc: Dict[str, Any]) -> KnowledgeEntity:
     """The entity a stored document describes."""
     return KnowledgeEntity(id=doc["id"], kind=doc["kind"], body=doc["body"],
@@ -345,7 +355,8 @@ def canonical_json(doc: Any) -> str:
                       allow_nan=False)
 
 
-def _line(doc: Any) -> bytes:
+def json_line(doc: Any) -> bytes:
+    """``doc``'s :func:`canonical_json` as one UTF-8 line: how forge stores a JSON record."""
     return (canonical_json(doc) + "\n").encode("utf-8")
 
 
@@ -428,23 +439,80 @@ def parse_json(text: str, source: str) -> Any:
         raise LoadError(f"{source} is not valid JSON: {exc}") from exc
 
 
+# What each type hint accepts from JSON, and its name in error messages.
+_JSON_KINDS = {
+    float: ((int, float), "a number"),
+    int: (int, "an integer"),
+    str: (str, "a string"),
+    tuple: ((list, tuple), "a JSON list"),
+    dict: (dict, "a JSON object"),
+}
+
+
+def build_record(what: str, cls: Any, doc: Any, name: str = "") -> Any:
+    """``doc``, decoded JSON, checked against the type hint ``cls`` and built
+    as it: forge's one shape check for a JSON document. ``what`` names the
+    document in every message and ``name`` is the key path of ``doc`` within
+    it (``""``: the whole document).
+
+    A dataclass takes a JSON object whose keys are its fields, each built
+    against the field's hint; an unknown key or a left-out field without a
+    default is refused, and a refusal by the dataclass itself reads ``bad
+    <what> section <name>``. ``Optional[X]`` takes null or an X and ``Any``
+    takes anything; a bool is not a number. An int converts to a float, a
+    list to a tuple of its elements and ``Dict[K, V]`` to a dict of its
+    values, each built against the element or value hint. Every refusal is
+    a :class:`LoadError` naming the key.
+    """
+    if cls is Any:
+        return doc
+    if get_origin(cls) is Union:
+        if doc is None:
+            return None
+        cls = next(arg for arg in get_args(cls) if arg is not type(None))
+    kind = dict if is_dataclass(cls) else get_origin(cls) or cls
+    accepted, kind_name = _JSON_KINDS[kind]
+    if isinstance(doc, bool) or not isinstance(doc, accepted):
+        raise LoadError(f"{what} key {name} must be {kind_name}: got {doc!r}" if name
+                        else f"{what} must be {kind_name}")
+    path = f"{name}." if name else ""
+    if is_dataclass(cls):
+        hints = get_type_hints(cls)
+        kwargs = {}
+        for key, value in doc.items():
+            if key not in hints:
+                raise LoadError(f"unknown {what} key {path}{key}")
+            kwargs[key] = build_record(what, hints[key], value, path + key)
+        for f in fields(cls):
+            if f.name not in kwargs and f.default is MISSING and f.default_factory is MISSING:
+                raise LoadError(f"{what} key {path}{f.name} is missing")
+        try:
+            return cls(**kwargs)
+        except (ValidationError, TypeError, ValueError) as exc:
+            raise LoadError(f"bad {what} section {name!r}: {exc}" if name else str(exc)) from exc
+    if kind is tuple:
+        return tuple(build_record(what, get_args(cls)[0], item, name) for item in doc)
+    if kind is dict:
+        value_hint = get_args(cls)[1] if get_args(cls) else Any
+        return {key: build_record(what, value_hint, value, path + key)
+                for key, value in doc.items()}
+    try:
+        return float(doc) if kind is float else doc
+    except OverflowError:
+        raise LoadError(f"{what} key {name} is out of range: {doc!r}") from None
+
+
 def load_store(directory: str) -> MemoryStore:
     """Rebuild a store persisted by :func:`save_store`; no ``entities/`` is an empty store."""
     ent_dir = os.path.join(directory, "entities")
     names = sorted(os.listdir(ent_dir)) if os.path.isdir(ent_dir) else []
-    docs = []
+    stored = []
     for name in names:
         if not name.endswith(".json"):
             continue
         path = os.path.join(ent_dir, name)
-        doc = parse_json(read_text(path), path)
-        if not isinstance(doc, dict) or not all(key in doc for key in ("id", "kind", "body")):
-            raise LoadError(f"{path} must be a JSON object with id, kind, body")
-        if not all(isinstance(doc.get(key, 0), int) for key in ("seq", "round")):
-            raise LoadError(f"{path}: seq and round must be integers")
-        docs.append(doc)
-    docs.sort(key=lambda d: d.get("seq", 0))
+        stored.append(build_record(path, _StoredEntity, parse_json(read_text(path), path)))
     store = MemoryStore()
-    for doc in docs:
-        store.put_entity(_entity(doc))
+    for entity in sorted(stored, key=lambda e: e.seq):
+        store.put_entity(_entity(vars(entity)))
     return store

@@ -35,7 +35,7 @@ import numpy as np
 
 from .errors import FixtureUnderflowError, LoadError, ProviderError, ValidationError
 from .matrixio import read_json
-from .protocol import parse_json
+from .protocol import build_record, parse_json
 
 CHAT_ROLES = ("user", "assistant")
 
@@ -126,6 +126,10 @@ class ModelPricing:
     prompt_price: float
     completion_price: float
 
+    def __post_init__(self):
+        if self.prompt_price < 0 or self.completion_price < 0:
+            raise ValidationError("prices must be non-negative")
+
 
 class PricingTable:
     """Model name -> :class:`ModelPricing` registry."""
@@ -134,8 +138,6 @@ class PricingTable:
         self._prices: Dict[str, ModelPricing] = dict(prices or {})
 
     def add(self, model: str, prompt_price: float, completion_price: float) -> None:
-        if prompt_price < 0 or completion_price < 0:
-            raise ValidationError("prices must be non-negative")
         self._prices[model] = ModelPricing(prompt_price, completion_price)
 
     def get(self, model: str) -> ModelPricing:
@@ -144,11 +146,10 @@ class PricingTable:
         return self._prices[model]
 
     @classmethod
-    def from_json(cls, doc: Dict[str, Dict[str, float]]) -> "PricingTable":
-        table = cls()
-        for model, row in doc.items():
-            table.add(model, float(row["prompt_price"]), float(row["completion_price"]))
-        return table
+    def from_json(cls, doc: Any) -> "PricingTable":
+        """A table from ``{model: {prompt_price, completion_price}}``; a
+        malformed row is a :class:`LoadError` naming its key."""
+        return cls(build_record("pricing table", Dict[str, ModelPricing], doc))
 
     @classmethod
     def default(cls) -> "PricingTable":

@@ -37,7 +37,7 @@ from .errors import (
 )
 from .matrixio import find_matrix_file, read_json, read_matrix, read_table
 from .metrics import ExpressionMatrix
-from .protocol import canonical_json, decode_json
+from .protocol import build_record, canonical_json, decode_json
 from .providers import Answer, ChatProvider, ReplyError, ask
 
 CONTROL_LABEL = "control"
@@ -66,6 +66,9 @@ REPORT_ROLES = ("dataset-analyst", "refiner")
 REPORT_SECTIONS = tuple(key for role in REPORT_ROLES for key in ROLE_SCHEMAS[role])
 
 TASK_DEFINITION_KEYS = ("input", "output", "task_type")
+
+# The values of a reply's, report's or plan's section that say nothing.
+EMPTY_VALUES = (None, "", [], {})
 
 
 @dataclass
@@ -268,7 +271,7 @@ def _parse_section(role: str, reply: str) -> Dict[str, Any]:
     missing = [k for k in required if k not in parsed]
     if missing:
         raise ReplyError(f"missing keys: {', '.join(missing)}")
-    empty = [k for k in required if parsed[k] in ("", None, [], {})]
+    empty = [k for k in required if parsed[k] in EMPTY_VALUES]
     if empty:
         raise ReplyError(f"empty values for: {', '.join(empty)}")
     if role == "refiner":
@@ -339,15 +342,10 @@ class AnalysisReport:
 
     @classmethod
     def from_json(cls, doc: Any) -> "AnalysisReport":
-        """A report read back from ``report.json``; a malformed one is a :class:`LoadError`."""
-        if not isinstance(doc, dict):
-            raise LoadError("report must be a JSON object")
-        sections, provenance = doc.get("sections") or {}, doc.get("provenance") or {}
-        if not (isinstance(sections, dict) and isinstance(provenance, dict)):
-            raise LoadError("report sections and provenance must be JSON objects")
-        report = assemble_report(sections)
-        report.provenance = provenance
-        return report
+        """A report read back from ``report.json``; a malformed one is a
+        :class:`LoadError`, and one missing a section an :class:`AssemblyError`."""
+        report = build_record("report", cls, doc)
+        return assemble_report(report.sections, report.provenance)
 
 
 def assemble_report(
@@ -356,11 +354,11 @@ def assemble_report(
 ) -> AnalysisReport:
     """Validate the merged sections and produce the final report.
 
-    Raises a naming error when any of the eight sections is absent and
-    checks the task definition names its input, output, and task type.
+    Raises a naming error when any of the eight sections is absent or
+    empty and checks the task definition names its input, output, and
+    task type.
     """
-    missing = [name for name in REPORT_SECTIONS if name not in sections or
-               sections[name] in ("", None)]
+    missing = [name for name in REPORT_SECTIONS if sections.get(name) in EMPTY_VALUES]
     if missing:
         raise AssemblyError(f"missing report sections: {', '.join(missing)}")
     td = sections["task_definition"]

@@ -21,6 +21,7 @@ from conftest import (
     BUNDLE_MATRIX,
     IDENTITY_ARTIFACT_REPLY,
     PLAN_JSON,
+    REPORT_SECTIONS,
     discussion_replies,
     golden_fixture,
     write_bundle,
@@ -478,13 +479,13 @@ def test_empty_task_exits_1(runner, workdir):
         (name, as_dir)
         for name in ("task.txt", "config.json", "bundle/manifest.json", "bundle/obs.tsv",
                      "bundle/var.tsv")
-        for as_dir in (False, True)] + [("bundle/matrix.tsv", True)]
+        for as_dir in (False, True)] + [("bundle/matrix.tsv", True), ("bundle/matrix.mtx", True)]
 ])
 def test_unreadable_input_exits_1(runner, workdir, name, as_dir):
     # Every input file is read through one path, so each fault reads the same.
     cfg = write_config(workdir / "config.json", **profile())
     path = workdir / name
-    path.unlink()
+    path.unlink(missing_ok=True)  # a bundle has no matrix.mtx, but one is read before matrix.tsv
     if as_dir:
         path.mkdir()
     result = run_cli(
@@ -770,24 +771,30 @@ def test_bad_top_level_config_value_exits_1(runner, workdir, doc, named):
         pytest.param("design", "--report", [1, 2], "report must be a JSON object",
                      id="report-list"),
         pytest.param("design", "--report", {"sections": [1, 2]},
-                     "report sections and provenance must be JSON objects",
+                     "report key sections must be a JSON object: got [1, 2]",
                      id="report-sections-list"),
         pytest.param("design", "--report", {"sections": {}, "provenance": 5},
-                     "report sections and provenance must be JSON objects",
+                     "report key provenance must be a JSON object: got 5",
                      id="report-provenance-number"),
+        # an empty list is as empty as an empty string, as in an agent's reply
+        pytest.param("design", "--report",
+                     {"sections": {**REPORT_SECTIONS, "constraints": []}},
+                     "missing report sections: constraints", id="report-empty-section"),
         pytest.param("execute", "--plan", [1, 2], "plan must be a JSON object",
                      id="plan-list"),
-        pytest.param("execute", "--plan", {"sections": {}}, "plan must be a JSON object",
-                     id="plan-missing-keys"),
+        pytest.param("execute", "--plan", {"sections": {}},
+                     "plan key weights_at_finalization is missing", id="plan-missing-keys"),
         pytest.param("execute", "--plan",
                      {"sections": {}, "weights_at_finalization": 1, "rounds_used": 1},
-                     "plan must be a JSON object", id="plan-weights-number"),
+                     "plan key weights_at_finalization must be a JSON object: got 1",
+                     id="plan-weights-number"),
         pytest.param("execute", "--plan",
                      {"sections": {}, "weights_at_finalization": {}, "rounds_used": "1"},
-                     "plan must be a JSON object", id="plan-rounds-string"),
+                     "plan key rounds_used must be an integer: got '1'", id="plan-rounds-string"),
         pytest.param("execute", "--plan",
                      {"sections": {}, "weights_at_finalization": {"a": "1"}, "rounds_used": 1},
-                     "plan weights must be numbers", id="plan-weight-string"),
+                     "plan key weights_at_finalization.a must be a number: got '1'",
+                     id="plan-weight-string"),
         # forge never writes a NaN or an infinity, so neither reads back
         pytest.param("design", "--report", {"sections": {"task_definition": float("nan")}},
                      "saved.json is not valid JSON: number NaN is out of range",

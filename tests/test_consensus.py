@@ -121,10 +121,13 @@ def test_registry_from_directory(tmp_path):
     "content, match",
     [
         (b'{"id": "broken"', "not valid JSON"),
-        (b'[{"id": "listed"}]', "must hold a JSON object"),
+        (b'[{"id": "listed"}]', "beta.json must be a JSON object"),
         (b'{"id": "caf\xe9"}', "cannot read"),
+        (b'{"id": "beta", "name": "b", "description": "d"}', "beta.json key template is missing"),
+        (b'{"id": "beta", "name": "b", "description": "d", "template": "t", "tone": "x"}',
+         "unknown role file .*beta.json key tone"),
     ],
-    ids=["bad-json", "json-list", "non-utf8"],
+    ids=["bad-json", "json-list", "non-utf8", "missing-key", "unknown-key"],
 )
 def test_registry_rejects_bad_role_file(tmp_path, content, match):
     (tmp_path / "alpha.json").write_text(
@@ -485,9 +488,9 @@ def test_discussion_underflow_carries_partial_trace():
             make_report(), DiscussionParams(), provider, experts=_panel(2)
         )
     trace = excinfo.value.trace
-    assert trace["experts"] == ["a", "b", "critic"]
-    assert trace["rounds"] == []
-    assert trace["reason"] == "provider-failure"
+    assert trace.experts == ["a", "b", "critic"]
+    assert trace.rounds == []
+    assert trace.reason == "provider-failure"
     assert "after 0 completed rounds" in str(excinfo.value)
 
 

@@ -53,13 +53,12 @@ from forge.execution import (
 )
 from forge.matrixio import (
     align_predictions,
-    canonical_json,
     read_predictions,
     write_json,
 )
 from forge.metrics import ExpressionMatrix, MetricReport
 from forge.pipeline import _prediction_validator
-from forge.protocol import MemoryStore
+from forge.protocol import MemoryStore, canonical_json
 from forge.providers import ScriptedChatProvider
 from forge.task_analysis import DatasetBundle, load_bundle
 

@@ -215,6 +215,16 @@ def test_read_matrix_equals_scipy_csr(tmp_path, text):
     assert fresh.has_canonical_format
 
 
+@pytest.mark.parametrize("name", ["missing.tsv", "missing.mtx"])
+def test_missing_matrix_names_its_path_once(tmp_path, name):
+    path = str(tmp_path / name)
+    with pytest.raises(LoadError) as excinfo:
+        read_matrix(path)
+    message = str(excinfo.value)
+    assert message == f"cannot read {path}: No such file or directory"
+    assert message.count(name) == 1
+
+
 # Loads a bundle and builds its scoring view, reads and aligns predictions
 # and scores them by the view, then prints how far its peak RSS rose over
 # the peak it had after the imports. scipy's .mtx reader holds a text buffer

@@ -2,6 +2,8 @@
 
 import json
 import os
+from dataclasses import dataclass, field
+from typing import Any, Dict, Optional
 
 import numpy as np
 import pytest
@@ -24,6 +26,7 @@ from forge.protocol import (
     EventStream,
     KnowledgeEntity,
     MemoryStore,
+    build_record,
     decode_message,
     encode_message,
     load_store,
@@ -435,11 +438,11 @@ _ENTITY = b'{"id":"report-0001","kind":"report","body":"r","provenance":{},"roun
     "entity, match",
     [
         (b'{"id":"report-0001","body":"caf\xe9"}\n', "cannot read"),
-        (b"[1, 2]\n", "must be a JSON object with id, kind, body"),
-        (b'{"id":"report-0001","kind":"report"}\n', "must be a JSON object with id, kind, body"),
+        (b"[1, 2]\n", "report-0001.json must be a JSON object"),
+        (b'{"id":"report-0001","kind":"report"}\n', "report-0001.json key body is missing"),
         (b"{\n", "is not valid JSON"),
-        (_ENTITY.replace(b'"round":0', b'"round":"x"'), "seq and round must be integers"),
-        (_ENTITY.replace(b'"seq":1', b'"seq":"1"'), "seq and round must be integers"),
+        (_ENTITY.replace(b'"round":0', b'"round":"x"'), "key round must be an integer: got 'x'"),
+        (_ENTITY.replace(b'"seq":1', b'"seq":"1"'), "key seq must be an integer: got '1'"),
     ],
     ids=["latin-1-entity", "list-entity", "entity-missing-kind", "truncated-entity",
          "string-round", "string-seq"],
@@ -479,3 +482,48 @@ def test_replacing_writes_the_file_whole_or_not_at_all(tmp_path, rel, fail, erro
         assert str(info.value) == error.format(tmp=tmp_path)
     assert (path.read_bytes() if path.exists() else None) == content
     assert not list(tmp_path.rglob("*.tmp"))
+
+
+# ---------------------------------------------------------------------------
+# the one shape check
+
+
+@dataclass
+class _Inner:
+    limit: int
+
+    def __post_init__(self):
+        if self.limit < 0:
+            raise ValidationError("limit must be non-negative")
+
+
+@dataclass
+class _Record:
+    name: str
+    inner: Optional[_Inner] = None
+    scores: Dict[str, float] = field(default_factory=dict)
+    extra: Any = None
+
+
+@pytest.mark.parametrize("doc, want", [
+    ({"name": "r", "bogus": 1}, "unknown thing key bogus"),
+    ({"name": "r", "inner": {}}, "thing key inner.limit is missing"),
+    ({"name": "r", "scores": {"a": 1, "b": "x"}}, "thing key scores.b must be a number: got 'x'"),
+    ({"name": "r", "inner": None}, _Record("r")),
+    ({"name": "r", "extra": [1, {"x": None}]}, _Record("r", extra=[1, {"x": None}])),
+    ([{"name": "r"}], "thing must be a JSON object"),
+    ({"name": "r", "inner": {"limit": -1}},
+     "bad thing section 'inner': limit must be non-negative"),
+    ({"name": "r", "inner": {"limit": 2}, "scores": {"a": 1}},
+     _Record("r", _Inner(2), {"a": 1.0})),
+], ids=["unknown-key", "missing-key", "dict-value-type", "optional-null", "any-passthrough",
+        "top-level-list", "post-init-refusal", "nested-built"])
+def test_build_record(doc, want):
+    if isinstance(want, str):
+        with pytest.raises(LoadError) as info:
+            build_record("thing", _Record, doc)
+        assert str(info.value) == want
+    else:
+        got = build_record("thing", _Record, doc)
+        assert got == want
+        assert all(type(v) is float for v in got.scores.values())

@@ -122,6 +122,20 @@ def test_pricing_table_edges():
     assert cost_of(Usage(1_000_000, 500_000), "m", loaded) == pytest.approx(2.0)
 
 
+@pytest.mark.parametrize("doc, named", [
+    ([1, 2], "pricing table must be a JSON object"),
+    ({"m": {"prompt_price": 1.0}}, "pricing table key m.completion_price is missing"),
+    ({"m": {"prompt_price": "1", "completion_price": 2.0}},
+     "pricing table key m.prompt_price must be a number: got '1'"),
+    ({"m": {"prompt_price": -1.0, "completion_price": 2.0}},
+     "bad pricing table section 'm': prices must be non-negative"),
+], ids=["list", "missing-price", "string-price", "negative-price"])
+def test_bad_pricing_row_is_a_load_error_naming_it(doc, named):
+    with pytest.raises(LoadError) as info:
+        PricingTable.from_json(doc)
+    assert str(info.value) == named
+
+
 # ---------------------------------------------------------------------------
 # scripted chat
 

@@ -14,7 +14,7 @@ from forge.errors import (
     StageError,
     ValidationError,
 )
-from forge.matrixio import canonical_json
+from forge.protocol import canonical_json
 from forge.providers import ScriptedChatProvider
 from forge.task_analysis import (
     AnalysisReport,

@@ -36,6 +36,8 @@ the seed-1 inputs of ``perfbench/gen.py``. The scenarios:
   bundle's last row, so the validator records a ``data-access-failure``,
   and the patch succeeds;
 - ``schema-failure``: the first analysis agent fails its retry too;
+- ``schema-failure-corpus``: ``schema-failure`` with ``golden-corpus``'s
+  corpus, so the failed run still records its retrieval walk;
 - ``design-failure``: the fixture ends after 12 of the 24 design replies;
 - ``negative-values``: the golden run on a bundle whose every value is
   negative, which the default DE ranking cannot score;
@@ -160,6 +162,8 @@ def scenarios():
     yield "invalid-output", _scripted(
         "invalid-output", analysis + design + [SHORT_REPLY, IDENTITY_ARTIFACT_REPLY])
     yield "schema-failure", _scripted("schema-failure", ["nope", "still nope"])
+    yield "schema-failure-corpus", _scripted(
+        "schema-failure-corpus", ["nope", "still nope"], corpus=CORPUS)
     yield "design-failure", _scripted("design-failure", analysis + design[:12])
     yield "negative-values", _scripted("negative-values", golden, matrix=BUNDLE_MATRIX - 10.0)
 
