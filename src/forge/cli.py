@@ -37,7 +37,7 @@ from .pipeline import (
     stage_execute,
 )
 from .matrixio import align_predictions, read_json, read_predictions
-from .retrieval import load_corpus, write_embeddings
+from .retrieval import index_corpus, load_corpus
 from .task_analysis import AnalysisReport, load_bundle
 
 
@@ -211,11 +211,12 @@ def corpus_group() -> None:
 
 @_command(corpus_group, "index", click.argument("corpus_dir", type=_DIR))
 def cmd_corpus_index(config, corpus_dir):
-    """Embed every document into embeddings.npz; an old embeddings.tsv alone exits 1."""
+    """Snapshot the documents, their citations and their embeddings into
+    embeddings.npz, embedding only new or edited texts; an old index without
+    texts, or an old embeddings.tsv alone, exits 1."""
     _, embedder = build_providers(config, require_fixture=False)
-    corpus = load_corpus(corpus_dir, embedder)
-    path = write_embeddings(corpus, corpus_dir)
-    click.echo(f"indexed {len(corpus)} documents -> {path}")
+    count, path = index_corpus(corpus_dir, embedder)
+    click.echo(f"indexed {count} documents -> {path}")
 
 
 if __name__ == "__main__":

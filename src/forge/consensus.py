@@ -32,6 +32,7 @@ import numpy as np
 
 from .errors import (
     DiscussionError,
+    LoadError,
     ProviderError,
     ValidationError,
 )
@@ -94,13 +95,17 @@ def load_registry(path: Optional[str] = None) -> List[ExpertRole]:
     if not entries:
         raise ValidationError(f"no role files found under {path}")
     roles: List[ExpertRole] = []
-    seen = set()
+    seen: Dict[str, Any] = {}  # role id -> its file
     for entry in entries:
-        doc = parse_json(read_text(str(entry)), str(entry))
-        role = build_record(f"role file {entry}", ExpertRole, doc)
+        what = f"role file {entry}"
+        try:
+            role = build_record(what, ExpertRole, parse_json(read_text(str(entry)), str(entry)))
+        except LoadError as exc:  # ExpertRole's own refusal does not name the file
+            raise LoadError(f"{what}: {exc}") if isinstance(exc.__cause__, ValidationError) else exc
         if role.id in seen:
-            raise ValidationError(f"duplicate expert role id: {role.id}")
-        seen.add(role.id)
+            raise ValidationError(f"{what}: duplicate expert role id: {role.id}, "
+                                  f"also in role file {seen[role.id]}")
+        seen[role.id] = entry
         roles.append(role)
     return sorted(roles, key=lambda r: r.id)
 

@@ -11,12 +11,19 @@ and a hard layer cap.
 
 Corpus layout on disk: one ``<id>.txt`` body per document, a
 ``citations.tsv`` edge list (from-id TAB to-id), and an optional
-``embeddings.npz`` index (unicode ``ids``, a float64 ``vectors`` row per id)
-that spares the embedder at load time; an old ``embeddings.tsv`` is refused.
+``embeddings.npz`` index that a run reads in place of them: the unicode
+``ids``; their ``texts`` as UTF-8 bytes end to end, cut at int64
+``offsets``; each text's hex ``sha256``; a float64 ``vectors`` row per id;
+the ``citations`` between them as int32 row pairs; and the sorted bytes
+``terms`` of the texts with the int32 ``counts`` of documents having each.
+An edited corpus needs ``forge corpus index`` again, which embeds only texts
+whose sha256 changed. An old ``embeddings.tsv``, or an old index without
+texts, is refused.
 """
 
 from __future__ import annotations
 
+import hashlib
 import logging
 import math
 import os
@@ -24,7 +31,7 @@ import re
 import zipfile
 from collections import Counter
 from dataclasses import asdict, dataclass, field
-from typing import Dict, Iterable, List, Optional, Sequence, Set, Tuple
+from typing import Any, Dict, Iterable, List, Optional, Sequence, Set, Tuple
 
 import numpy as np
 
@@ -66,41 +73,30 @@ def _tokens(text: str) -> List[str]:
     return [tok for tok in _TOKEN_RE.findall(text.lower()) if _is_term(tok)]
 
 
-def _token_pattern(term: str) -> re.Pattern:
-    # Matches exactly where ``_TOKEN_RE.findall`` returns ``term`` whole.
-    # The literal leads so that ``re`` can search for it as a prefix.
-    e = re.escape(term)
-    return re.compile(rf"{e}(?<![a-z0-9]{e})(?<![a-z0-9][-']{e})(?![a-z0-9]|[-'][a-z0-9])")
-
-
 class CorpusStats:
-    """Document frequencies used to damp ubiquitous terms, each counted
-    over the corpus texts the first time it is asked for."""
+    """Document frequencies used to damp ubiquitous terms: ``terms``, every
+    term of the corpus as a sorted ``S`` array, and ``counts``, the number of
+    documents having each among their tokens (int32)."""
 
-    def __init__(self, texts: Sequence[str]):
-        self._texts = texts  # the documents' own strings, not a copy
-        self.doc_count = len(texts)
-        self._doc_freq: Dict[str, int] = {}
+    def __init__(self, doc_count: int, terms: np.ndarray, counts: np.ndarray):
+        self.doc_count, self.terms, self.counts = doc_count, terms, counts
 
-    def count(self, terms: Iterable[str]) -> None:
-        """Count the terms not counted yet, in one pass over the texts: a
-        document counts when the term is one of its tokens. Stopwords,
-        digits and strings that are no token count 0."""
-        todo = {t: _token_pattern(t) for t in terms if t not in self._doc_freq
-                and _is_term(t) and _TOKEN_RE.fullmatch(t)}
-        if not todo:
-            return
-        self._doc_freq.update(dict.fromkeys(todo, 0))
-        for text in self._texts:
-            lowered = text.lower()
-            for term, pattern in todo.items():
-                if term in lowered and pattern.search(lowered):
-                    self._doc_freq[term] += 1
+    @classmethod
+    def of(cls, texts: Sequence[str]) -> "CorpusStats":
+        """The table of ``texts``: the one place it is counted."""
+        df: Counter = Counter()
+        for text in texts:
+            df.update(set(_tokens(text)))
+        terms = sorted(df)
+        return cls(len(texts), np.array(terms, dtype=bytes),
+                   np.array([df[t] for t in terms], dtype=np.int32))
 
     def icf(self, term: str) -> float:
         # Smoothed inverse corpus frequency; strictly positive.
-        self.count((term,))
-        return math.log((1 + self.doc_count) / (1 + self._doc_freq.get(term, 0))) + 1.0
+        key = term.encode("utf-8")
+        i = int(np.searchsorted(self.terms, key))
+        count = int(self.counts[i]) if i < len(self.terms) and self.terms[i] == key else 0
+        return math.log((1 + self.doc_count) / (1 + count)) + 1.0
 
 
 def extract_key_terms(text: str, stats: Optional[CorpusStats] = None) -> List[str]:
@@ -115,8 +111,6 @@ def extract_key_terms(text: str, stats: Optional[CorpusStats] = None) -> List[st
     counts = Counter(_tokens(text))
     if not counts:
         raise EmptyQueryError("text reduces to zero key terms")
-    if stats is not None:
-        stats.count(counts)
     scored = []
     for term, freq in counts.items():
         weight = float(freq)
@@ -127,7 +121,7 @@ def extract_key_terms(text: str, stats: Optional[CorpusStats] = None) -> List[st
     return [term for term, _ in scored[:MAX_KEY_TERMS]]
 
 
-@dataclass
+@dataclass(slots=True)
 class Document:
     """One corpus entry: body text, unit embedding, outgoing citations."""
 
@@ -140,25 +134,37 @@ class Document:
         self.embedding = unit_vector(self.embedding, f"embedding of document {self.id!r}")
         self.citations = tuple(self.citations)
 
+    @classmethod
+    def of_unit_row(cls, doc_id: str, text: str, row: np.ndarray,
+                    citations: Tuple[str, ...]) -> "Document":
+        """A document whose ``row`` its caller already checked and divided by
+        its norm, as ``unit_vector`` does, so the per-row check is skipped."""
+        doc = cls.__new__(cls)
+        doc.id, doc.text, doc.embedding, doc.citations = doc_id, text, row, citations
+        return doc
+
 
 class Corpus:
     """Immutable, id-ordered collection of documents with citation edges."""
 
-    def __init__(self, documents: Sequence[Document]):
+    def __init__(self, documents: Sequence[Document], stats: Optional[CorpusStats] = None):
+        """``stats``, the documents' table when an index holds it, is otherwise counted here."""
         self._docs: Dict[str, Document] = {}
         for doc in documents:
             if doc.id in self._docs:
                 raise ValidationError(f"duplicate document id {doc.id!r}")
             self._docs[doc.id] = doc
         # Drop citation edges pointing outside the corpus.
-        for doc in self._docs.values():
-            kept = tuple(c for c in doc.citations if c in self._docs)
-            if len(kept) != len(doc.citations):
-                dropped = [c for c in doc.citations if c not in self._docs]
+        dangling = set().union(*(doc.citations for doc in self._docs.values())) - self._docs.keys()
+        for doc in self._docs.values() if dangling else ():
+            if not dangling.isdisjoint(doc.citations):
+                dropped = [c for c in doc.citations if c in dangling]
                 log.warning("document %s: dropping dangling citations %s", doc.id, dropped)
-                doc.citations = kept
-        self._docs = dict(sorted(self._docs.items()))  # ``documents()`` order
-        self.stats = CorpusStats([doc.text for doc in self._docs.values()])
+                doc.citations = tuple(c for c in doc.citations if c not in dangling)
+        self._docs = {doc_id: self._docs[doc_id] for doc_id in sorted(self._docs)}
+        if stats is None:
+            stats = CorpusStats.of([doc.text for doc in self._docs.values()])
+        self.stats = stats
 
     def __len__(self) -> int:
         return len(self._docs)
@@ -174,42 +180,21 @@ class Corpus:
         return list(self._docs.values())
 
 
-def _read_index(path: str) -> Dict[str, np.ndarray]:
-    """Each id's row of the index at ``path``; a malformed index is a LoadError naming it."""
-    try:
-        if not zipfile.is_zipfile(path):
-            raise ValueError("not a zip archive")
-        with np.load(path, allow_pickle=False) as archive:
-            ids, vectors = archive["ids"], archive["vectors"]
-        if ids.ndim != 1 or ids.dtype.kind != "U" or len(set(ids.tolist())) != len(ids):
-            raise ValueError("'ids' must be a 1-D unicode array of distinct ids")
-        if vectors.ndim != 2 or vectors.dtype != np.float64 or len(vectors) != len(ids):
-            raise ValueError("'vectors' must be a 2-D float64 array with one row per id")
-    except (OSError, EOFError, KeyError, ValueError, zipfile.BadZipFile) as exc:
-        raise LoadError(f"cannot read {path}: {exc}") from exc
-    return dict(zip(ids.tolist(), vectors))
+INDEX = "embeddings.npz"
 
 
-def load_corpus(directory: str, embedder: Embedder) -> Corpus:
-    """Read a corpus directory; embeds bodies lacking a precomputed row.
-    A directory or file that cannot be read is a :class:`LoadError`."""
+def _document_names(directory: str) -> List[str]:
+    """The sorted ``.txt`` names of a corpus directory."""
     if not os.path.isdir(directory):
         raise LoadError(f"corpus directory not found: {directory}")
     try:
-        names = sorted(n for n in os.listdir(directory) if n.endswith(".txt"))
+        return sorted(n for n in os.listdir(directory) if n.endswith(".txt"))
     except OSError as exc:
         raise LoadError(f"cannot list corpus directory {directory}: {exc}") from exc
-    if not names:
-        return Corpus([])
 
-    index = os.path.join(directory, "embeddings.npz")
-    text_index = os.path.join(directory, "embeddings.tsv")
-    if os.path.exists(text_index) and not os.path.exists(index):
-        # Re-embedding every document instead would bill an HTTP embedder.
-        raise LoadError(f"{text_index} is a text index, which forge no longer reads: "
-                        f"delete it and run `forge corpus index {directory}` again")
-    precomputed = _read_index(index) if os.path.exists(index) else {}
 
+def _read_citations(directory: str) -> Dict[str, List[str]]:
+    """Each document's cited ids, in ``citations.tsv`` order."""
     citations: Dict[str, List[str]] = {}
     cit_path = os.path.join(directory, "citations.tsv")
     if os.path.exists(cit_path):
@@ -221,35 +206,137 @@ def load_corpus(directory: str, embedder: Embedder) -> Corpus:
             if len(parts) != 2:
                 raise LoadError(f"bad citations line: {line!r}")
             citations.setdefault(parts[0], []).append(parts[1])
+    return citations
 
+
+def _read_documents(directory: str, names: List[str], embedder: Embedder,
+                    known: Dict[bytes, np.ndarray]) -> Corpus:
+    """The corpus of the directory's files; a text whose sha256 ``known``
+    maps to a vector takes it, and the embedder embeds the others."""
+    text_index = os.path.join(directory, "embeddings.tsv")
+    if names and os.path.exists(text_index) and not os.path.exists(os.path.join(directory, INDEX)):
+        # Re-embedding every document instead would bill an HTTP embedder.
+        raise LoadError(f"{text_index} is a text index, which forge no longer reads: "
+                        f"delete it and run `forge corpus index {directory}` again")
+    citations = _read_citations(directory)
     docs = []
     for name in names:
         doc_id = name[:-4]
         text = read_text(os.path.join(directory, name))
         if not text.strip():
             raise LoadError(f"document {doc_id!r} is empty")
-        if doc_id in precomputed:
-            embedding = precomputed[doc_id]
-        else:
-            embedding = embedder.embed_one(text)
-        docs.append(
-            Document(id=doc_id, text=text, embedding=embedding,
-                     citations=tuple(citations.get(doc_id, ())))
-        )
+        row = known.get(hashlib.sha256(text.encode("utf-8")).hexdigest().encode()) if known else None
+        embedding = embedder.embed_one(text) if row is None else row
+        docs.append(Document(doc_id, text, embedding, tuple(citations.get(doc_id, ()))))
     return Corpus(docs)
 
 
+# Each index member in the order read: its dtype (a kind letter: any width),
+# what it must be, and its check given the members before it.
+_MEMBERS = (
+    ("ids", "U", "a 1-D unicode array of distinct ids",
+     lambda a, m: a.ndim == 1 and len(set(a.tolist())) == a.size),
+    ("texts", "uint8", "a 1-D uint8 array of UTF-8 bytes", lambda a, m: a.ndim == 1),
+    ("offsets", "int64", "int64 offsets, one more than 'ids', rising from 0 to the end of 'texts'",
+     lambda a, m: a.shape == (m["ids"].size + 1,) and a[0] == 0 and a[-1] == m["texts"].size
+     and np.all(a[1:] >= a[:-1])),
+    ("sha256", "S64", "one 64-byte hex digest per id", lambda a, m: a.shape == m["ids"].shape),
+    ("vectors", "float64", "a 2-D float64 array with one row per id",
+     lambda a, m: a.ndim == 2 and len(a) == m["ids"].size),
+    ("citations", "int32", "a 2-D int32 array of (citing, cited) rows of 'ids'",
+     lambda a, m: a.ndim == 2 and a.shape[1] == 2 and np.all((0 <= a) & (a < m["ids"].size))),
+    ("terms", "S", "a 1-D bytes array of sorted terms",
+     lambda a, m: a.ndim == 1 and np.all(a[1:] > a[:-1])),
+    ("counts", "int32", "one count per term, each in [1, the number of ids]",
+     lambda a, m: a.shape == m["terms"].shape and np.all((1 <= a) & (a <= m["ids"].size))),
+)
+
+
+def _read_index(path: str, directory: str) -> Dict[str, Any]:
+    """The members of the index at ``path``, each checked, ``ids`` and ``texts``
+    as lists. A malformed index is a LoadError naming it."""
+    try:
+        if not zipfile.is_zipfile(path):
+            raise ValueError("not a zip archive")
+        with np.load(path, allow_pickle=False) as archive:
+            if "texts" not in archive.files:
+                raise LoadError(f"{path} is an index without texts, which forge no longer reads: "
+                                f"delete it and run `forge corpus index {directory}` again")
+            got: Dict[str, Any] = {}
+            for name, dtype, must, ok in _MEMBERS:
+                a = got[name] = archive[name]  # bytes when the member is no .npy file
+                typed = isinstance(a, np.ndarray) and (a.dtype.kind if len(dtype) == 1 else a.dtype)
+                if typed != dtype or not ok(a, got):
+                    raise ValueError(f"{name!r} must be {must}")
+                if name == "offsets":  # decoded now, so the bytes go before the vectors come
+                    ends = a.tolist()
+                    got["texts"] = [str(got["texts"][i:j], "utf-8") for i, j in zip(ends, ends[1:])]
+    except (OSError, EOFError, KeyError, ValueError, zipfile.BadZipFile) as exc:
+        raise LoadError(f"cannot read {path}: {exc}") from exc
+    got["ids"] = got["ids"].tolist()
+    return got
+
+
+def load_corpus(directory: str, embedder: Embedder) -> Corpus:
+    """Read a corpus directory: from its index when it has one, else from its
+    documents, each embedded. A directory or file that cannot be read, or an
+    index of other documents than the directory holds, is a :class:`LoadError`."""
+    names = _document_names(directory)
+    index = os.path.join(directory, INDEX)
+    if not names or not os.path.exists(index):
+        return _read_documents(directory, names, embedder, {})
+    got = _read_index(index, directory)
+    ids = got["ids"]
+    if set(ids) != {n[:-4] for n in names}:
+        raise LoadError(f"{index} is out of date, as documents were added or removed since it was"
+                        f" written: run `forge corpus index {directory}` again")
+    vectors = got["vectors"]
+    norms = np.sqrt([row.dot(row) for row in vectors])  # as np.linalg.norm sums each row
+    bad = np.flatnonzero((norms == 0.0) | ~np.isfinite(norms))
+    if bad.size:
+        raise ValidationError(f"embedding of document {ids[bad[0]]!r} has a zero or non-finite norm")
+    vectors /= norms[:, None]
+    citing, cited = got["citations"][np.argsort(got["citations"][:, 0], kind="stable")].T
+    targets = [ids[j] for j in cited.tolist()]  # each document's in citations.tsv order
+    ends = np.searchsorted(citing, np.arange(len(ids) + 1)).tolist()
+    docs = [Document.of_unit_row(doc_id, text, row, tuple(targets[i:j])) for doc_id, text, row, i, j
+            in zip(ids, got["texts"], vectors, ends, ends[1:])]
+    return Corpus(docs, CorpusStats(len(ids), got["terms"], got["counts"]))
+
+
 def write_embeddings(corpus: Corpus, directory: str) -> str:
-    """Persist every document embedding as embeddings.npz for fast reload,
-    replacing an earlier index whole or not at all."""
+    """Write ``corpus``, with the edges of the directory's citations.tsv, as
+    its index (see the module docstring), replacing an earlier one whole or not at all."""
     docs = corpus.documents()
     if len({doc.embedding.size for doc in docs}) > 1:
         raise ValidationError("cannot index embeddings of differing dimensions")
-    path = os.path.join(directory, "embeddings.npz")
+    row = {doc.id: i for i, doc in enumerate(docs)}
+    edges = [(row[a], row[b]) for a, cited in _read_citations(directory).items() if a in row
+             for b in cited if b in row]
+    texts = [doc.text.encode("utf-8") for doc in docs]
+    path = os.path.join(directory, INDEX)
     with replacing(path) as fh:
-        np.savez(fh, ids=np.array([doc.id for doc in docs], dtype=str),
-                 vectors=np.stack([doc.embedding for doc in docs]) if docs else np.zeros((0, 0)))
+        np.savez(fh, ids=np.array(list(row), dtype=str),
+                 texts=np.frombuffer(b"".join(texts), dtype=np.uint8),
+                 offsets=np.cumsum([0] + [len(t) for t in texts], dtype=np.int64),
+                 sha256=np.array([hashlib.sha256(t).hexdigest() for t in texts], dtype="S64"),
+                 vectors=np.stack([doc.embedding for doc in docs]) if docs else np.zeros((0, 0)),
+                 citations=np.array(edges, dtype=np.int32).reshape(-1, 2),
+                 terms=corpus.stats.terms, counts=corpus.stats.counts)
     return path
+
+
+def index_corpus(directory: str, embedder: Embedder) -> Tuple[int, str]:
+    """Write the index of the directory's documents and citations.tsv, read
+    afresh; returns the document count and the index path. Only texts whose
+    sha256 the earlier index lacks are embedded, so an HTTP embedder bills
+    for edits alone."""
+    names = _document_names(directory)
+    index = os.path.join(directory, INDEX)
+    got = _read_index(index, directory) if names and os.path.exists(index) else {}
+    known = dict(zip(got["sha256"].tolist(), got["vectors"])) if got else {}
+    corpus = _read_documents(directory, names, embedder, known)
+    return len(corpus), write_embeddings(corpus, directory)
 
 
 @dataclass

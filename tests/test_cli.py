@@ -36,6 +36,7 @@ import forge.retrieval
 from forge.cli import main
 from forge.errors import LoadError
 from forge.protocol import EventStream, canonical_json, load_store
+from forge.retrieval import Corpus, Document, write_embeddings
 from forge.pipeline import (
     load_config,
     open_run,
@@ -869,14 +870,15 @@ def test_full_disk_exits_1(workdir, fsize, victim):
 
 
 def test_full_disk_keeps_the_corpus_index(runner, tmp_path):
-    # One document's index (1,038 bytes) fits in 2,000 bytes; three documents' (2,102) do not.
+    # One document's index (2,639 bytes) fits in 3,300 bytes; three documents' (3,942) do not.
     corpus = write_corpus(tmp_path / "corpus", {"doc-a": "Perturbation atlases."})
     cfg = write_config(tmp_path / "config.json", **profile())
     assert run_cli(runner, ["corpus", "index", corpus, "--config", cfg]).exit_code == 0
     index = corpus / "embeddings.npz"
     before = index.read_bytes()
+    assert len(before) < 3300
     write_corpus(corpus, {"doc-b": "Linear baselines.", "doc-c": "Control means."})
-    done = forge_in_child(["corpus", "index", corpus, "--config", cfg], 2000)
+    done = forge_in_child(["corpus", "index", corpus, "--config", cfg], 3300)
     assert done.returncode == 1, done.stderr[-2000:]
     [line] = done.stderr.splitlines()
     assert line.startswith(f"error: cannot write {index}: ") and "too large" in line
@@ -1073,31 +1075,78 @@ def test_text_index_alone_exits_1(runner, workdir):
     assert sorted(os.listdir(corpus)) == ["doc-a.txt", "embeddings.tsv"]
 
 
-@pytest.mark.parametrize("arrays, reason", [
+def write_index(corpus, vectors):
+    """Index the documents of ``corpus`` named by ``vectors`` (id -> vector) at those vectors."""
+    write_embeddings(Corpus([Document(id=i, text=(corpus / f"{i}.txt").read_text(), embedding=v)
+                             for i, v in vectors.items()]), str(corpus))
+
+
+IDS_MESSAGE = "'ids' must be a 1-D unicode array of distinct ids"
+VECTORS_MESSAGE = "'vectors' must be a 2-D float64 array with one row per id"
+OFFSETS_MESSAGE = ("'offsets' must be int64 offsets, one more than 'ids', rising from 0 to"
+                   " the end of 'texts'")
+CITATIONS_MESSAGE = "'citations' must be a 2-D int32 array of (citing, cited) rows of 'ids'"
+TERMS_MESSAGE = "'terms' must be a 1-D bytes array of sorted terms"
+COUNTS_MESSAGE = "'counts' must be one count per term, each in [1, the number of ids]"
+
+
+# Each case replaces members of the index of doc-a ("fine text") and doc-b
+# ("rare text"); None drops the member.
+@pytest.mark.parametrize("members, reason", [
     (None, "not a zip archive"),
-    ({"ids": np.array(["doc-a"])}, "'vectors is not a file in the archive'"),
-    ({"ids": np.array(["doc-a"], dtype=object), "vectors": np.ones((1, 4))},
+    ({"vectors": None}, "'vectors is not a file in the archive'"),
+    ({"ids": np.array(["doc-a", "doc-b"], dtype=object)},
      "Object arrays cannot be loaded when allow_pickle=False"),
-    ({"ids": np.array([b"doc-a"]), "vectors": np.ones((1, 4))},
-     "'ids' must be a 1-D unicode array of distinct ids"),
-    ({"ids": np.array([["doc-a"]]), "vectors": np.ones((1, 4))},
-     "'ids' must be a 1-D unicode array of distinct ids"),
-    ({"ids": np.array(["doc-a", "doc-a"]), "vectors": np.ones((2, 4))},
-     "'ids' must be a 1-D unicode array of distinct ids"),
-    ({"ids": np.array(["doc-a"]), "vectors": np.ones((1, 4), dtype=np.float32)},
-     "'vectors' must be a 2-D float64 array with one row per id"),
-    ({"ids": np.array(["doc-a"]), "vectors": np.ones(4)},
-     "'vectors' must be a 2-D float64 array with one row per id"),
-    ({"ids": np.array(["doc-a"]), "vectors": np.ones((2, 4))},
-     "'vectors' must be a 2-D float64 array with one row per id"),
+    ({"ids": np.array([b"doc-a", b"doc-b"])}, IDS_MESSAGE),
+    ({"ids": np.array([["doc-a", "doc-b"]])}, IDS_MESSAGE),
+    ({"ids": np.array(["doc-a", "doc-a"])}, IDS_MESSAGE),
+    ({"vectors": np.ones((2, 4), dtype=np.float32)}, VECTORS_MESSAGE),
+    ({"vectors": np.ones(8)}, VECTORS_MESSAGE),
+    ({"vectors": np.ones((3, 4))}, VECTORS_MESSAGE),
+    ({"texts": np.frombuffer(b"fine textrare text", dtype=np.int8)},
+     "'texts' must be a 1-D uint8 array of UTF-8 bytes"),
+    ({"texts": np.frombuffer(b"fine text\xffare text", dtype=np.uint8)},
+     "'utf-8' codec can't decode byte 0xff in position 0: invalid start byte"),
+    ({"offsets": np.array([0, 9, 18], dtype=np.int32)}, OFFSETS_MESSAGE),
+    ({"offsets": np.array([0, 18])}, OFFSETS_MESSAGE),
+    ({"offsets": np.array([0, 19, 18])}, OFFSETS_MESSAGE),
+    ({"offsets": np.array([0, 9, 17])}, OFFSETS_MESSAGE),
+    ({"offsets": np.array([1, 9, 18])}, OFFSETS_MESSAGE),
+    ({"sha256": np.array(["0" * 64] * 2)}, "'sha256' must be one 64-byte hex digest per id"),
+    ({"sha256": np.array([b"0" * 64])}, "'sha256' must be one 64-byte hex digest per id"),
+    ({"citations": np.array([[0, 1]])}, CITATIONS_MESSAGE),
+    ({"citations": np.array([0, 1], dtype=np.int32)}, CITATIONS_MESSAGE),
+    ({"citations": np.array([[0, 2]], dtype=np.int32)}, CITATIONS_MESSAGE),
+    ({"citations": np.array([[-1, 0]], dtype=np.int32)}, CITATIONS_MESSAGE),
+    ({"terms": np.array(["fine", "rare", "text"])}, TERMS_MESSAGE),
+    ({"terms": np.array([b"fine", b"text", b"rare"])}, TERMS_MESSAGE),
+    ({"terms": np.array([b"fine", b"fine", b"text"])}, TERMS_MESSAGE),
+    ({"counts": np.array([1, 1, 2])}, COUNTS_MESSAGE),
+    ({"counts": np.array([1, 2], dtype=np.int32)}, COUNTS_MESSAGE),
+    ({"counts": np.array([1, 1, 3], dtype=np.int32)}, COUNTS_MESSAGE),
+    ({"counts": np.array([0, 1, 2], dtype=np.int32)}, COUNTS_MESSAGE),
 ], ids=["not-zip", "no-vectors", "object-ids", "bytes-ids", "2-d-ids", "repeated-id",
-        "float32-vectors", "1-d-vectors", "extra-row"])
-def test_corrupt_index_exits_1(runner, tmp_path, arrays, reason):
-    corpus = write_corpus(tmp_path / "corpus", {"doc-a": "fine text"})
+        "float32-vectors", "1-d-vectors", "extra-row", "int8-texts", "non-utf8-text",
+        "int32-offsets", "short-offsets", "falling-offsets", "offsets-short-of-texts",
+        "offsets-not-from-0", "unicode-sha256", "one-sha256", "int64-citations",
+        "1-d-citations", "citation-out-of-range", "negative-citation", "unicode-terms",
+        "unsorted-terms", "repeated-term", "int64-counts", "short-counts", "count-above-docs",
+        "count-of-0"])
+def test_corrupt_index_exits_1(runner, tmp_path, members, reason):
+    corpus = write_corpus(tmp_path / "corpus", {"doc-a": "fine text", "doc-b": "rare text"},
+                          citations=[("doc-a", "doc-b")])
     index = corpus / "embeddings.npz"
-    if arrays is None:
+    if members is None:
         index.write_text("doc-a\t1 0 0 0\n")
     else:
+        write_index(corpus, {"doc-a": [1.0, 0, 0, 0], "doc-b": [0, 1.0, 0, 0]})
+        with np.load(index, allow_pickle=False) as archive:
+            arrays = {name: archive[name] for name in archive.files}
+        assert arrays["terms"].tolist() == [b"fine", b"rare", b"text"]
+        for name, array in members.items():
+            del arrays[name]
+            if array is not None:
+                arrays[name] = array
         np.savez(index, **arrays)
     before = index.read_bytes()
     cfg = write_config(tmp_path / "config.json", **profile())
@@ -1110,14 +1159,60 @@ def test_corrupt_index_exits_1(runner, tmp_path, arrays, reason):
 
 def test_corpus_index_of_differing_dimensions_exits_1(runner, tmp_path):
     # doc-a's row is 3-d; doc-b, which has none, is embedded at 64.
-    corpus = write_corpus(tmp_path / "corpus", {"doc-a": "fine text", "doc-b": "more text"})
-    np.savez(corpus / "embeddings.npz", ids=np.array(["doc-a"]), vectors=np.ones((1, 3)))
+    corpus = write_corpus(tmp_path / "corpus", {"doc-a": "fine text"})
+    write_index(corpus, {"doc-a": [1.0, 1.0, 1.0]})
+    write_corpus(corpus, {"doc-b": "more text"})
     before = (corpus / "embeddings.npz").read_bytes()
     cfg = write_config(tmp_path / "config.json", **profile())
     result = run_cli(runner, ["corpus", "index", corpus, "--config", cfg])
     assert result.exit_code == 1, everything(result)
     assert everything(result).startswith("error: cannot index embeddings of differing dimensions\n")
     assert (corpus / "embeddings.npz").read_bytes() == before
+
+
+@pytest.mark.parametrize("change", ["added", "removed"])
+def test_stale_index_exits_1(runner, workdir, change):
+    # A document added or removed after indexing is not loaded with a guess
+    # at the index; the run asks for a re-index, which then loads.
+    corpus = write_corpus(workdir / "corpus", {"doc-a": "Mean-shift baselines.",
+                                               "doc-b": "Knockout profiles."})
+    cfg = write_config(workdir / "config.json", **profile(golden_fixture(workdir / "fx.json")))
+    assert run_cli(runner, ["corpus", "index", corpus, "--config", cfg]).exit_code == 0
+    if change == "added":
+        write_corpus(corpus, {"doc-c": "Control means."})
+    else:
+        (corpus / "doc-b.txt").unlink()
+    run = ["run", "--task", workdir / "task.txt", "--bundle", workdir / "bundle",
+           "--corpus", corpus, "--out", workdir / "out", "--config", cfg]
+    result = run_cli(runner, run)
+    assert result.exit_code == 1, everything(result)
+    assert everything(result).startswith(
+        f"error: {corpus / 'embeddings.npz'} is out of date, as documents were added or removed"
+        f" since it was written: run `forge corpus index {corpus}` again\n")
+    assert json.loads((workdir / "out" / "usage.json").read_text())["records"] == []
+    assert run_cli(runner, ["corpus", "index", corpus, "--config", cfg]).exit_code == 0
+    assert len(forge.retrieval.load_corpus(str(corpus), forge.providers.ScriptedEmbedder())) == {
+        "added": 3, "removed": 1}[change]
+
+
+def test_index_without_texts_exits_1(runner, workdir):
+    # An index of older versions holds ids and vectors only; neither a run
+    # nor a re-index embeds every document again in its place.
+    corpus = write_corpus(workdir / "corpus", {"doc-a": "Mean-shift baselines."})
+    index = corpus / "embeddings.npz"
+    np.savez(index, ids=np.array(["doc-a"]), vectors=np.ones((1, 64)))
+    before = index.read_bytes()
+    cfg = write_config(workdir / "config.json", **profile(golden_fixture(workdir / "fx.json")))
+    out = workdir / "out"
+    for args in (["run", "--task", workdir / "task.txt", "--bundle", workdir / "bundle",
+                  "--corpus", corpus, "--out", out], ["corpus", "index", corpus]):
+        result = run_cli(runner, [*args, "--config", cfg])
+        assert result.exit_code == 1, everything(result)
+        assert everything(result).startswith(
+            f"error: {index} is an index without texts, which forge no longer reads: "
+            f"delete it and run `forge corpus index {corpus}` again\n")
+    assert json.loads((out / "usage.json").read_text())["records"] == []  # fixture unconsumed
+    assert index.read_bytes() == before
 
 
 def test_analyze_with_indexed_corpus(runner, workdir):
@@ -1189,9 +1284,8 @@ def test_stages_record_their_agents_outputs(workdir):
     assert scores == discussion_replies(2, 4).count("SCORE: 0.9")
 
 
-# A document without a row in embeddings.npz is embedded at embed_dim (64).
+# The documents are indexed at 3 dimensions; the query is embedded at embed_dim (64).
 @pytest.mark.parametrize("rows", [
-    pytest.param({"doc-b": [1.0, 0.0, 0.0]}, id="mixed"),
     pytest.param({"doc-a": [0.0, 1.0, 0.0], "doc-b": [1.0, 0.0, 0.0]}, id="not-embed-dim"),
 ])
 def test_run_with_corpus_of_wrong_dimension_exits_1(runner, workdir, rows):
@@ -1200,8 +1294,7 @@ def test_run_with_corpus_of_wrong_dimension_exits_1(runner, workdir, rows):
         {"doc-a": "Mean-shift baselines for perturbation prediction.",
          "doc-b": "Expression profiles of knockout cells."},
     )
-    np.savez(corpus / "embeddings.npz", ids=np.array(list(rows)),
-             vectors=np.array(list(rows.values())))
+    write_index(corpus, rows)
     fixture = golden_fixture(workdir / "fixture.json")
     cfg = write_config(workdir / "config.json", **profile(fixture))
     result = run_cli(

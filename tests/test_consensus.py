@@ -138,6 +138,22 @@ def test_registry_rejects_bad_role_file(tmp_path, content, match):
         load_registry(str(tmp_path))
 
 
+def test_registry_refusal_by_the_role_names_its_file(tmp_path):
+    (tmp_path / "a.json").write_text(
+        json.dumps({"id": "", "name": "a", "description": "d", "template": "t"}))
+    with pytest.raises(LoadError) as refused:
+        load_registry(str(tmp_path))
+    assert str(refused.value) == (
+        f"role file {tmp_path / 'a.json'}: expert role field 'id' must be a non-empty string")
+    for name in ("a.json", "c.json"):
+        (tmp_path / name).write_text(
+            json.dumps({"id": "b", "name": name, "description": "d", "template": "t"}))
+    with pytest.raises(ValidationError) as refused:
+        load_registry(str(tmp_path))
+    assert str(refused.value) == (f"role file {tmp_path / 'c.json'}: duplicate expert role id: b,"
+                                  f" also in role file {tmp_path / 'a.json'}")
+
+
 # ---------------------------------------------------------------------------
 # relevance and panel selection
 

@@ -1,6 +1,8 @@
 """Key-term extraction, query evolution, and the citation-walk stop triad."""
 
+import hashlib
 import math
+import zipfile
 
 import numpy as np
 import pytest
@@ -15,13 +17,12 @@ from forge.retrieval import (
     Document,
     QueryState,
     RetrievalParams,
-    _TOKEN_RE,
-    _token_pattern,
     _tokens,
     _top_unseen,
     construct_initial_query,
     extract_key_terms,
     follow_citations,
+    index_corpus,
     load_corpus,
     overlap,
     retrieve,
@@ -66,7 +67,7 @@ def test_extract_key_terms_respects_limit_and_raises_when_empty():
 
 
 def test_corpus_stats_damp_ubiquitous_terms():
-    stats = CorpusStats(["common", "Common ground", "the common case"])
+    stats = CorpusStats.of(["common", "Common ground", "the common case"])
     assert stats.icf("common") == pytest.approx(1.0)
     assert stats.icf("rare") == pytest.approx(math.log(4.0) + 1.0)
     # frequency 2 of "common" loses to frequency 1 of "rare" once damped
@@ -92,53 +93,55 @@ def _per_token_frequencies(docs):
     return df
 
 
+def _table(stats):
+    return dict(zip(stats.terms.astype(str).tolist(), stats.counts.tolist()))
+
+
 def test_document_frequencies_match_the_per_token_definition():
+    # Hyphens, apostrophes, digits, and characters whose lowercase differs in
+    # length or letter (ß stays, İ gains a combining dot, Kelvin becomes k).
     texts = [
         "The T-cell's knock-out of KO-2 genes; Don't re-use 42 or 7b.",
         "co-culture CO-CULTURE co-culture's naïve Ärger café ß x 3 12 a1",
         "THE and OF to -- ' 2024-01 rock'n'roll well-known Well-Known",
-        "Zürich ZÜRICH zürich's 9-9 q-b b-q BRCA1 brca1",
+        "Zürich ZÜRICH zürich's 9-9 q-b b-q BRCA1 brca1 İi \u212aelvin kelvin's",
     ]
     docs = [Document(id=f"d{i}", text=t, embedding=[1.0, 0.0]) for i, t in enumerate(texts)]
     stats = Corpus(docs).stats
-    assert stats._doc_freq == {}  # nothing is counted until asked for
-    want = _per_token_frequencies(docs)
-    # every token, stopwords and digits included, plus absent and non-tokens
-    terms = {tok for t in texts for tok in _TOKEN_RE.findall(t.lower())}
-    terms |= {"absent", "ko-", "cell's-", "KO", "co culture", ""}
-    stats.count(terms)
-    got = {term: stats._doc_freq.get(term, 0) for term in terms}
-    assert got == {term: want.get(term, 0) for term in terms}
+    assert stats.terms.dtype.kind == "S" and stats.counts.dtype == np.int32
+    assert _table(stats) == _per_token_frequencies(docs)
+    got = _table(stats)
     assert got["co-culture"] == 1 and got["well-known"] == 1 and got["brca1"] == 1
-    assert got["the"] == got["42"] == got["x"] == got["ko-"] == got["KO"] == 0
-    # a counted term is not counted again; icf counts what it is asked for
-    stats.count(["co-culture"])
-    assert stats._doc_freq["co-culture"] == 1
-    fresh = Corpus(docs).stats
-    assert fresh.icf("brca1") == pytest.approx(math.log(5 / 2) + 1.0)
-    assert fresh._doc_freq == {"brca1": 1}
-
-
-def test_token_pattern_matches_where_findall_returns_the_term():
-    # Random strings over token characters, separators, doubled and trailing
-    # hyphens, apostrophes, and characters whose lowercase differs in
-    # length or letter (ß stays, İ gains a combining dot, Kelvin becomes k).
+    assert got["kelvin"] == got["kelvin's"] == 1
+    assert "i" not in got and "ii" not in got  # "İi" lowers to "i", a combining dot, "i"
+    # stopwords, digits, one-letter tokens and strings that are no token count 0
+    for term in ("the", "42", "x", "ko-", "KO", "co culture", "absent", ""):
+        assert term not in got
+        assert stats.icf(term) == pytest.approx(math.log(5.0) + 1.0)
+    assert stats.icf("brca1") == pytest.approx(math.log(5 / 2) + 1.0)
+    # random strings over token characters, separators and the same letters
     rng = np.random.default_rng(7)
     alphabet = list("ab0-' x\n") + ["--", "'", "ß", "İ", "\u212a", "A", "B", "K"]
-    terms = ["a", "b", "ab", "ba", "b0", "a-b", "a'b", "ab'a", "k", "ki", "i", "0"]
-    patterns = {term: _token_pattern(term) for term in terms}
-    texts = ["".join(rng.choice(alphabet, size=rng.integers(0, 14))) for _ in range(20000)]
-    for text in texts[:10000]:
-        for s in (text, text.lower()):
-            tokens = _TOKEN_RE.findall(s)
-            for term, pattern in patterns.items():
-                assert (pattern.search(s) is not None) == (term in tokens), (s, term)
-    # whole counts over a corpus of the rest, against the per-document definition
-    stats = CorpusStats(texts[10000:])
-    stats.count(terms)
-    for term in terms:
-        want = sum(term in _tokens(t) for t in texts[10000:])
-        assert stats._doc_freq.get(term, 0) == want, term
+    texts = ["".join(rng.choice(alphabet, size=rng.integers(0, 14))) for _ in range(10000)]
+    docs = [Document(id=f"r{i:05d}", text=t, embedding=[1.0]) for i, t in enumerate(texts)]
+    assert _table(CorpusStats.of(texts)) == _per_token_frequencies(docs)
+
+
+def test_document_frequencies_of_a_benchmark_sized_corpus():
+    # 5,000 documents of 80 words from a 30,000-word syllable vocabulary, as
+    # the deliberation benchmark's corpus is built.
+    rng = np.random.default_rng(3)
+    syllables = [c + v for c in "bcdfghjklmnprstvz" for v in "aeiou"]
+    vocab = sorted({"".join(syllables[i] for i in row)
+                    for row in rng.integers(0, len(syllables), size=(40000, 3))})[:30000]
+    texts = [" ".join(vocab[j] for j in rng.integers(0, len(vocab), size=80)) + "\n"
+             for _ in range(5000)]
+    docs = [Document(id=f"d{i:05d}", text=t, embedding=[1.0]) for i, t in enumerate(texts)]
+    stats = Corpus(docs).stats
+    want = _per_token_frequencies(docs)
+    assert len(want) > 25000 and _table(stats) == want
+    for term in list(want)[:50]:
+        assert stats.icf(term) == math.log(5001 / (1 + want[term])) + 1.0
 
 
 def test_document_normalizes_embedding():
@@ -178,6 +181,15 @@ def test_load_corpus_round_trip(tmp_path):
     with np.load(directory / "embeddings.npz", allow_pickle=False) as index:
         assert index["ids"].tolist() == ["d1", "d2"]
         assert np.array_equal(index["vectors"], [d.embedding for d in corpus.documents()])
+        assert index["texts"].tobytes() == b"gene expression atlasperturbation screens"
+        assert index["offsets"].tolist() == [0, 21, 41]
+        assert index["sha256"].tolist() == [
+            hashlib.sha256(t).hexdigest().encode() for t in (b"gene expression atlas",
+                                                             b"perturbation screens")]
+        assert index["citations"].tolist() == [[0, 1]]
+        assert index["terms"].tolist() == [b"atlas", b"expression", b"gene", b"perturbation",
+                                           b"screens"]
+        assert index["counts"].tolist() == [1] * 5
 
     class ForbiddenEmbedder(ScriptedEmbedder):
         def embed(self, texts):
@@ -185,9 +197,63 @@ def test_load_corpus_round_trip(tmp_path):
 
     reloaded = load_corpus(str(directory), ForbiddenEmbedder(dim=16))
     for doc_id in ("d1", "d2"):
-        # each stored row passes unit_vector again, as every embedding does
+        # each stored row is divided by its norm as unit_vector divides it, bit for bit
         assert np.array_equal(reloaded.get(doc_id).embedding,
                               unit_vector(corpus.get(doc_id).embedding, doc_id))
+        assert reloaded.get(doc_id).text == corpus.get(doc_id).text
+    assert reloaded.get("d1").citations == ("d2",)
+    assert _table(reloaded.stats) == _table(corpus.stats)
+
+
+class CountingEmbedder(ScriptedEmbedder):
+    def __init__(self):
+        super().__init__(dim=16)
+        self.texts = []
+
+    def embed(self, texts):
+        self.texts.extend(texts)
+        return super().embed(texts)
+
+
+def test_reindex_embeds_only_edited_texts(tmp_path):
+    texts = {"d1": "gene expression atlas", "d2": "perturbation screens", "d3": "control means"}
+    directory = write_corpus(tmp_path / "corpus", texts)
+    embedder = CountingEmbedder()
+    assert index_corpus(str(directory), embedder) == (3, str(directory / "embeddings.npz"))
+    assert embedder.texts == list(texts.values())
+    (directory / "d2.txt").write_text("perturbation screens, edited")
+    embedder.texts.clear()
+    index_corpus(str(directory), embedder)
+    assert embedder.texts == ["perturbation screens, edited"]
+    # the edited document loads with its new text and that text's embedding
+    embedder.texts.clear()
+    reloaded = load_corpus(str(directory), embedder)
+    assert embedder.texts == []
+    assert reloaded.get("d2").text == "perturbation screens, edited"
+    edited = write_corpus(tmp_path / "edited", {**texts, "d2": "perturbation screens, edited"})
+    fresh = load_corpus(str(edited), embedder)  # no index: every text embedded
+    for doc_id in texts:
+        assert np.allclose(reloaded.get(doc_id).embedding, fresh.get(doc_id).embedding, atol=1e-15)
+
+
+def test_indexed_rows_match_unit_vector_bit_for_bit(tmp_path):
+    # The load divides the stored rows by their norms as one matrix; the
+    # per-row unit_vector it replaces is the reference.
+    rng = np.random.default_rng(5)
+    texts = {f"d{i:03d}": f"document number {i}" for i in range(300)}
+    directory = write_corpus(tmp_path / "corpus", texts)
+    corpus = Corpus([Document(id=i, text=t, embedding=[1.0]) for i, t in texts.items()])
+    raw = rng.standard_normal((300, 64)) * rng.uniform(1e-3, 1e3, (300, 1))
+    for doc, row in zip(corpus.documents(), raw):
+        doc.embedding = row
+    write_embeddings(corpus, str(directory))
+    loaded = load_corpus(str(directory), ScriptedEmbedder())
+    for doc, row in zip(loaded.documents(), raw):
+        assert np.array_equal(doc.embedding, unit_vector(row, doc.id))
+    corpus.get("d007").embedding = np.zeros(64)
+    write_embeddings(corpus, str(directory))
+    with pytest.raises(ValidationError, match="embedding of document 'd007' has a zero or non-finite"):
+        load_corpus(str(directory), ScriptedEmbedder())
 
 
 def test_load_corpus_error_paths(tmp_path):
@@ -200,6 +266,14 @@ def test_load_corpus_error_paths(tmp_path):
     (directory / "citations.tsv").unlink()
     (directory / "embeddings.npz").write_text("d1 0.5 0.5\n")
     with pytest.raises(LoadError, match="embeddings.npz: not a zip archive"):
+        load_corpus(str(directory), ScriptedEmbedder())
+    write_embeddings(Corpus([Document(id="d1", text="text", embedding=[1.0, 0.0])]), str(directory))
+    with zipfile.ZipFile(directory / "embeddings.npz") as archive:
+        members = {info: archive.read(info) for info in archive.infolist()}
+    with zipfile.ZipFile(directory / "embeddings.npz", "w") as archive:
+        for info, data in members.items():  # a member that is not in .npy format
+            archive.writestr(info, b"not an array" if info.filename == "terms.npy" else data)
+    with pytest.raises(LoadError, match="embeddings.npz: 'terms' must be a 1-D bytes array"):
         load_corpus(str(directory), ScriptedEmbedder())
     (directory / "embeddings.npz").rename(directory / "embeddings.tsv")
     with pytest.raises(LoadError, match="embeddings.tsv is a text index"):

@@ -12,6 +12,8 @@ the seed-1 inputs of ``perfbench/gen.py``. The scenarios:
 
 - ``golden`` and ``golden-corpus``: the scripted golden run, without and
   with a small corpus;
+- ``indexed-corpus``: ``golden-corpus`` after ``forge corpus index``, so
+  the run reads the corpus from its index;
 - ``relevance-floor``: ``golden-corpus`` at the default relevance floor,
   which the first layer's best score misses, so the walk stops there;
 - ``corpus-terms``: the golden run with a corpus whose documents hold the
@@ -133,6 +135,15 @@ def _scripted(name: str, completions, corpus=None, r_max: int = 2, thresholds=No
             str(write_corpus(base / "corpus", corpus)) if corpus else None)
 
 
+def _indexed(inputs):
+    """``inputs`` after ``forge corpus index`` of their corpus, by the forge under test."""
+    from forge.cli import main
+
+    _, _, config, corpus = inputs
+    main(["corpus", "index", corpus, "--config", config], standalone_mode=False)
+    return inputs
+
+
 def scenarios():
     """(name, inputs) for every scenario, building the inputs as it goes."""
     from conftest import ANALYSIS_REPLIES, BUNDLE_MATRIX, IDENTITY_ARTIFACT_REPLY, discussion_replies
@@ -142,6 +153,7 @@ def scenarios():
     golden = analysis + design + [IDENTITY_ARTIFACT_REPLY]
     yield "golden", _scripted("golden", golden)
     yield "golden-corpus", _scripted("golden-corpus", golden, corpus=CORPUS)
+    yield "indexed-corpus", _indexed(_scripted("indexed-corpus", golden, corpus=CORPUS))
     yield "relevance-floor", _scripted("relevance-floor", golden, corpus=CORPUS, admit_all=False)
     yield "corpus-terms", _scripted("corpus-terms", golden, corpus=CORPUS_TERMS)
     yield "thresholds", _scripted(
